@@ -13,7 +13,7 @@ import os
 import sys
 
 from .core import from_group
-from .errors import BitradesError, GroupError, ParseError, ResourceCapError, ValidationError
+from .errors import BitradesError, ParseError, ResourceCapError, ValidationError
 from .families import family_from_spec, predicted_table
 from .groups import DEFAULT_MAX_ELEMENTS, group_from_spec
 from .properties import compute_report, report_to_json
@@ -239,13 +239,7 @@ def main(argv=None) -> int:
     except ResourceCapError as err:
         print(f"resource cap exceeded: {err}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError, GroupError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except BitradesError as err:
+    except (BitradesError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

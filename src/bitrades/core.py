@@ -18,9 +18,11 @@ Bitrades arise here three ways: from explicit triples, from a triple of
 fixed-point-free permutations whose cycles pairwise share at most one
 moved point and whose product is the identity (Q1-Q3), and from a finite
 group with elements a, b, c satisfying abc = 1 whose cyclic subgroups
-pairwise intersect trivially (G1-G2).  In the group construction the
-filled cells are (gA, gB, gC) for g in G and the mate replaces the symbol
-coset by g a^-1 C.
+pairwise intersect trivially (G1-G2).  The group construction is the
+permutation construction on the group elements with the right
+multiplications x -> xa, x -> xb, x -> xc: their cycles are the left
+cosets, so the filled cells are (gA, gB, gC) for g in G and the mate
+replaces the symbol coset by g a^-1 C.
 """
 
 from __future__ import annotations
@@ -269,74 +271,108 @@ class PermutationTriple:
     perms: tuple
     cycles: tuple
 
-    def cycle_index(self, i):
-        """point -> index of its cycle within perms[i]."""
-        out = {}
-        for ci, cycle in enumerate(self.cycles[i]):
-            for x in cycle:
-                out[x] = ci
-        return out
+
+def _index_permutations(perms, points):
+    """Dict permutations of ``points`` as lists of indices into ``points``."""
+    index = {x: i for i, x in enumerate(points)}
+    if len(index) != len(points):
+        raise ValidationError("input", "the point list repeats a point")
+    out = []
+    for idx, perm in enumerate(perms, 1):
+        if perm.keys() != index.keys() or set(perm.values()) != index.keys():
+            raise ValidationError(
+                "input", f"permutation {idx} is not a permutation of the point set")
+        out.append([index[perm[x]] for x in points])
+    return out
 
 
-def _cycles_of(perm, points):
-    seen = set()
+def _check_permutation_triple(perms, points):
+    """Check Q2 (no fixed points), Q1 (cycles of different permutations
+    share at most one moved point) and Q3 (the product is the identity)
+    for three permutations given as index lists into ``points``.
+
+    Returns, per permutation, its cycles as index lists, each starting at
+    its least index and in ascending order of it, and the cycle number of
+    every index.
+    """
+    n = len(points)
     cycles = []
-    for start in points:
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        x = perm[start]
-        while x != start:
-            cycle.append(x)
-            seen.add(x)
-            x = perm[x]
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
+    cycle_of = []
+    for idx, q in enumerate(perms, 1):
+        cyc = []
+        of = [-1] * n
+        for start in range(n):
+            if of[start] >= 0:
+                continue
+            if q[start] == start:
+                raise ValidationError(
+                    "Q2", f"permutation {idx} fixes the point {point_str(points[start])}",
+                    witness=(idx, points[start]))
+            k = len(cyc)
+            cycle = [start]
+            of[start] = k
+            x = q[start]
+            while x != start:
+                cycle.append(x)
+                of[x] = k
+                x = q[x]
+            cyc.append(cycle)
+        cycles.append(cyc)
+        cycle_of.append(of)
+    for r, s in _PAIRS:
+        seen = {}
+        for x, key in enumerate(zip(cycle_of[r], cycle_of[s])):
+            if key in seen:
+                cr = tuple(points[i] for i in cycles[r][key[0]])
+                cs = tuple(points[i] for i in cycles[s][key[1]])
+                raise ValidationError(
+                    "Q1",
+                    f"cycles {cr} and {cs} of permutations {r + 1} and {s + 1} share "
+                    f"the moved points {point_str(points[seen[key]])} and "
+                    f"{point_str(points[x])}",
+                    witness=(cr, cs, points[seen[key]], points[x]))
+            seen[key] = x
+    q1, q2, q3 = perms
+    for x in range(n):
+        if q3[q2[q1[x]]] != x:
+            raise ValidationError(
+                "Q3", f"the product moves the point {point_str(points[x])}",
+                witness=points[x])
+    return cycles, cycle_of
 
 
 def validate_permutation_triple(p1, p2, p3, points):
-    """Check Q1 (cycles of different permutations share at most one moved
-    point), Q2 (no fixed points), Q3 (the product is the identity)."""
+    """Check that three dict permutations of ``points`` satisfy Q1-Q3."""
     perms = (p1, p2, p3)
-    point_set = set(points)
-    for idx, perm in enumerate(perms, 1):
-        if set(perm.keys()) != point_set or set(perm.values()) != point_set:
-            raise ValidationError(
-                "input", f"permutation {idx} is not a permutation of the point set")
-    for idx, perm in enumerate(perms, 1):
-        for x in points:
-            if perm[x] == x:
-                raise ValidationError(
-                    "Q2", f"permutation {idx} fixes the point {point_str(x)}",
-                    witness=(idx, x))
+    cycles, _ = _check_permutation_triple(_index_permutations(perms, points), points)
+    return PermutationTriple(
+        tuple(points), perms,
+        tuple(tuple(tuple(points[i] for i in c) for c in cyc) for cyc in cycles))
 
-    cycles = tuple(_cycles_of(perm, points) for perm in perms)
-    index_maps = []
-    for cyc in cycles:
-        m = {}
-        for ci, cycle in enumerate(cyc):
-            for x in cycle:
-                m[x] = ci
-        index_maps.append(m)
-    for r in range(3):
-        for s in range(r + 1, 3):
-            seen = {}
-            for x in points:
-                key = (index_maps[r][x], index_maps[s][x])
-                if key in seen:
-                    raise ValidationError(
-                        "Q1",
-                        f"cycles {cycles[r][key[0]]} and {cycles[s][key[1]]} of "
-                        f"permutations {r + 1} and {s + 1} share the moved points "
-                        f"{point_str(seen[key])} and {point_str(x)}",
-                        witness=(cycles[r][key[0]], cycles[s][key[1]], seen[key], x))
-                seen[key] = x
-    for x in points:
-        if p3[p2[p1[x]]] != x:
-            raise ValidationError(
-                "Q3", f"the product moves the point {point_str(x)}", witness=x)
-    return PermutationTriple(tuple(points), perms, cycles)
+
+def _bitrade_of_permutations(perms, points, tags, fmt, provenance):
+    """The bitrade of three permutations satisfying Q1-Q3, given as index
+    lists into ``points`` (in canonical order).
+
+    Rows, columns and symbols are the cycles of the three permutations,
+    labelled ``tag:`` plus the formatted least point of the cycle.  Each
+    point x contributes the primary triple of the cycles through x, and the
+    mate triple of the row cycle through x, the column cycle through q1(x)
+    and the symbol cycle through q2(q1(x)).  The result has size |X|.
+    """
+    cycles, cycle_of = _check_permutation_triple(perms, points)
+    alphabets = []
+    labels = []
+    for tag, cyc, of in zip(tags, cycles, cycle_of):
+        names = tuple(f"{tag}:{fmt(points[c[0]])}" for c in cyc)
+        alphabets.append(names)
+        labels.append([names[k] for k in of])
+    lab1, lab2, lab3 = labels
+    q1, q2, _ = perms
+    t_circ = set(zip(lab1, lab2, lab3))
+    t_star = {(lab1[x], lab2[y], lab3[q2[y]]) for x, y in enumerate(q1)}
+    assert len(t_circ) == len(points) and len(t_star) == len(points)
+    return make_bitrade(t_circ, t_star, *alphabets, provenance=provenance)
 
 
 def mate_bijections(bitrade):
@@ -378,47 +414,17 @@ def triple_permutations(bitrade):
 _CYCLE_TAGS = ("R", "C", "S")
 
 
-def _cycle_labels(pt):
-    """Per coordinate: (point -> cycle label, labels in canonical order)."""
-    label_maps = []
-    ordered = []
-    for i in range(3):
-        per_point = {}
-        labels = []
-        for cycle in pt.cycles[i]:
-            lab = f"{_CYCLE_TAGS[i]}:{point_str(cycle[0])}"
-            labels.append(lab)
-            for x in cycle:
-                per_point[x] = lab
-        label_maps.append(per_point)
-        ordered.append(tuple(labels))
-    return label_maps, ordered
-
-
 def from_permutations(p1, p2, p3, points=None):
     """Build the bitrade defined by three permutations satisfying Q1-Q3.
 
     Rows, columns and symbols are the cycles of the three permutations,
-    labelled by their minimum point; each point contributes the primary
-    triple of the cycles moving it, and the mate triple traced by following
-    the three permutations in order.  The result has size |X|.
+    labelled R/C/S plus their minimum point; each point contributes the
+    primary triple of the cycles moving it, and the mate triple traced by
+    following the three permutations in order.  The result has size |X|.
     """
-    if points is None:
-        points = canonical_sorted(p1.keys())
-    else:
-        points = canonical_sorted(points)
-    pt = validate_permutation_triple(dict(p1), dict(p2), dict(p3), points)
-    (lab1, lab2, lab3), (rows, cols, syms) = _cycle_labels(pt)
-    t_circ = set()
-    t_star = set()
-    q1, q2, _ = pt.perms
-    for x in points:
-        t_circ.add((lab1[x], lab2[x], lab3[x]))
-        x1 = q1[x]
-        t_star.add((lab1[x], lab2[x1], lab3[q2[x1]]))
-    assert len(t_circ) == len(points) and len(t_star) == len(points)
-    return make_bitrade(t_circ, t_star, rows=rows, cols=cols, syms=syms,
-                        provenance={"kind": "from-perms"})
+    points = canonical_sorted(p1.keys() if points is None else points)
+    return _bitrade_of_permutations(_index_permutations((p1, p2, p3), points), points,
+                                    _CYCLE_TAGS, point_str, {"kind": "from-perms"})
 
 
 # ---------------------------------------------------------------------------
@@ -470,57 +476,32 @@ class GroupTriple:
         return f"GroupTriple({self.group.spec}, a={a}, b={b}, c={c})"
 
 
-def _coset_labels(group, subgroup, tag):
-    """Label every element by its left coset's canonical representative."""
-    label_of = {}
-    rep_label = {}
-    sub_elements = subgroup.elements
-    mul = group.mul
-    for g in group.elements():
-        if g in label_of:
-            continue
-        members = [mul(g, h) for h in sub_elements]
-        rep = min(members)
-        lab = f"{tag}:{group.element_str(rep)}"
-        rep_label[rep] = lab
-        for x in members:
-            label_of[x] = lab
-    ordered = tuple(rep_label[rep] for rep in sorted(rep_label))
-    return label_of, ordered
-
-
 def from_group(group, a, b, c, *, max_elements=None, provenance=None):
     """Build the coset bitrade of a group triple satisfying G1 and G2.
 
-    The filled cells are (gA, gB, gC) for g in G with mate symbol g a^-1 C;
-    rows, columns and symbols are labelled by canonical coset
-    representatives prefixed with A/B/C to keep the alphabets disjoint.
-    The result has size |G| with |G:A| rows of |A| entries each, |G:B|
-    columns of |B| entries, and |G:C| symbols occurring |C| times.
+    This is the permutation construction on the group elements with the
+    right multiplications x -> xa, x -> xb, x -> xc, whose cycles are the
+    left cosets of A, B and C.  The filled cells are therefore (gA, gB, gC)
+    for g in G with mate symbol g a^-1 C; rows, columns and symbols are
+    labelled by canonical (least) coset representatives prefixed with A/B/C
+    to keep the alphabets disjoint.  The result has size |G| with |G:A|
+    rows of |A| entries each, |G:B| columns of |B| entries, and |G:C|
+    symbols occurring |C| times.
     """
     triple = a if isinstance(a, GroupTriple) else GroupTriple(group, a, b, c)
     group = triple.group
     n = group.check_enumerable(max_elements)
-    label_a, rows = _coset_labels(group, triple.A, "A")
-    label_b, cols = _coset_labels(group, triple.B, "B")
-    label_c, syms = _coset_labels(group, triple.C, "C")
-    a_inv = group.inverse(triple.a)
+    els = group.elements(max_elements)
+    index = {g: i for i, g in enumerate(els)}
     mul = group.mul
-    t_circ = set()
-    t_star = set()
-    for g in group.elements():
-        ra = label_a[g]
-        rb = label_b[g]
-        t_circ.add((ra, rb, label_c[g]))
-        t_star.add((ra, rb, label_c[mul(g, a_inv)]))
-    assert len(t_circ) == n and len(t_star) == n
+    perms = [[index[mul(x, g)] for x in els] for g in (triple.a, triple.b, triple.c)]
 
     astr, bstr, cstr = triple.element_strs()
     prov = {"kind": "from-group", "group": group.spec, "a": astr, "b": bstr, "c": cstr}
     if provenance:
         prov.update(provenance)
-    bitrade = make_bitrade(t_circ, t_star, rows=rows, cols=cols, syms=syms,
-                           provenance=prov)
+    bitrade = _bitrade_of_permutations(perms, els, ("A", "B", "C"), group.element_str,
+                                       prov)
     oa, ob, oc = triple.orders
     assert len(bitrade.rows) == n // oa
     assert len(bitrade.cols) == n // ob
@@ -563,10 +544,8 @@ def roundtrip_check(bitrade):
             "separated", f"{witness[0]} {witness[1]!r} meets {len(witness[2])} cycles",
             witness=witness)
     rebuilt = from_permutations(*pt.perms, points=pt.points)
-    label_maps, _ = _cycle_labels(pt)
-    f = []
-    for i in range(3):
-        f.append({x[i]: label_maps[i][x] for x in pt.points})
+    f = [{x[i]: f"{tag}:{point_str(cycle[0])}" for cycle in cycles for x in cycle}
+         for i, (tag, cycles) in enumerate(zip(_CYCLE_TAGS, pt.cycles))]
     relabel_circ = {(f[0][t[0]], f[1][t[1]], f[2][t[2]])
                     for t in bitrade.t_circ.triples}
     relabel_star = {(f[0][t[0]], f[1][t[1]], f[2][t[2]])

@@ -99,10 +99,6 @@ def moved_points(g):
     return {i + 1 for i, x in enumerate(g) if x != i + 1}
 
 
-def fixed_points(g):
-    return {i + 1 for i, x in enumerate(g) if x == i + 1}
-
-
 def parse_permutation(text, degree):
     """Parse cycle notation over {1..degree} into an image tuple.
 
@@ -348,18 +344,6 @@ class Group:
             reps.append(min(members))
             seen.update(members)
         return [Coset(subgroup, rep) for rep in sorted(reps)]
-
-    def coset_representative_map(self, subgroup, max_elements=None):
-        """Map every element g to the canonical representative of gH."""
-        rep_of = {}
-        for g in self.elements(max_elements):
-            if g in rep_of:
-                continue
-            members = [self.mul(g, h) for h in subgroup.elements]
-            rep = min(members)
-            for x in members:
-                rep_of[x] = rep
-        return rep_of
 
     def conjugate_subgroup(self, subgroup, a):
         """The subgroup a^-1 <g> a, generated by the conjugated generator."""
@@ -649,10 +633,6 @@ class HeisenbergGroup(Group):
     @property
     def gen_b(self):
         return (0, 1, 0)
-
-    @property
-    def gen_z(self):
-        return (0, 0, 1)
 
     @property
     def gen_c(self):

@@ -37,6 +37,13 @@ def write_bitrade(bitrade: Bitrade, path) -> None:
         fh.write(bitrade_to_json(bitrade))
 
 
+def _check_labels(labels, where):
+    """Labels must be hashable: reject JSON arrays and objects."""
+    for label in labels:
+        if isinstance(label, (list, dict)):
+            raise ParseError(f"label {label!r} in {where} is not a scalar")
+
+
 def doc_to_bitrade(doc) -> Bitrade:
     """Validate a parsed document (or raw triple lists) as a bitrade.
 
@@ -53,6 +60,7 @@ def doc_to_bitrade(doc) -> Bitrade:
         for item in doc[key]:
             if not isinstance(item, (list, tuple)) or len(item) != 3:
                 raise ParseError(f"malformed triple {item!r} in {key!r}")
+            _check_labels(item, f"triple {item!r} in {key!r}")
 
     def alphabet(key):
         value = doc.get(key)
@@ -60,6 +68,7 @@ def doc_to_bitrade(doc) -> Bitrade:
             return None
         if not isinstance(value, list):
             raise ParseError(f"{key!r} must be a list of labels")
+        _check_labels(value, repr(key))
         return tuple(value)
 
     provenance = doc.get("provenance") or {}

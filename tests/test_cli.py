@@ -106,6 +106,16 @@ class TestVerify:
         path.write_text("{]")
         assert main(["verify", str(path)]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"t_circ": [[["a"], "c", "s"]], "t_star": [["a", "c", "s"]]},
+        {"rows": [{"r": 1}], "t_circ": [["a", "c", "s"]], "t_star": [["a", "c", "s"]]},
+    ])
+    def test_non_scalar_label_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert "is not a scalar" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self):
         assert main(["verify", "/no/such/file.json"]) == 2
 

@@ -1,4 +1,8 @@
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitrades.core import (
     GroupTriple,
@@ -7,12 +11,15 @@ from bitrades.core import (
     make_bitrade,
     make_pls,
     mate_bijections,
+    point_str,
     roundtrip_check,
     separation_witness,
     triple_permutations,
+    validate_permutation_triple,
 )
-from bitrades.errors import ValidationError
+from bitrades.errors import ResourceCapError, ValidationError
 from bitrades.groups import group_from_spec, parse_permutation
+from bitrades.search import iter_triples
 
 from conftest import TWO_BY_THREE_CIRC
 
@@ -195,6 +202,17 @@ class TestFromPermutations:
             from_permutations(p1, p2, p3)
         assert err.value.condition == "Q3"
 
+    @pytest.mark.parametrize("p1,points", [
+        ({1: 2, 2: 3, 3: 4}, [1, 2, 3]),   # image 4 outside the point set
+        ({1: 2, 2: 2, 3: 1}, [1, 2, 3]),   # 1 and 2 share an image
+        ({1: 2, 2: 3, 3: 1}, [1, 2, 3, 1]),  # the point list repeats 1
+    ], ids=["image-outside", "not-injective", "repeated-point"])
+    def test_input_violation_reported(self, p1, points):
+        p = {1: 2, 2: 3, 3: 1}
+        with pytest.raises(ValidationError) as err:
+            validate_permutation_triple(p1, p, p, points)
+        assert err.value.condition == "input"
+
     def test_size_always_equals_point_count(self, two_by_three, intercalate):
         for bt in (two_by_three, intercalate):
             pt = triple_permutations(bt)
@@ -217,6 +235,58 @@ def a4_triple():
     G = group_from_spec("alt:4")
     return (G, parse_permutation("(1,2,3)", 4), parse_permutation("(2,1,4)", 4),
             parse_permutation("(2,4,3)", 4))
+
+
+def _spec_triple(spec, astr, bstr):
+    G = group_from_spec(spec)
+    a = G.parse_element(astr)
+    b = G.parse_element(bstr)
+    return G, a, b, G.inverse(G.mul(a, b))
+
+
+def p3_triple():
+    return _spec_triple("p3:3", "(1,0,0)", "(0,1,0)")
+
+
+def pq_triple():
+    return _spec_triple("pq:7,3,2", "(1,0)", "(0,1)")
+
+
+def z3z3_triple():
+    return _spec_triple("prod:cyc:3,cyc:3", "(0,1)", "(1,0)")
+
+
+def frobenius21_triple():
+    # the Frobenius group of order 21 as permutations of 7 points
+    return _spec_triple("gens:7:(1,2,3,4,5,6,7);(2,3,5)(4,7,6)",
+                        "(1,2,3,4,5,6,7)", "(2,3,5)(4,7,6)")
+
+
+def coset_oracle(G, triple):
+    """The coset bitrade computed from its definition: the filled cells are
+    the coset pairs (xA, yB) meeting in one element g, with symbol gC in
+    the primary square and g a^-1 C in the mate."""
+    a_inv = G.inverse(triple.a)
+    circ = set()
+    star = set()
+    for ca in G.left_cosets(triple.A):
+        for cb in G.left_cosets(triple.B):
+            common = set(ca.elements()) & set(cb.elements())
+            if len(common) == 1:
+                g = common.pop()
+                row = f"A:{G.element_str(ca.rep)}"
+                col = f"B:{G.element_str(cb.rep)}"
+                for square, h in ((circ, g), (star, G.mul(g, a_inv))):
+                    square.add((row, col, f"C:{G.element_str(G.coset_of(h, triple.C).rep)}"))
+    return circ, star
+
+
+@functools.lru_cache(maxsize=None)
+def admissible_triples(spec):
+    return list(iter_triples(group_from_spec(spec)))
+
+
+HYPOTHESIS_SPECS = ("sym:3", "alt:4", "sym:4", "p3:3", "pq:7,3,2")
 
 
 class TestFromGroup:
@@ -339,26 +409,43 @@ class TestFromGroup:
             }
             assert mapped_star == via_group.t_star.triples
 
-    @pytest.mark.parametrize("builder", [s3_triple, a4_triple])
+    @pytest.mark.parametrize("builder", [s3_triple, a4_triple, p3_triple, pq_triple,
+                                         z3z3_triple, frobenius21_triple])
     def test_coset_intersection_oracle(self, builder):
-        # independent route: filled cells are exactly the coset pairs with a
-        # one-element intersection, the symbol being that element's C-coset
+        # independent route: the bitrade computed from cosets directly
         G, a, b, c = builder()
         bt = from_group(G, a, b, c)
-        triple = GroupTriple(G, a, b, c)
-        a_cosets = G.left_cosets(triple.A)
-        b_cosets = G.left_cosets(triple.B)
-        expected = set()
-        for ca in a_cosets:
-            for cb in b_cosets:
-                common = set(ca.elements()) & set(cb.elements())
-                if len(common) == 1:
-                    g = common.pop()
-                    cc = G.coset_of(g, triple.C)
-                    expected.add((f"A:{G.element_str(ca.rep)}",
-                                  f"B:{G.element_str(cb.rep)}",
-                                  f"C:{G.element_str(cc.rep)}"))
-        assert expected == bt.t_circ.triples
+        circ, star = coset_oracle(G, GroupTriple(G, a, b, c))
+        assert circ == bt.t_circ.triples
+        assert star == bt.t_star.triples
+
+    def test_explicit_cap_above_default(self, monkeypatch):
+        monkeypatch.setattr("bitrades.groups.DEFAULT_MAX_ELEMENTS", 10)
+        with pytest.raises(ResourceCapError):
+            from_group(*a4_triple())
+        assert from_group(*a4_triple(), max_elements=100).size == 12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(HYPOTHESIS_SPECS).flatmap(
+        lambda spec: st.sampled_from(admissible_triples(spec))))
+    def test_one_construction_path(self, triple):
+        # from_group matches the coset oracle, and from_permutations on the
+        # right multiplications matches from_group once its R/C/S cycle
+        # labels are renamed to A/B/C coset labels
+        G = triple.group
+        bt = from_group(G, triple.a, triple.b, triple.c)
+        assert coset_oracle(G, triple) == (bt.t_circ.triples, bt.t_star.triples)
+
+        els = G.elements()
+        via_perms = from_permutations(
+            *({x: G.mul(x, g) for x in els} for g in (triple.a, triple.b, triple.c)))
+        rename = {f"{old}:{point_str(x)}": f"{new}:{G.element_str(x)}"
+                  for x in els for old, new in zip("RCS", "ABC")}
+        for mine, theirs in ((via_perms.t_circ, bt.t_circ), (via_perms.t_star, bt.t_star)):
+            assert {tuple(rename[lab] for lab in t) for t in mine.triples} == theirs.triples
+        for mine, theirs in zip((via_perms.rows, via_perms.cols, via_perms.syms),
+                                (bt.rows, bt.cols, bt.syms)):
+            assert [rename[lab] for lab in mine] == list(theirs)
 
 
 def _parse_point(G, label):
