@@ -16,6 +16,7 @@ from .core import (
 )
 from .errors import (
     BitradesError,
+    ConsistencyError,
     GroupError,
     ParseError,
     ResourceCapError,

@@ -1,8 +1,10 @@
 """Command line front end: construct, verify, search, and table.
 
 Exit codes: 0 success, 1 a requested property check failed, 2 input or
-validation error, 3 a resource cap was exceeded.  The environment variable
-BITRADE_MAX_ELEMENTS overrides the default enumeration cap.
+validation error, 3 a resource cap was exceeded, 4 an internal consistency
+check failed (two computations of one answer disagreed: a defect in this
+package).  The environment variable BITRADE_MAX_ELEMENTS overrides the
+default enumeration cap.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ import os
 import sys
 
 from .core import from_group
-from .errors import BitradesError, ParseError, ResourceCapError, ValidationError
+from .errors import (
+    BitradesError,
+    ConsistencyError,
+    ParseError,
+    ResourceCapError,
+    ValidationError,
+)
 from .families import family_from_spec, predicted_table
 from .groups import DEFAULT_MAX_ELEMENTS, group_from_spec
 from .properties import compute_report, report_to_json
@@ -113,7 +121,7 @@ def cmd_search(args) -> int:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     records = search_triples(group, require_g3=args.require_g3, k=args.k,
                              checks=checks, search_cap=args.search_cap,
-                             minimal_cap=args.oracle_cap)
+                             minimal_cap=args.oracle_cap, max_elements=cap)
     text = "".join(record.to_json_line() + "\n" for record in records)
     _emit(text, args.output)
     print(f"{len(records)} triples found in {group.spec}", file=sys.stderr)
@@ -239,6 +247,9 @@ def main(argv=None) -> int:
     except ResourceCapError as err:
         print(f"resource cap exceeded: {err}", file=sys.stderr)
         return 3
+    except ConsistencyError as err:
+        print(f"internal consistency check failed: {err}", file=sys.stderr)
+        return 4
     except (BitradesError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -23,13 +23,21 @@ permutation construction on the group elements with the right
 multiplications x -> xa, x -> xb, x -> xc: their cycles are the left
 cosets, so the filled cells are (gA, gB, gC) for g in G and the mate
 replaces the symbol coset by g a^-1 C.
+
+Conversely every bitrade has a permutation structure: three permutations
+tau1, tau2, tau3 of its primary triples satisfying Q1-Q3, the i-th fixing
+coordinate i.  It is built once per bitrade, on integer indices into the
+primary triples in canonical order (``triple_permutations``), and the
+property scans read it there; labels are looked up from it only for
+output and witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .groups import Group, Subgroup
 
 _COORD_NAMES = ("row", "column", "symbol")
@@ -190,6 +198,14 @@ class Bitrade:
     def size(self):
         return self.t_circ.size
 
+    @cached_property
+    def permutation_triple(self):
+        """The permutation structure of the bitrade (see
+        ``triple_permutations``), built on first access and kept, since the
+        bitrade never changes.  Its cycles, and the Q1-Q3 check, wait for
+        first use: the cell scans need only the permutations."""
+        return _bitrade_permutation_triple(self)
+
     def __repr__(self):
         return (f"Bitrade(size={self.size}, rows={len(self.rows)}, "
                 f"cols={len(self.cols)}, syms={len(self.syms)})")
@@ -261,15 +277,50 @@ def make_bitrade(circ_triples, star_triples, rows=None, cols=None, syms=None,
 class PermutationTriple:
     """Three fixed-point-free permutations of a point set, one per coordinate.
 
-    For a bitrade the points are the primary triples; the i-th permutation
-    fixes coordinate i, and its cycles partition the points by their i-th
-    label.  ``cycles[i]`` lists each cycle as a point tuple starting at its
-    canonical minimum.
+    The permutations are held on integer indices into ``points``:
+    ``index_perms[i][x]`` is the index of the image of ``points[x]``;
+    ``index_cycles[i]`` lists the cycles of the i-th permutation as index
+    lists, each starting at its least index and in ascending order of it;
+    and ``cycle_of[i][x]`` is the number of the cycle through ``points[x]``.
+    The cycles are found on first access, which also checks Q1-Q3.
+    ``perms`` (dicts over the points) and ``cycles`` (point tuples) are the
+    same permutations in terms of the points, built on first access.
+
+    For a bitrade the points are the primary triples in canonical order, the
+    i-th permutation fixes coordinate i, and its cycles partition the points
+    by their i-th label.  ``alphabets`` then holds the row, column and symbol
+    labels in canonical order, and ``coords[i][x]`` is the position of the
+    i-th label of ``points[x]`` in ``alphabets[i]``; for other point sets
+    both are None.
     """
 
     points: tuple
-    perms: tuple
-    cycles: tuple
+    index_perms: tuple
+    alphabets: tuple = None
+    coords: tuple = None
+
+    @cached_property
+    def _cycles(self):
+        return _check_permutation_triple(self.index_perms, self.points)
+
+    @property
+    def index_cycles(self):
+        return self._cycles[0]
+
+    @property
+    def cycle_of(self):
+        return self._cycles[1]
+
+    @cached_property
+    def perms(self):
+        pts = self.points
+        return tuple({x: pts[y] for x, y in zip(pts, q)} for q in self.index_perms)
+
+    @cached_property
+    def cycles(self):
+        pts = self.points
+        return tuple(tuple(tuple(pts[x] for x in c) for c in cyc)
+                     for cyc in self.index_cycles)
 
 
 def _index_permutations(perms, points):
@@ -343,11 +394,10 @@ def _check_permutation_triple(perms, points):
 
 def validate_permutation_triple(p1, p2, p3, points):
     """Check that three dict permutations of ``points`` satisfy Q1-Q3."""
-    perms = (p1, p2, p3)
-    cycles, _ = _check_permutation_triple(_index_permutations(perms, points), points)
-    return PermutationTriple(
-        tuple(points), perms,
-        tuple(tuple(tuple(points[i] for i in c) for c in cyc) for cyc in cycles))
+    points = tuple(points)
+    pt = PermutationTriple(points, tuple(_index_permutations((p1, p2, p3), points)))
+    pt.index_cycles  # finding the cycles checks Q1-Q3
+    return pt
 
 
 def _bitrade_of_permutations(perms, points, tags, fmt, provenance):
@@ -375,24 +425,67 @@ def _bitrade_of_permutations(perms, points, tags, fmt, provenance):
     return make_bitrade(t_circ, t_star, *alphabets, provenance=provenance)
 
 
+def _bitrade_permutation_triple(bitrade):
+    """Build the permutation structure of a bitrade on integer indices.
+
+    Labels are replaced by their positions in the alphabets sorted by
+    ``_sort_key``, so sorting the cells as position triples gives the
+    canonical ``sorted_triples`` order.  Each mate triple m then meets three
+    primary triples: x in its cell (same row and column), y with its row and
+    symbol and z with its column and symbol.  These are the images of m
+    under the three mate bijections, and m contributes tau1(y) = x,
+    tau2(x) = z and tau3(z) = y.
+    """
+    alphabets = tuple(tuple(sorted(labels, key=_sort_key))
+                      for labels in (bitrade.rows, bitrade.cols, bitrade.syms))
+    rank_r, rank_c, rank_s = ({lab: k for k, lab in enumerate(labels)}
+                              for labels in alphabets)
+    cells = sorted((rank_r[t[0]], rank_c[t[1]], rank_s[t[2]], t)
+                   for t in bitrade.t_circ.triples)
+    points = tuple(cell[3] for cell in cells)
+    coords = tuple(zip(*cells))[:3]
+    n = len(points)
+    nc, ns = len(alphabets[1]), len(alphabets[2])
+    at_rc = {r * nc + c: x for x, (r, c, _, _) in enumerate(cells)}
+    at_rs = {r * ns + s: x for x, (r, _, s, _) in enumerate(cells)}
+    at_cs = {c * ns + s: x for x, (_, c, s, _) in enumerate(cells)}
+    tau1, tau2, tau3 = [-1] * n, [-1] * n, [-1] * n
+    for r, c, s in bitrade.t_star.triples:
+        r, c, s = rank_r[r], rank_c[c], rank_s[s]
+        x = at_rc[r * nc + c]
+        y = at_rs[r * ns + s]
+        z = at_cs[c * ns + s]
+        if x == y:
+            raise ConsistencyError(f"mate triple {points[x]} is also a primary triple")
+        tau1[y] = x
+        tau2[x] = z
+        tau3[z] = y
+    # n mate triples fill every slot only if x, y and z each run through
+    # all points once, i.e. the three mate bijections are bijections
+    if bitrade.t_star.size != n or -1 in tau1 or -1 in tau2 or -1 in tau3:
+        raise ConsistencyError("the mate bijections are not bijections")
+    return PermutationTriple(points, (tau1, tau2, tau3), alphabets, coords)
+
+
 def mate_bijections(bitrade):
     """The three bijections from mate triples to primary triples.
 
     The r-th map sends a mate triple to the unique primary triple agreeing
-    with it outside coordinate r (well defined by R2/R3).
+    with it outside coordinate r (well defined by R2/R3).  The mate triple
+    in the cell of the primary triple x agrees with tau2(x) in column and
+    symbol, and with tau3(tau2(x)) in row and symbol.
     """
-    maps = []
-    for r in range(3):
-        i, j = [k for k in range(3) if k != r]
-        index = {(t[i], t[j]): t for t in bitrade.t_circ.triples}
-        out = {}
-        for t in bitrade.t_star.triples:
-            image = index[(t[i], t[j])]
-            assert image[r] != t[r]
-            out[t] = image
-        assert len(set(out.values())) == len(out)
-        maps.append(out)
-    return tuple(maps)
+    pt = bitrade.permutation_triple
+    points = pt.points
+    _, tau2, tau3 = pt.index_perms
+    maps = ({}, {}, {})
+    for x, (r, c, _) in enumerate(points):
+        z = tau2[x]
+        mate = (r, c, points[z][2])
+        maps[0][mate] = points[z]
+        maps[1][mate] = points[tau3[z]]
+        maps[2][mate] = points[x]
+    return maps
 
 
 def triple_permutations(bitrade):
@@ -400,15 +493,12 @@ def triple_permutations(bitrade):
 
     Composing the inverse of one mate bijection with another yields three
     permutations of the primary triples; the i-th fixes coordinate i.  The
-    result always satisfies Q1-Q3 (asserted).
+    result always satisfies Q1-Q3 (checked).  It is built once per bitrade
+    and kept on it as ``Bitrade.permutation_triple``.
     """
-    b1, b2, b3 = mate_bijections(bitrade)
-    inv = [{v: k for k, v in m.items()} for m in (b1, b2, b3)]
-    points = bitrade.t_circ.sorted_triples()
-    tau1 = {x: b3[inv[1][x]] for x in points}
-    tau2 = {x: b1[inv[2][x]] for x in points}
-    tau3 = {x: b2[inv[0][x]] for x in points}
-    return validate_permutation_triple(tau1, tau2, tau3, points)
+    pt = bitrade.permutation_triple
+    pt.index_cycles  # finding the cycles checks Q1-Q3
+    return pt
 
 
 _CYCLE_TAGS = ("R", "C", "S")
@@ -518,9 +608,13 @@ def separation_witness(bitrade, pt=None):
     if pt is None:
         pt = triple_permutations(bitrade)
     for i in range(3):
+        # each cycle keeps its label and every label is used, so a label
+        # meets two cycles exactly when there are more cycles than labels
+        if len(pt.index_cycles[i]) == len(pt.alphabets[i]):
+            continue
         by_label = {}
-        for ci, cycle in enumerate(pt.cycles[i]):
-            by_label.setdefault(cycle[0][i], []).append(ci)
+        for ci, cycle in enumerate(pt.index_cycles[i]):
+            by_label.setdefault(pt.points[cycle[0]][i], []).append(ci)
         for label in canonical_sorted(by_label):
             ids = by_label[label]
             if len(ids) > 1:

@@ -37,6 +37,14 @@ class ValidationError(BitradesError):
         self.violations = violations or [(condition, witness, message)]
 
 
+class ConsistencyError(BitradesError):
+    """Two computations that must agree did not: a scan and its group
+    criterion, the orbit and the definitional primality search, thin and
+    primary against the minimality oracle, or a bitrade against its own
+    mate bijections.  This is a defect in the package, not in the input,
+    and unlike an ``assert`` it is raised under ``python -O`` too."""
+
+
 class ResourceCapError(BitradesError):
     """An enumeration or search exceeded its configured cap."""
 

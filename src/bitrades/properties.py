@@ -4,7 +4,8 @@ Every decision procedure returns a PropertyResult carrying the verdict, the
 method that produced it, and a witness (a counterexample or certificate).
 Where a property has both a combinatorial definition and a group-theoretic
 criterion, both are implemented; whenever the two run on the same instance
-their verdicts are asserted equal rather than assumed.
+their verdicts are checked equal rather than assumed, and a disagreement
+raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from .core import (
     GroupTriple,
     PartialLatinSquare,
     _sort_key,
-    mate_bijections,
     separation_witness,
     triple_permutations,
 )
+from .errors import ConsistencyError
 from .groups import MetacyclicGroup
 
 DEFAULT_MINIMAL_CAP = 24
@@ -79,13 +80,14 @@ def is_separated(bitrade: Bitrade) -> PropertyResult:
 # ---------------------------------------------------------------------------
 # primary
 
-def _orbit(pt, start):
-    seen = {start}
-    frontier = [start]
+def _orbit(pt):
+    """Indices of the points reachable from the first one."""
+    seen = {0}
+    frontier = [0]
     while frontier:
         new = []
         for x in frontier:
-            for perm in pt.perms:
+            for perm in pt.index_perms:
                 y = perm[x]
                 if y not in seen:
                     seen.add(y)
@@ -100,22 +102,20 @@ def primary_exhaustive(bitrade: Bitrade):
 
     Returns (is_primary, witness_subset).  Exponential; callers cap the size.
     """
-    circ = bitrade.t_circ.sorted_triples()
-    star = bitrade.t_star.sorted_triples()
-    n = len(circ)
-    circ_index = {t: i for i, t in enumerate(circ)}
-    star_index = {t: i for i, t in enumerate(star)}
-    maps = mate_bijections(bitrade)
-    # per primary triple: the bitmask of its three mates; per mate triple:
-    # the bitmask of the three primary triples it needs
+    pt = bitrade.permutation_triple
+    n = len(pt.points)
+    _, tau2, tau3 = pt.index_perms
+    # mate triple x is the one in the cell of primary triple x; it agrees
+    # with x outside the symbol, with tau2(x) outside the row and with
+    # tau3(tau2(x)) outside the column.  Per primary triple: the bitmask of
+    # its three mates; per mate triple: the bitmask of the three primary
+    # triples it needs
     star_bits = [0] * n
     star_need = [0] * n
-    for m in maps:
-        for star_t, circ_t in m.items():
-            si = star_index[star_t]
-            ci = circ_index[circ_t]
-            star_bits[ci] |= 1 << si
-            star_need[si] |= 1 << ci
+    for x in range(n):
+        for ci in (x, tau2[x], tau3[tau2[x]]):
+            star_bits[ci] |= 1 << x
+            star_need[x] |= 1 << ci
     full = (1 << n) - 1
     for mask in range(1, full):
         sbits = 0
@@ -133,7 +133,7 @@ def primary_exhaustive(bitrade: Bitrade):
                 break
             s ^= low
         if ok:
-            return False, tuple(circ[i] for i in range(n) if mask >> i & 1)
+            return False, tuple(pt.points[i] for i in range(n) if mask >> i & 1)
     return True, None
 
 
@@ -142,72 +142,96 @@ def is_primary(bitrade: Bitrade, definitional_cap=DEFAULT_PRIMARY_CAP) -> Proper
 
     Decided by orbit transitivity of the triple permutations; on separated
     input this is exact.  Up to ``definitional_cap`` triples the exhaustive
-    subset search also runs and its verdict is asserted to agree.  For
-    non-separated input the orbit method alone reports "unknown".
+    subset search also runs, and a disagreement raises ConsistencyError.
+    For non-separated input the orbit method alone reports "unknown".
     """
     started = time.monotonic()
     pt = triple_permutations(bitrade)
-    orbit = _orbit(pt, pt.points[0])
+    orbit = _orbit(pt)
     transitive = len(orbit) == len(pt.points)
     separated = separation_witness(bitrade, pt) is None
     exhaustive = None
     if bitrade.size <= definitional_cap:
         exhaustive = primary_exhaustive(bitrade)
-        assert exhaustive[0] == transitive, (
-            "orbit method disagrees with the definitional search")
+        if exhaustive[0] != transitive:
+            raise ConsistencyError("orbit method disagrees with the definitional search")
     if separated or exhaustive is not None:
         method = "orbit" if separated else "oracle"
         if transitive:
             return _timed(started, "yes", method)
-        witness = tuple(sorted(orbit, key=lambda t: tuple(map(_sort_key, t))))
+        witness = tuple(pt.points[x] for x in sorted(orbit))
         return _timed(started, "no", method, witness)
     return _timed(started, "unknown", "orbit")
 
 
 # ---------------------------------------------------------------------------
 # thin / orthogonal
+#
+# Both scans run on label positions (see PermutationTriple.coords): a cell is
+# a (row, column) position pair, and since positions follow the canonical
+# label order, the least violation over positions is the least over labels.
 
-def _symbol_classes(pls: PartialLatinSquare):
-    classes = {}
-    for t in sorted(pls.triples, key=lambda t: tuple(map(_sort_key, t))):
-        classes.setdefault(t[2], []).append(t)
+def _symbol_classes(pt):
+    """Per symbol, the indices of the primary triples holding it."""
+    classes = [[] for _ in pt.alphabets[2]]
+    for x, s in enumerate(pt.coords[2]):
+        classes[s].append(x)
     return classes
+
+
+def _mate_symbols(pt):
+    """Per primary triple x, the position of the mate symbol in its cell:
+    the mate triple there agrees with tau2(x) in column and symbol."""
+    syms = pt.coords[2]
+    return [syms[z] for z in pt.index_perms[1]]
+
+
+def _cell_witness(pt, violation):
+    rows, cols = pt.alphabets[0], pt.alphabets[1]
+    r1, c1, r2, c2 = violation
+    return (rows[r1], cols[c1], rows[r2], cols[c2])
 
 
 def is_thin(bitrade: Bitrade) -> PropertyResult:
     """Whenever two cells of the trade hold the same symbol, the mate square
     is undefined or holds that symbol at the two crossing cells."""
     started = time.monotonic()
-    star_cell = bitrade.t_star.cell_map()
+    pt = bitrade.permutation_triple
+    rows, cols, syms = pt.coords
+    nc = len(pt.alphabets[1])
+    at_cell = {r * nc + c: x for x, (r, c) in enumerate(zip(rows, cols))}
+    mate_sym = _mate_symbols(pt)
     violations = []
-    for sym, ts in _symbol_classes(bitrade.t_circ).items():
-        for t1 in ts:
-            for t2 in ts:
-                if t1 == t2:
+    for ts in _symbol_classes(pt):
+        for x in ts:
+            row = rows[x] * nc
+            sym = syms[x]
+            for y in ts:
+                if x == y:
                     continue
-                crossing = star_cell.get((t1[0], t2[1]))
-                if crossing is not None and crossing != sym:
-                    violations.append((t1[0], t1[1], t2[0], t2[1]))
+                crossing = at_cell.get(row + cols[y])
+                if crossing is not None and mate_sym[crossing] != sym:
+                    violations.append((rows[x], cols[x], rows[y], cols[y]))
     if not violations:
         return _timed(started, "yes", "direct-scan")
-    witness = min(violations, key=lambda w: tuple(map(_sort_key, w)))
-    return _timed(started, "no", "direct-scan", witness)
+    return _timed(started, "no", "direct-scan", _cell_witness(pt, min(violations)))
 
 
 def is_orthogonal(bitrade: Bitrade) -> PropertyResult:
     """Two cells with equal trade symbols never hold equal mate symbols."""
     started = time.monotonic()
-    star_cell = bitrade.t_star.cell_map()
+    pt = bitrade.permutation_triple
+    rows, cols, _ = pt.coords
+    mate_sym = _mate_symbols(pt)
     violations = []
-    for _, ts in _symbol_classes(bitrade.t_circ).items():
-        for i, t1 in enumerate(ts):
-            for t2 in ts[i + 1:]:
-                if star_cell[(t1[0], t1[1])] == star_cell[(t2[0], t2[1])]:
-                    violations.append((t1[0], t1[1], t2[0], t2[1]))
+    for ts in _symbol_classes(pt):
+        for i, x in enumerate(ts):
+            for y in ts[i + 1:]:
+                if mate_sym[x] == mate_sym[y]:
+                    violations.append((rows[x], cols[x], rows[y], cols[y]))
     if not violations:
         return _timed(started, "yes", "direct-scan")
-    witness = min(violations, key=lambda w: tuple(map(_sort_key, w)))
-    return _timed(started, "no", "direct-scan", witness)
+    return _timed(started, "no", "direct-scan", _cell_witness(pt, min(violations)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +241,17 @@ def homogeneity(bitrade: Bitrade) -> PropertyResult:
     """The unique k such that every row and column holds k entries and every
     symbol occurs k times, else "no" with the first deviating label."""
     started = time.monotonic()
-    counters = [Counter(t[i] for t in bitrade.t_circ.triples) for i in range(3)]
-    baseline = counters[0][bitrade.rows[0]]
+    pt = bitrade.permutation_triple
+    counters = [Counter(coord) for coord in pt.coords]
+    baseline = counters[0][pt.alphabets[0].index(bitrade.rows[0])]
     labels_by_coord = (bitrade.rows, bitrade.cols, bitrade.syms)
-    for coord, labels, counter in zip(("row", "column", "symbol"),
-                                      labels_by_coord, counters):
+    for coord, labels, alphabet, counter in zip(("row", "column", "symbol"),
+                                                labels_by_coord, pt.alphabets, counters):
+        position = {lab: k for k, lab in enumerate(alphabet)}
         for lab in labels:
-            if counter[lab] != baseline:
+            if counter[position[lab]] != baseline:
                 return _timed(started, "no", "direct-scan",
-                              (coord, lab, counter[lab], baseline))
+                              (coord, lab, counter[position[lab]], baseline))
     return _timed(started, baseline, "direct-scan")
 
 
@@ -389,7 +415,7 @@ def check_thin_primary_minimal(bitrade: Bitrade, cap=DEFAULT_MINIMAL_CAP):
     """Consistency check: a thin and primary bitrade must be oracle-minimal.
 
     Returns a report dict; a disagreement on an instance the oracle can
-    decide raises AssertionError.
+    decide raises ConsistencyError.
     """
     thin = is_thin(bitrade)
     primary = is_primary(bitrade)
@@ -399,8 +425,9 @@ def check_thin_primary_minimal(bitrade: Bitrade, cap=DEFAULT_MINIMAL_CAP):
     report["applicable"] = True
     minimal = is_minimal(bitrade, cap)
     report["minimal"] = minimal
-    assert minimal.value == "yes", (
-        f"thin and primary bitrade judged non-minimal: {minimal.witness}")
+    if minimal.value != "yes":
+        raise ConsistencyError(
+            f"thin and primary bitrade judged non-minimal: {minimal.witness}")
     return report
 
 

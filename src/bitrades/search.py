@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 
 from .core import GroupTriple, from_group
-from .errors import ResourceCapError, ValidationError
+from .errors import ConsistencyError, ResourceCapError, ValidationError
 from .properties import (
     compute_report,
     group_orthogonal_criterion,
@@ -58,11 +58,12 @@ def bitrade_signature(bitrade) -> str:
     return digest[:16]
 
 
-def iter_triples(group):
+def iter_triples(group, max_elements=None):
     """All ordered pairs (a, b) of non-identity elements with c = (ab)^-1
     also non-identity and conditions G1-G2 satisfied. G1 holds by the
-    choice of c; pairs failing G2 are skipped."""
-    els = [g for g in group.elements() if not group.is_identity(g)]
+    choice of c; pairs failing G2 are skipped.  ``max_elements`` caps the
+    enumeration of the group (default ``DEFAULT_MAX_ELEMENTS``)."""
+    els = [g for g in group.elements(max_elements) if not group.is_identity(g)]
     for a in els:
         for b in els:
             c = group.inverse(group.mul(a, b))
@@ -75,39 +76,42 @@ def iter_triples(group):
 
 
 def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogonal"),
-                   search_cap=DEFAULT_SEARCH_CAP, minimal_cap=24, primary_cap=16):
+                   search_cap=DEFAULT_SEARCH_CAP, minimal_cap=24, primary_cap=16,
+                   max_elements=None):
     """Search records for every admissible triple, in canonical order.
 
     For every surviving triple the bitrade is built and the requested
     properties computed; thin and orthogonal are decided both by direct
-    scan and by their group criteria, and the two verdicts are asserted
-    equal before the single value is recorded.
+    scan and by their group criteria, and a disagreement of the two
+    verdicts raises ConsistencyError.  ``max_elements`` caps every
+    enumeration of the group.
     """
     n = group.order()
     if n > search_cap:
         raise ResourceCapError(
             f"group {group.spec} has order {n}, above the search cap", search_cap)
     records = []
-    for triple in iter_triples(group):
+    for triple in iter_triples(group, max_elements):
         if k is not None and triple.orders != (k, k, k):
             continue
-        g3 = triple.satisfies_g3()
+        g3 = triple.satisfies_g3(max_elements)
         if require_g3 and not g3:
             continue
-        bitrade = from_group(group, triple.a, triple.b, triple.c)
+        bitrade = from_group(group, triple.a, triple.b, triple.c,
+                             max_elements=max_elements)
         properties = {}
         for check in checks:
             if check == "thin":
                 direct = is_thin(bitrade)
                 criterion = group_thin_criterion(triple)
-                assert direct.value == criterion.value, (
-                    f"thin criteria disagree on {triple}")
+                if direct.value != criterion.value:
+                    raise ConsistencyError(f"thin criteria disagree on {triple}")
                 properties["thin"] = direct.value
             elif check == "orthogonal":
                 direct = is_orthogonal(bitrade)
                 criterion = group_orthogonal_criterion(triple)
-                assert direct.value == criterion.value, (
-                    f"orthogonality criteria disagree on {triple}")
+                if direct.value != criterion.value:
+                    raise ConsistencyError(f"orthogonality criteria disagree on {triple}")
                 properties["orthogonal"] = direct.value
             else:
                 result = compute_report(bitrade, [check], minimal_cap=minimal_cap,

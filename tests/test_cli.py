@@ -153,6 +153,12 @@ class TestSearch:
     def test_search_cap_exits_3(self, capsys):
         assert main(["search", "--group", "sym:5", "--search-cap", "100"]) == 3
 
+    def test_enum_cap_above_default(self, monkeypatch, capsys):
+        # the library default is what an unpassed cap falls back to
+        monkeypatch.setattr("bitrades.groups.DEFAULT_MAX_ELEMENTS", 10)
+        assert main(["search", "--group", "alt:4", "--enum-cap", "100"]) == 0
+        assert "102 triples found" in capsys.readouterr().err
+
     def test_gens_spec(self, capsys):
         assert main(["search", "--group", "gens:4:(1,2,3,4);(1,3)"]) == 0
         lines = capsys.readouterr().out.splitlines()

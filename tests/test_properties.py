@@ -1,3 +1,8 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from bitrades.core import GroupTriple, from_group, make_bitrade
@@ -328,3 +333,67 @@ class TestReports:
             bt = from_group(tr.group, tr.a, tr.b, tr.c)
             assert is_thin(bt).value == group_thin_criterion(tr).value
             assert is_orthogonal(bt).value == group_orthogonal_criterion(tr).value
+
+
+# ---------------------------------------------------------------------------
+# cross-checks survive python -O
+
+CONSISTENCY_SCRIPT = textwrap.dedent("""
+    import json, sys
+    from bitrades import cli, core, properties, search
+    from bitrades.core import Bitrade, make_bitrade, make_pls
+    from bitrades.errors import ConsistencyError
+    from bitrades.groups import group_from_spec
+    from bitrades.properties import PropertyResult
+
+    CIRC = [("r1", "c1", "s1"), ("r1", "c2", "s2"), ("r2", "c1", "s2"), ("r2", "c2", "s1")]
+    STAR = [("r1", "c1", "s2"), ("r1", "c2", "s1"), ("r2", "c1", "s1"), ("r2", "c2", "s2")]
+
+    def raises(label, fn):
+        try:
+            fn()
+        except ConsistencyError as err:
+            print(label, "ConsistencyError", err)
+        else:
+            print(label, "no error")
+
+    print("debug", __debug__)
+    no = lambda *args: PropertyResult("no", "patched")
+
+    exhaustive = properties.primary_exhaustive
+    properties.primary_exhaustive = lambda bt: (not exhaustive(bt)[0], None)
+    raises("primary", lambda: properties.is_primary(make_bitrade(CIRC, STAR)))
+    with open(sys.argv[1], "w") as fh:
+        json.dump({"t_circ": CIRC, "t_star": STAR}, fh)
+    print("exit", cli.main(["verify", sys.argv[1], "--checks", "primary"]))
+    properties.primary_exhaustive = exhaustive
+
+    properties.is_minimal = no
+    raises("minimal", lambda: properties.check_thin_primary_minimal(make_bitrade(CIRC, STAR)))
+
+    search.group_thin_criterion = no
+    raises("thin", lambda: search.search_triples(group_from_spec("sym:3")))
+    search.group_orthogonal_criterion = no
+    raises("orthogonal", lambda: search.search_triples(group_from_spec("sym:3"),
+                                                       checks=("orthogonal",)))
+
+    # squares that share a triple were never validated as a bitrade
+    circ = make_pls(CIRC)
+    raises("mates", lambda: core.triple_permutations(Bitrade(circ, make_pls(CIRC))))
+""")
+
+
+def test_consistency_checks_raise_under_optimisation(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CONSISTENCY_SCRIPT, str(tmp_path / "doc.json")],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"  # asserts are stripped in the child
+    verdicts = dict(line.split(" ", 2)[:2] for line in lines[1:])
+    assert verdicts == {"primary": "ConsistencyError", "exit": "4",
+                        "minimal": "ConsistencyError", "thin": "ConsistencyError",
+                        "orthogonal": "ConsistencyError", "mates": "ConsistencyError"}
+    assert "internal consistency check failed" in proc.stderr

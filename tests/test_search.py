@@ -62,6 +62,14 @@ class TestSearch:
         with pytest.raises(ResourceCapError):
             search_triples(group_from_spec("sym:5"), search_cap=100)
 
+    def test_explicit_cap_above_default(self, monkeypatch):
+        monkeypatch.setattr("bitrades.groups.DEFAULT_MAX_ELEMENTS", 10)
+        with pytest.raises(ResourceCapError):
+            search_triples(group_from_spec("alt:4"))
+        records = search_triples(group_from_spec("alt:4"), max_elements=100)
+        assert len(records) == 102
+        assert sum(r.g3 for r in records) == 96
+
     def test_records_are_deterministic(self):
         G = group_from_spec("sym:3")
         first = [r.to_json_line() for r in search_triples(G)]
