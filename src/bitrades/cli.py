@@ -23,8 +23,13 @@ from .errors import (
     ValidationError,
 )
 from .families import family_from_spec, predicted_table
-from .groups import DEFAULT_MAX_ELEMENTS, group_from_spec
-from .properties import compute_report, report_to_json
+from .groups import group_from_spec
+from .properties import (
+    DEFAULT_MINIMAL_CAP,
+    DEFAULT_PRIMARY_CAP,
+    compute_report,
+    report_to_json,
+)
 from .search import DEFAULT_SEARCH_CAP, search_triples
 from .serialize import bitrade_to_json, read_bitrade, render_bitrade
 
@@ -40,7 +45,7 @@ def _enum_cap(args):
             return int(env)
         except ValueError:
             raise ParseError(f"BITRADE_MAX_ELEMENTS must be an integer, got {env!r}")
-    return DEFAULT_MAX_ELEMENTS
+    return None  # the groups read groups.DEFAULT_MAX_ELEMENTS when they check
 
 
 def _emit(text, path):
@@ -58,7 +63,7 @@ def cmd_construct(args) -> int:
         return 2
     if args.family:
         instance = family_from_spec(args.family, cap)
-        bitrade = instance.bitrade(cap)
+        bitrade = instance.bitrade()
         orders = instance.triple.orders
     else:
         group = group_from_spec(args.group, cap)
@@ -69,7 +74,7 @@ def cmd_construct(args) -> int:
         a = group.parse_element(args.a)
         b = group.parse_element(args.b)
         c = group.parse_element(args.c)
-        bitrade = from_group(group, a, b, c, max_elements=cap)
+        bitrade = from_group(group, a, b, c)
         orders = tuple(group.element_order(g) for g in (a, b, c))
     text = render_bitrade(bitrade) if args.format == "text" else bitrade_to_json(bitrade)
     _emit(text, args.output)
@@ -110,18 +115,20 @@ def cmd_verify(args) -> int:
                          default=str) + "\n", args.output)
     failed = [name for name, res in report.items() if res.value == "no"]
     unknown = [name for name, res in report.items() if res.value == "unknown"]
+    caps = {"minimal": f"--oracle-cap {args.oracle_cap}",
+            "primary": f"--primary-cap {args.primary_cap}"}
     for name in unknown:
-        print(f"warning: {name} undecided (cap exceeded)", file=sys.stderr)
+        print(f"warning: {name} undecided: {bitrade.size} cells above {caps[name]}",
+              file=sys.stderr)
     return 1 if failed else 0
 
 
 def cmd_search(args) -> int:
-    cap = _enum_cap(args)
-    group = group_from_spec(args.group, cap)
+    group = group_from_spec(args.group, _enum_cap(args))
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     records = search_triples(group, require_g3=args.require_g3, k=args.k,
                              checks=checks, search_cap=args.search_cap,
-                             minimal_cap=args.oracle_cap, max_elements=cap)
+                             minimal_cap=args.oracle_cap)
     text = "".join(record.to_json_line() + "\n" for record in records)
     _emit(text, args.output)
     print(f"{len(records)} triples found in {group.spec}", file=sys.stderr)
@@ -175,8 +182,7 @@ def _table_json(rows) -> str:
 
 def cmd_table(args) -> int:
     ks = [int(k) for k in args.k.split(",") if k.strip()]
-    rows = predicted_table(ks, recompute=args.recompute,
-                           max_elements=_enum_cap(args))
+    rows = predicted_table(ks, args.recompute, _enum_cap(args))
     text = (_table_json(rows) if args.format == "json"
             else render_table(rows, args.recompute))
     _emit(text, args.output)
@@ -210,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="path to a bitrade JSON document")
     p.add_argument("--checks", default=DEFAULT_CHECKS,
                    help=f"comma list of checks (default {DEFAULT_CHECKS})")
-    p.add_argument("--oracle-cap", type=int, default=24,
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_MINIMAL_CAP,
                    help="size cap for the minimality oracle")
-    p.add_argument("--primary-cap", type=int, default=16,
+    p.add_argument("--primary-cap", type=int, default=DEFAULT_PRIMARY_CAP,
                    help="size cap for the definitional primality search")
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -225,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep only triples whose three orders equal k")
     p.add_argument("--checks", default="thin,orthogonal")
     p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP)
-    p.add_argument("--oracle-cap", type=int, default=24)
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_MINIMAL_CAP)
     common(p)
     p.set_defaults(func=cmd_search)
 

@@ -252,15 +252,7 @@ def make_bitrade(circ_triples, star_triples, rows=None, cols=None, syms=None,
     circ = make_pls(circ_triples, rows, cols, syms)
     star = make_pls(star_triples, rows, cols, syms)
 
-    if (set(circ.rows) != set(star.rows) or set(circ.cols) != set(star.cols)
-            or set(circ.syms) != set(star.syms)):
-        # a label used on one side only is a missing-mate failure
-        violations = check_bitrade_conditions(circ, star)
-        first = violations[0] if violations else (
-            "R2", None, "the two squares use different alphabets")
-        raise ValidationError(first[0], first[2], witness=first[1],
-                              violations=violations or None)
-
+    # a label used by one square only is a missing-mate (R2 or R3) failure
     star = PartialLatinSquare(circ.rows, circ.cols, circ.syms, star.triples)
     violations = check_bitrade_conditions(circ, star)
     if violations:
@@ -552,10 +544,9 @@ class GroupTriple:
     def orders(self):
         return (len(self.A), len(self.B), len(self.C))
 
-    def satisfies_g3(self, max_elements=None):
+    def satisfies_g3(self):
         """Whether a, b, c generate the whole group."""
-        return len(self.group.closure([self.a, self.b, self.c], max_elements)) \
-            == self.group.order()
+        return len(self.group.closure([self.a, self.b, self.c])) == self.group.order()
 
     def element_strs(self):
         g = self.group
@@ -566,7 +557,7 @@ class GroupTriple:
         return f"GroupTriple({self.group.spec}, a={a}, b={b}, c={c})"
 
 
-def from_group(group, a, b, c, *, max_elements=None, provenance=None):
+def from_group(group, a, b, c, *, provenance=None):
     """Build the coset bitrade of a group triple satisfying G1 and G2.
 
     This is the permutation construction on the group elements with the
@@ -576,12 +567,12 @@ def from_group(group, a, b, c, *, max_elements=None, provenance=None):
     labelled by canonical (least) coset representatives prefixed with A/B/C
     to keep the alphabets disjoint.  The result has size |G| with |G:A|
     rows of |A| entries each, |G:B| columns of |B| entries, and |G:C|
-    symbols occurring |C| times.
+    symbols occurring |C| times.  The group's enumeration cap bounds it.
     """
     triple = a if isinstance(a, GroupTriple) else GroupTriple(group, a, b, c)
     group = triple.group
-    n = group.check_enumerable(max_elements)
-    els = group.elements(max_elements)
+    els = group.elements()
+    n = len(els)
     index = {g: i for i, g in enumerate(els)}
     mul = group.mul
     perms = [[index[mul(x, g)] for x in els] for g in (triple.a, triple.b, triple.c)]

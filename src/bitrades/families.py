@@ -1,9 +1,9 @@
 """Group-triple families yielding k-homogeneous bitrades, plus the size table.
 
 Each family constructor validates its parameter hypotheses, builds the
-group and the (a, b, c) triple, and records the predicted measurements
-(size, homogeneity degree, thin/orthogonal/primary flags) for downstream
-verification:
+group with the given enumeration cap and the (a, b, c) triple, and records
+the predicted measurements (size, homogeneity degree, thin/orthogonal/primary
+flags) for downstream verification:
 
 * ``zp2``  - Z_p x Z_p with a=(0,1), b=(1,0), c=(p-1,p-1): size p^2,
   p-homogeneous, never orthogonal (abelian);
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .core import GroupTriple, from_group
-from .errors import GroupError, ResourceCapError
+from .errors import GroupError, ParseError, ResourceCapError
 from .groups import (
     CyclicGroup,
     DEFAULT_MAX_ELEMENTS,
@@ -60,28 +60,30 @@ class FamilyInstance:
     spec: FamilySpec
     triple: GroupTriple
 
-    def bitrade(self, max_elements=None):
+    def bitrade(self):
         t = self.triple
-        return from_group(t.group, t.a, t.b, t.c, max_elements=max_elements,
+        return from_group(t.group, t.a, t.b, t.c,
                           provenance={"family": self.spec.family,
                                       "params": list(self.spec.params)})
 
 
-def family_zp2(p) -> FamilyInstance:
+def family_zp2(p, max_elements=None) -> FamilyInstance:
     """Z_p x Z_p with a=(0,1), b=(1,0), c=(p-1,p-1); the trade is a full
     latin square of order p."""
     if not _is_prime(p):
         raise GroupError(f"p={p} must be prime")
     G = DirectProductGroup([CyclicGroup(p), CyclicGroup(p)])
+    G.max_elements = max_elements
     triple = GroupTriple(G, (0, 1), (1, 0), (p - 1, p - 1))
     spec = FamilySpec("zp2", (p,), p * p, p, thin=(p == 2), orthogonal=False,
                       primary=True)
     return FamilyInstance(spec, triple)
 
 
-def family_p3(p) -> FamilyInstance:
+def family_p3(p, max_elements=None) -> FamilyInstance:
     """The order-p^3 family: a, b, b^-1 a^-1 for an odd prime p."""
     G = HeisenbergGroup(p)  # rejects p = 2 and composite p
+    G.max_elements = max_elements
     gamma = G.mul(G.inverse(G.gen_b), G.inverse(G.gen_a))
     triple = GroupTriple(G, G.gen_a, G.gen_b, gamma)
     spec = FamilySpec("p3", (p,), p ** 3, p, thin=True, orthogonal=True,
@@ -89,10 +91,11 @@ def family_p3(p) -> FamilyInstance:
     return FamilyInstance(spec, triple)
 
 
-def family_pq(p, q, r) -> FamilyInstance:
+def family_pq(p, q, r, max_elements=None) -> FamilyInstance:
     """The order-pq family: b, ab, (bab)^-1; thin iff the exponent
     congruence has only the trivial solutions."""
     G = MetacyclicGroup(p, q, r)  # validates all parameter hypotheses
+    G.max_elements = max_elements
     a, b = G.gen_a, G.gen_b
     beta = G.mul(a, b)
     gamma = G.inverse(G.mul(G.mul(b, a), b))
@@ -161,8 +164,6 @@ def family_alt(m, max_elements=None) -> FamilyInstance:
 def family_from_spec(text, max_elements=None) -> FamilyInstance:
     """Parse the CLI family syntax: ``zp2:p=3``, ``p3:p=5``,
     ``pq:p=11,q=5,r=3``, ``alt:m=2``."""
-    from .errors import ParseError
-
     name, _, rest = text.strip().partition(":")
     params = {}
     if rest:
@@ -176,11 +177,12 @@ def family_from_spec(text, max_elements=None) -> FamilyInstance:
                 raise ParseError(f"non-integer family parameter {part!r}") from exc
     try:
         if name == "zp2":
-            return family_zp2(params.pop("p"))
+            return family_zp2(params.pop("p"), max_elements)
         if name == "p3":
-            return family_p3(params.pop("p"))
+            return family_p3(params.pop("p"), max_elements)
         if name == "pq":
-            return family_pq(params.pop("p"), params.pop("q"), params.pop("r"))
+            return family_pq(params.pop("p"), params.pop("q"), params.pop("r"),
+                             max_elements)
         if name == "alt":
             return family_alt(params.pop("m"), max_elements)
     except KeyError as exc:
@@ -200,6 +202,9 @@ SMALLEST_KNOWN = {3: 12, 5: 55, 7: 133, 9: 243, 11: 407}
 _ALT_NUMERIC_LIMIT = 10 ** 10
 
 _PQ_SEARCH_LIMIT = 10_000
+
+# the largest group whose table cell --recompute rebuilds (k <= 5)
+RECOMPUTE_CAP = 2520
 
 
 @dataclass
@@ -240,15 +245,15 @@ def best_pq_cell(q):
     return None
 
 
-def predicted_table(k_values, recompute=False, recompute_cap=2520,
-                    max_elements=None):
+def predicted_table(k_values, recompute=False, max_elements=None):
     """Rows of the minimal k-homogeneous size table for odd k.
 
     Columns: the p^3 family (k prime), the best thin pq family instance,
     the alternating family, and the published reference values (k <= 11).
-    With ``recompute``, every cell whose group fits in ``recompute_cap`` is
-    rebuilt and verified: measured size and homogeneity must match, and the
-    group criteria must certify thin, orthogonal, and primary.
+    With ``recompute``, every cell whose group fits in ``RECOMPUTE_CAP`` is
+    rebuilt with enumeration cap ``max_elements`` and verified: measured size
+    and homogeneity must match, and the group criteria must certify thin,
+    orthogonal, and primary.
     """
     rows = []
     for k in k_values:
@@ -267,24 +272,24 @@ def predicted_table(k_values, recompute=False, recompute_cap=2520,
             alt_size = alt_display = published = smallest = None
         verified = {"p3": None, "pq": None, "alt": None}
         if recompute:
-            if p3_size is not None and p3_size <= recompute_cap:
-                verified["p3"] = _verify_instance(family_p3(k), max_elements)
-            if pq_cell is not None and pq_cell.size <= recompute_cap:
+            if p3_size is not None and p3_size <= RECOMPUTE_CAP:
+                verified["p3"] = _verify_instance(family_p3(k, max_elements))
+            if pq_cell is not None and pq_cell.size <= RECOMPUTE_CAP:
                 verified["pq"] = _verify_instance(
-                    family_pq(pq_cell.p, pq_cell.q, pq_cell.r), max_elements)
-            if alt_size is not None and alt_size <= recompute_cap:
-                verified["alt"] = _verify_instance(family_alt(m), max_elements)
+                    family_pq(pq_cell.p, pq_cell.q, pq_cell.r, max_elements))
+            if alt_size is not None and alt_size <= RECOMPUTE_CAP:
+                verified["alt"] = _verify_instance(family_alt(m, max_elements))
         rows.append(TableRow(k, p3_size, pq_cell, alt_size, alt_display,
                              published, smallest, verified))
     return rows
 
 
-def _verify_instance(instance: FamilyInstance, max_elements=None):
+def _verify_instance(instance: FamilyInstance):
     """Rebuild one family instance and certify its table cell."""
-    bitrade = instance.bitrade(max_elements)
+    bitrade = instance.bitrade()
     spec = instance.spec
     return (bitrade.size == spec.size
             and homogeneity(bitrade).value == spec.k
             and group_thin_criterion(instance.triple).yes == spec.thin
             and group_orthogonal_criterion(instance.triple).yes == spec.orthogonal
-            and instance.triple.satisfies_g3(max_elements))
+            and instance.triple.satisfies_g3())

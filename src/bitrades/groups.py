@@ -227,6 +227,9 @@ class Group:
 
     kind = "abstract"
     spec = "?"
+    # the most elements the group may materialize (its element list or a
+    # closure); set by its builder, None means DEFAULT_MAX_ELEMENTS
+    max_elements = None
 
     # subclasses define: order(), iter_elements(), mul, inverse, identity,
     # element_str, parse_element
@@ -255,17 +258,18 @@ class Group:
 
     # ---- generic machinery ------------------------------------------------
 
-    def elements(self, max_elements=None):
-        """Materialize the element universe in canonical ascending order."""
+    def elements(self):
+        """Materialize the element universe in canonical ascending order;
+        the cap is checked on every call, cached or not."""
+        self.check_enumerable()
         cached = getattr(self, "_elements", None)
         if cached is None:
-            self.check_enumerable(max_elements)
             cached = sorted(self.iter_elements())
             self._elements = cached
         return cached
 
-    def check_enumerable(self, max_elements=None):
-        cap = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
+    def check_enumerable(self):
+        cap = DEFAULT_MAX_ELEMENTS if self.max_elements is None else self.max_elements
         n = self.order()
         if n > cap:
             raise ResourceCapError(
@@ -301,16 +305,16 @@ class Group:
     def generated_subgroup(self, g):
         return Subgroup(self, g)
 
-    def closure(self, generators, max_elements=None):
+    def closure(self, generators):
         """Smallest multiplication-closed set containing the generators.
 
         BFS over right-multiplication by the generators; always contains the
         identity.  Raises ResourceCapError if the materialized set would
-        exceed the cap.
+        exceed the group's enumeration cap.
         """
         if not generators:
             raise GroupError("closure requires at least one generator")
-        cap = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
+        cap = DEFAULT_MAX_ELEMENTS if self.max_elements is None else self.max_elements
         gens = list(generators)
         els = {self.identity}
         els.update(gens)
@@ -333,11 +337,11 @@ class Group:
         rep = min(self.mul(g, h) for h in subgroup.elements)
         return Coset(subgroup, rep)
 
-    def left_cosets(self, subgroup, max_elements=None):
+    def left_cosets(self, subgroup):
         """Partition of the group into left cosets, sorted by representative."""
         reps = []
         seen = set()
-        for g in self.elements(max_elements):
+        for g in self.elements():
             if g in seen:
                 continue
             members = [self.mul(g, h) for h in subgroup.elements]
@@ -353,9 +357,9 @@ class Group:
         assert len(out) == len(subgroup)
         return out
 
-    def center(self, max_elements=None):
+    def center(self):
         """All elements commuting with every element (brute-force scan)."""
-        els = self.elements(max_elements)
+        els = self.elements()
         out = []
         for g in els:
             if all(self.mul(g, h) == self.mul(h, g) for h in els):
@@ -461,7 +465,8 @@ class PermClosureGroup(_PermGroupBase):
             raise GroupError("at least one generator is required")
         self.generators = tuple(gens)
         self.spec = "gens:%d:%s" % (n, ";".join(perm_str(g) for g in gens))
-        self._members = frozenset(self.closure(gens, max_elements))
+        self.max_elements = max_elements
+        self._members = frozenset(self.closure(gens))
 
     def order(self):
         return len(self._members)
@@ -532,7 +537,7 @@ class DirectProductGroup(Group):
 
     def iter_elements(self):
         return (tuple(t) for t in itertools.product(
-            *[c.elements() for c in self.components]))
+            *[c.iter_elements() for c in self.components]))
 
     def mul(self, g, h):
         if not isinstance(g, tuple) or len(g) != len(self.components) \
@@ -565,18 +570,7 @@ class DirectProductGroup(Group):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 class HeisenbergGroup(Group):
@@ -751,7 +745,8 @@ def _parse_int_tuple(text, width, moduli, spec):
 # group specification text format
 
 def group_from_spec(spec, max_elements=None):
-    """Build a group from its textual specification.
+    """Build a group from its textual specification, with ``max_elements``
+    as its enumeration cap (and that of every ``prod:`` component).
 
     Formats: ``sym:n``, ``alt:n``, ``cyc:n``, ``prod:cyc:3,cyc:3``,
     ``p3:p``, ``pq:p,q,r``, ``gens:n:(...)(...);(...)``.
@@ -760,24 +755,27 @@ def group_from_spec(spec, max_elements=None):
     kind, _, rest = spec.partition(":")
     try:
         if kind == "sym":
-            return SymmetricGroup(int(rest))
-        if kind == "alt":
-            return AlternatingGroup(int(rest))
-        if kind == "cyc":
-            return CyclicGroup(int(rest))
-        if kind == "prod":
+            group = SymmetricGroup(int(rest))
+        elif kind == "alt":
+            group = AlternatingGroup(int(rest))
+        elif kind == "cyc":
+            group = CyclicGroup(int(rest))
+        elif kind == "prod":
             parts = [p for p in rest.split(",") if p]
-            return DirectProductGroup([group_from_spec(p, max_elements) for p in parts])
-        if kind == "p3":
-            return HeisenbergGroup(int(rest))
-        if kind == "pq":
+            group = DirectProductGroup([group_from_spec(p, max_elements) for p in parts])
+        elif kind == "p3":
+            group = HeisenbergGroup(int(rest))
+        elif kind == "pq":
             p, q, r = (int(x) for x in rest.split(","))
-            return MetacyclicGroup(p, q, r)
-        if kind == "gens":
+            group = MetacyclicGroup(p, q, r)
+        elif kind == "gens":
             degree_text, _, gens_text = rest.partition(":")
             n = int(degree_text)
             gens = [parse_permutation(t, n) for t in gens_text.split(";") if t.strip()]
-            return PermClosureGroup(n, gens, max_elements)
+            group = PermClosureGroup(n, gens, max_elements)
+        else:
+            raise ParseError(f"unknown group kind in spec {spec!r}")
     except (ValueError, TypeError) as exc:
         raise ParseError(f"malformed group spec {spec!r}: {exc}") from exc
-    raise ParseError(f"unknown group kind in spec {spec!r}")
+    group.max_elements = max_elements
+    return group

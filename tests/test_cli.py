@@ -5,7 +5,7 @@ import pytest
 from bitrades.cli import main
 from bitrades.serialize import read_bitrade, write_bitrade
 
-from conftest import TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR
+from conftest import NONSEP_CIRC, NONSEP_STAR, TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR
 from bitrades.core import make_bitrade
 
 TABLE_GOLDEN = """\
@@ -134,8 +134,20 @@ class TestVerify:
         code = main(["verify", str(out), "--checks", "minimal", "--oracle-cap", "10"])
         assert code == 0
         captured = capsys.readouterr()
-        assert "warning" in captured.err
+        assert captured.err.splitlines()[-1] == \
+            "warning: minimal undecided: 27 cells above --oracle-cap 10"
         assert json.loads(captured.out)["minimal"]["value"] == "unknown"
+
+    def test_primary_cap_warning_names_the_cap(self, tmp_path, capsys):
+        # the orbit method cannot decide non-separated input, and the
+        # definitional search stops at the primary cap
+        out = tmp_path / "nonsep.json"
+        write_bitrade(make_bitrade(NONSEP_CIRC, NONSEP_STAR), str(out))
+        assert main(["verify", str(out), "--checks", "primary",
+                     "--primary-cap", "10"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: primary undecided: 11 cells above --primary-cap 10\n"
+        assert json.loads(captured.out)["primary"]["value"] == "unknown"
 
 
 class TestSearch:
@@ -177,6 +189,14 @@ class TestTable:
         assert row["p3"] == 27
         assert row["pq"] == {"size": 21, "p": 7, "q": 3, "r": 2}
         assert row["alt"] == 12
+
+    def test_recompute_cap_names_the_family_instance(self, capsys):
+        # the alternating cell is refused by its formula size, before any
+        # closure is built
+        assert main(["table", "--k", "5", "--recompute", "--enum-cap", "1000"]) == 3
+        assert capsys.readouterr().err == (
+            "resource cap exceeded: alternating family instance m=2 has size "
+            "7!/2 = 2520, above the enumeration cap (cap: 1000)\n")
 
     def test_recompute_marks_verified(self, capsys):
         assert main(["table", "--k", "3", "--recompute"]) == 0

@@ -92,6 +92,23 @@ class TestMakeBitrade:
         conditions = {v[0] for v in err.value.violations}
         assert "R2" in conditions or "R3" in conditions
 
+    def test_label_on_one_side_only_pins_every_violation(self):
+        # row "b2" occurs in the mate only, so the inferred alphabets differ;
+        # each violation names a pair without a mate (R2) or primary (R3)
+        star = [("a", "c", "g"), ("a", "d", "h"), ("a", "e", "f"),
+                ("b", "c", "f"), ("b", "d", "g"), ("b2", "e", "h")]
+        expected = [
+            ("R2", ("b", "e"), "no mate triple shares the row/column pair ('b', 'e')"),
+            ("R3", ("b2", "e"), "no primary triple shares the row/column pair ('b2', 'e')"),
+            ("R2", ("b", "h"), "no mate triple shares the row/symbol pair ('b', 'h')"),
+            ("R3", ("b2", "h"), "no primary triple shares the row/symbol pair ('b2', 'h')"),
+        ]
+        with pytest.raises(ValidationError) as err:
+            make_bitrade(TWO_BY_THREE_CIRC, star)
+        assert err.value.violations == expected
+        assert (err.value.condition, err.value.witness) == ("R2", ("b", "e"))
+        assert str(err.value) == "R2: " + expected[0][2]
+
     def test_sizes_match(self, two_by_three, intercalate, nonseparated):
         for bt in (two_by_three, intercalate, nonseparated):
             assert bt.t_circ.size == bt.t_star.size
@@ -421,9 +438,11 @@ class TestFromGroup:
 
     def test_explicit_cap_above_default(self, monkeypatch):
         monkeypatch.setattr("bitrades.groups.DEFAULT_MAX_ELEMENTS", 10)
+        G, a, b, c = a4_triple()
         with pytest.raises(ResourceCapError):
-            from_group(*a4_triple())
-        assert from_group(*a4_triple(), max_elements=100).size == 12
+            from_group(G, a, b, c)
+        G.max_elements = 100
+        assert from_group(G, a, b, c).size == 12
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(HYPOTHESIS_SPECS).flatmap(

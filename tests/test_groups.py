@@ -182,11 +182,19 @@ class TestSubgroupsCosets:
         G = HeisenbergGroup(3)
         assert len(G.closure([G.gen_a, G.gen_b])) == 27
 
-    def test_closure_cap(self):
+    def test_closure_cap(self, monkeypatch):
         G = SymmetricGroup(5)
+        gens = [parse_permutation("(1,2,3,4,5)", 5), parse_permutation("(1,2)", 5)]
+        G.max_elements = 30
         with pytest.raises(ResourceCapError):
-            G.closure([parse_permutation("(1,2,3,4,5)", 5), parse_permutation("(1,2)", 5)],
-                      max_elements=30)
+            G.closure(gens)
+        # unset, the cap is the module default, read at check time
+        G.max_elements = None
+        monkeypatch.setattr("bitrades.groups.DEFAULT_MAX_ELEMENTS", 30)
+        with pytest.raises(ResourceCapError):
+            G.closure(gens)
+        G.max_elements = 200
+        assert len(G.closure(gens)) == 120
 
     def test_s3_coset_counts(self):
         G = s3()
@@ -372,6 +380,21 @@ class TestGroupSpec:
         with pytest.raises(ResourceCapError):
             G.check_enumerable()
         assert G.order() == math.factorial(16) // 2
+
+    def test_cached_elements_honour_a_lowered_cap(self):
+        G = group_from_spec("alt:5")
+        assert len(G.elements()) == 60
+        G.max_elements = 10
+        with pytest.raises(ResourceCapError):
+            G.elements()
+
+    def test_spec_sets_the_cap_of_every_group_it_builds(self):
+        G = group_from_spec("prod:cyc:3,gens:3:(1 2 3)", 7)
+        assert [G.max_elements] + [c.max_elements for c in G.components] == [7, 7, 7]
+        with pytest.raises(ResourceCapError):
+            G.elements()
+        with pytest.raises(ResourceCapError):
+            group_from_spec("gens:4:(1,2,3,4);(1,2)", 20)
 
     def test_a10_is_enumerable_by_order(self):
         G = group_from_spec("alt:10")

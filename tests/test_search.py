@@ -66,7 +66,7 @@ class TestSearch:
         monkeypatch.setattr("bitrades.groups.DEFAULT_MAX_ELEMENTS", 10)
         with pytest.raises(ResourceCapError):
             search_triples(group_from_spec("alt:4"))
-        records = search_triples(group_from_spec("alt:4"), max_elements=100)
+        records = search_triples(group_from_spec("alt:4", 100))
         assert len(records) == 102
         assert sum(r.g3 for r in records) == 96
 
