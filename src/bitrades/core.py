@@ -26,14 +26,16 @@ replaces the symbol coset by g a^-1 C.
 
 Conversely every bitrade has a permutation structure: three permutations
 tau1, tau2, tau3 of its primary triples satisfying Q1-Q3, the i-th fixing
-coordinate i.  It is built once per bitrade, on integer indices into the
-primary triples in canonical order (``triple_permutations``), and the
-property scans read it there; labels are looked up from it only for
-output and witnesses.
+coordinate i.  With the primary square it fixes the mate, so a
+``Bitrade`` stores only those two, the structure on integer indices into
+the primary triples in canonical order; building it validates the mate
+(``make_bitrade``).  The property scans read it; labels are looked up
+from it only for output and witnesses.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -176,11 +178,14 @@ def make_pls(triples, rows=None, cols=None, syms=None):
 # ---------------------------------------------------------------------------
 # bitrades
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bitrade:
+    """A latin bitrade, stored as its primary square and its permutation
+    structure (see ``triple_permutations``)."""
+
     t_circ: PartialLatinSquare
-    t_star: PartialLatinSquare
-    provenance: dict = field(compare=False, default_factory=dict)
+    permutation_triple: PermutationTriple
+    provenance: dict = field(default_factory=dict)
 
     @property
     def rows(self):
@@ -198,13 +203,22 @@ class Bitrade:
     def size(self):
         return self.t_circ.size
 
-    @cached_property
-    def permutation_triple(self):
-        """The permutation structure of the bitrade (see
-        ``triple_permutations``), built on first access and kept, since the
-        bitrade never changes.  Its cycles, and the Q1-Q3 check, wait for
-        first use: the cell scans need only the permutations."""
-        return _bitrade_permutation_triple(self)
+    @property
+    def t_star(self):
+        """The mate square, built on each access and not kept: the mate
+        triple in the cell of primary triple x holds the symbol of tau2(x)."""
+        pt = self.permutation_triple
+        pts = pt.points
+        return PartialLatinSquare(self.rows, self.cols, self.syms, frozenset(
+            (r, c, pts[z][2]) for (r, c, _), z in zip(pts, pt.index_perms[1])))
+
+    def __eq__(self, other):
+        if not isinstance(other, Bitrade):
+            return NotImplemented
+        return self.t_circ == other.t_circ and self.t_star == other.t_star
+
+    def __hash__(self):
+        return hash(self.t_circ)
 
     def __repr__(self):
         return (f"Bitrade(size={self.size}, rows={len(self.rows)}, "
@@ -246,20 +260,24 @@ def make_bitrade(circ_triples, star_triples, rows=None, cols=None, syms=None,
                  provenance=None):
     """Validate a (T, T*) pair as a latin bitrade.
 
-    Raises ValidationError carrying every violated condition with a witness;
-    the shared alphabets are taken in canonical order unless given.
+    Building the permutation structure validates the mate square; a
+    rejected pair is checked again on labels, and the ValidationError
+    carries every violated condition with a witness.  The shared alphabets
+    are taken in canonical order unless given.
     """
     circ = make_pls(circ_triples, rows, cols, syms)
-    star = make_pls(star_triples, rows, cols, syms)
-
-    # a label used by one square only is a missing-mate (R2 or R3) failure
-    star = PartialLatinSquare(circ.rows, circ.cols, circ.syms, star.triples)
-    violations = check_bitrade_conditions(circ, star)
-    if violations:
+    star_triples = frozenset(tuple(t) for t in star_triples)
+    pt = _bitrade_structure(circ, star_triples)
+    if pt is None:
+        star = make_pls(star_triples, rows, cols, syms)
+        # a label used by one square only is a missing-mate (R2 or R3) failure
+        star = PartialLatinSquare(circ.rows, circ.cols, circ.syms, star.triples)
+        violations = check_bitrade_conditions(circ, star)
+        if not violations:
+            raise ConsistencyError("the integer check rejects a pair the label check accepts")
         cond, witness, message = violations[0]
         raise ValidationError(cond, message, witness=witness, violations=violations)
-    assert circ.size == star.size
-    return Bitrade(circ, star, dict(provenance or {}))
+    return Bitrade(circ, pt, dict(provenance or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +287,9 @@ def make_bitrade(circ_triples, star_triples, rows=None, cols=None, syms=None,
 class PermutationTriple:
     """Three fixed-point-free permutations of a point set, one per coordinate.
 
-    The permutations are held on integer indices into ``points``:
-    ``index_perms[i][x]`` is the index of the image of ``points[x]``;
-    ``index_cycles[i]`` lists the cycles of the i-th permutation as index
+    The permutations are held on integer indices into ``points`` (arrays
+    for a bitrade): ``index_perms[i][x]`` is the index of the image of
+    ``points[x]``; ``index_cycles[i]`` lists the cycles of the i-th permutation as index
     lists, each starting at its least index and in ascending order of it;
     and ``cycle_of[i][x]`` is the number of the cycle through ``points[x]``.
     The cycles are found on first access, which also checks Q1-Q3.
@@ -417,45 +435,53 @@ def _bitrade_of_permutations(perms, points, tags, fmt, provenance):
     return make_bitrade(t_circ, t_star, *alphabets, provenance=provenance)
 
 
-def _bitrade_permutation_triple(bitrade):
-    """Build the permutation structure of a bitrade on integer indices.
+def _bitrade_structure(circ, star):
+    """The permutation structure of the pair (circ, star) on integer
+    indices, or None when star is not a mate of circ.
 
     Labels are replaced by their positions in the alphabets sorted by
-    ``_sort_key``, so sorting the cells as position triples gives the
-    canonical ``sorted_triples`` order.  Each mate triple m then meets three
-    primary triples: x in its cell (same row and column), y with its row and
-    symbol and z with its column and symbol.  These are the images of m
-    under the three mate bijections, and m contributes tau1(y) = x,
-    tau2(x) = z and tau3(z) = y.
+    ``_sort_key``; a cell holds one triple (P1), so sorting the cells by
+    row and column position gives the canonical ``sorted_triples`` order.
+    Each mate triple m then meets three primary triples: x in its cell
+    (same row and column), y with its row and symbol and z with its column
+    and symbol.  These are the images of m under the three mate
+    bijections, and m contributes tau1(y) = x, tau2(x) = z and tau3(z) = y.
+
+    A foreign label, an unmatched pair or x = y (R1) fails the pass; else
+    the n mate triples fill every slot exactly when the three maps are
+    bijections.  Passing is thus P1/P2 of star and R1-R3.
     """
     alphabets = tuple(tuple(sorted(labels, key=_sort_key))
-                      for labels in (bitrade.rows, bitrade.cols, bitrade.syms))
-    rank_r, rank_c, rank_s = ({lab: k for k, lab in enumerate(labels)}
-                              for labels in alphabets)
-    cells = sorted((rank_r[t[0]], rank_c[t[1]], rank_s[t[2]], t)
-                   for t in bitrade.t_circ.triples)
-    points = tuple(cell[3] for cell in cells)
-    coords = tuple(zip(*cells))[:3]
-    n = len(points)
+                      for labels in (circ.rows, circ.cols, circ.syms))
+    ranks = [{lab: k for k, lab in enumerate(labels)} for labels in alphabets]
+    rank_r, rank_c, rank_s = ranks
     nc, ns = len(alphabets[1]), len(alphabets[2])
-    at_rc = {r * nc + c: x for x, (r, c, _, _) in enumerate(cells)}
-    at_rs = {r * ns + s: x for x, (r, _, s, _) in enumerate(cells)}
-    at_cs = {c * ns + s: x for x, (_, c, s, _) in enumerate(cells)}
-    tau1, tau2, tau3 = [-1] * n, [-1] * n, [-1] * n
-    for r, c, s in bitrade.t_star.triples:
-        r, c, s = rank_r[r], rank_c[c], rank_s[s]
-        x = at_rc[r * nc + c]
-        y = at_rs[r * ns + s]
-        z = at_cs[c * ns + s]
-        if x == y:
-            raise ConsistencyError(f"mate triple {points[x]} is also a primary triple")
-        tau1[y] = x
-        tau2[x] = z
-        tau3[z] = y
-    # n mate triples fill every slot only if x, y and z each run through
-    # all points once, i.e. the three mate bijections are bijections
-    if bitrade.t_star.size != n or -1 in tau1 or -1 in tau2 or -1 in tau3:
-        raise ConsistencyError("the mate bijections are not bijections")
+    points = tuple(sorted(circ.triples, key=lambda t: rank_r[t[0]] * nc + rank_c[t[1]]))
+    n = len(points)
+    if len(star) != n:
+        return None
+    coords = tuple(array("i", [rank[t[i]] for t in points]) for i, rank in enumerate(ranks))
+    rows, cols, syms = coords
+    index = list(range(n))  # one int object per point, shared by the three maps
+    at_rc = dict(zip([r * nc + c for r, c in zip(rows, cols)], index))
+    at_rs = dict(zip([r * ns + s for r, s in zip(rows, syms)], index))
+    at_cs = dict(zip([c * ns + s for c, s in zip(cols, syms)], index))
+    tau1, tau2, tau3 = (array("i", [-1]) * n for _ in range(3))
+    try:
+        for r, c, s in star:
+            r, c, s = rank_r[r], rank_c[c], rank_s[s]
+            x = at_rc[r * nc + c]
+            y = at_rs[r * ns + s]
+            z = at_cs[c * ns + s]
+            if x == y:
+                return None
+            tau1[y] = x
+            tau2[x] = z
+            tau3[z] = y
+    except (KeyError, ValueError):  # a foreign label, an unmatched pair, not a triple
+        return None
+    if -1 in tau1 or -1 in tau2 or -1 in tau3:
+        return None
     return PermutationTriple(points, (tau1, tau2, tau3), alphabets, coords)
 
 
@@ -485,8 +511,8 @@ def triple_permutations(bitrade):
 
     Composing the inverse of one mate bijection with another yields three
     permutations of the primary triples; the i-th fixes coordinate i.  The
-    result always satisfies Q1-Q3 (checked).  It is built once per bitrade
-    and kept on it as ``Bitrade.permutation_triple``.
+    result always satisfies Q1-Q3 (checked).  ``make_bitrade`` builds it
+    once per bitrade and stores it as ``Bitrade.permutation_triple``.
     """
     pt = bitrade.permutation_triple
     pt.index_cycles  # finding the cycles checks Q1-Q3

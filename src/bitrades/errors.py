@@ -40,9 +40,10 @@ class ValidationError(BitradesError):
 class ConsistencyError(BitradesError):
     """Two computations that must agree did not: a scan and its group
     criterion, the orbit and the definitional primality search, thin and
-    primary against the minimality oracle, or a bitrade against its own
-    mate bijections.  This is a defect in the package, not in the input,
-    and unlike an ``assert`` it is raised under ``python -O`` too."""
+    primary against the minimality oracle, or the integer check of a mate
+    square rejecting a pair that the label check accepts.  This is a defect
+    in the package, not in the input, and unlike an ``assert`` it is raised
+    under ``python -O`` too."""
 
 
 class ResourceCapError(BitradesError):

@@ -95,10 +95,6 @@ def perm_str(g):
     return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
 
 
-def moved_points(g):
-    return {i + 1 for i, x in enumerate(g) if x != i + 1}
-
-
 def parse_permutation(text, degree):
     """Parse cycle notation over {1..degree} into an image tuple.
 
@@ -202,19 +198,6 @@ class Coset:
         group = self.subgroup.group
         return tuple(sorted(group.mul(self.rep, h) for h in self.subgroup.elements))
 
-    def __contains__(self, g):
-        return g in self.elements()
-
-    def __len__(self):
-        return len(self.subgroup)
-
-    def __eq__(self, other):
-        return isinstance(other, Coset) and self.subgroup == other.subgroup \
-            and self.rep == other.rep
-
-    def __hash__(self):
-        return hash((self.subgroup, self.rep))
-
     def __repr__(self):
         return f"Coset({self.subgroup.group.element_str(self.rep)}·H, |H|={len(self.subgroup)})"
 
@@ -279,20 +262,6 @@ class Group:
     def is_identity(self, g):
         return g == self.identity
 
-    def power(self, g, k):
-        """g**k by square-and-multiply; negative k goes through the inverse."""
-        if k < 0:
-            g = self.inverse(g)
-            k = -k
-        acc = self.identity
-        base = g
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
-
     def element_order(self, g):
         """Least n > 0 with g**n = identity."""
         n = 1
@@ -332,10 +301,6 @@ class Group:
                                 "closure exceeded the enumeration cap", cap)
             frontier = new
         return els
-
-    def coset_of(self, g, subgroup):
-        rep = min(self.mul(g, h) for h in subgroup.elements)
-        return Coset(subgroup, rep)
 
     def left_cosets(self, subgroup):
         """Partition of the group into left cosets, sorted by representative."""
@@ -527,7 +492,9 @@ class DirectProductGroup(Group):
         if len(components) < 2:
             raise GroupError("a direct product needs at least two components")
         self.components = components
-        self.spec = "prod:" + ",".join(c.spec for c in components)
+        # a component whose spec has a comma is bracketed, so the spec parses back
+        self.spec = "prod:" + ",".join(f"[{c.spec}]" if "," in c.spec else c.spec
+                                       for c in components)
 
     def order(self):
         n = 1
@@ -628,11 +595,6 @@ class HeisenbergGroup(Group):
     def gen_b(self):
         return (0, 1, 0)
 
-    @property
-    def gen_c(self):
-        # c = z^-1
-        return (0, 0, (-1) % self.p)
-
     def element_str(self, g):
         return f"({g[0]},{g[1]},{g[2]})"
 
@@ -707,19 +669,6 @@ class MetacyclicGroup(Group):
     def gen_b(self):
         return (1, 0)
 
-    def geometric_exponent(self, k):
-        """r + r^2 + ... + r^k mod p, the exponent of a in (ab)^k.
-
-        Computed by modular summation, never by division: r - 1 need not be
-        invertible-safe in edge cases.
-        """
-        total = 0
-        power = 1
-        for _ in range(k):
-            power = (power * self.r) % self.p
-            total = (total + power) % self.p
-        return total
-
     def element_str(self, g):
         return f"({g[0]},{g[1]})"
 
@@ -744,12 +693,32 @@ def _parse_int_tuple(text, width, moduli, spec):
 # ---------------------------------------------------------------------------
 # group specification text format
 
+def _product_components(text, spec):
+    """The component specs of a ``prod:`` body: split on the commas outside
+    square brackets, and a component in brackets loses them."""
+    parts, depth = [""], 0
+    for ch in text:
+        depth += (ch == "[") - (ch == "]")
+        if depth < 0:
+            break
+        if ch == "," and depth == 0:
+            parts.append("")
+        else:
+            parts[-1] += ch
+    if depth:
+        raise ParseError(f"unbalanced brackets in group spec {spec!r}")
+    parts = [p.strip() for p in parts]
+    return [p[1:-1] if p.startswith("[") and p.endswith("]") else p for p in parts if p]
+
+
 def group_from_spec(spec, max_elements=None):
     """Build a group from its textual specification, with ``max_elements``
     as its enumeration cap (and that of every ``prod:`` component).
 
     Formats: ``sym:n``, ``alt:n``, ``cyc:n``, ``prod:cyc:3,cyc:3``,
-    ``p3:p``, ``pq:p,q,r``, ``gens:n:(...)(...);(...)``.
+    ``p3:p``, ``pq:p,q,r``, ``gens:n:(...)(...);(...)``.  A ``prod:``
+    component whose spec has a comma goes in square brackets, as in
+    ``prod:[pq:7,3,2],cyc:3`` or ``prod:[prod:cyc:2,cyc:2],cyc:3``.
     """
     spec = spec.strip()
     kind, _, rest = spec.partition(":")
@@ -761,7 +730,7 @@ def group_from_spec(spec, max_elements=None):
         elif kind == "cyc":
             group = CyclicGroup(int(rest))
         elif kind == "prod":
-            parts = [p for p in rest.split(",") if p]
+            parts = _product_components(rest, spec)
             group = DirectProductGroup([group_from_spec(p, max_elements) for p in parts])
         elif kind == "p3":
             group = HeisenbergGroup(int(rest))

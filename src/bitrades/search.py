@@ -17,6 +17,7 @@ from .properties import (
     is_orthogonal,
     is_thin,
 )
+from .serialize import bitrade_to_doc
 
 DEFAULT_SEARCH_CAP = 200
 
@@ -46,15 +47,11 @@ class SearchRecord:
 
 
 def bitrade_signature(bitrade) -> str:
-    """Stable content hash of the bitrade (alphabets and triples only, so
-    that equal bitrades from different triples collide)."""
-    payload = {
-        "rows": [str(x) for x in bitrade.rows],
-        "cols": [str(x) for x in bitrade.cols],
-        "syms": [str(x) for x in bitrade.syms],
-        "t_circ": sorted([str(r), str(c), str(s)] for (r, c, s) in bitrade.t_circ.triples),
-        "t_star": sorted([str(r), str(c), str(s)] for (r, c, s) in bitrade.t_star.triples),
-    }
+    """Stable content hash of the bitrade's document without its provenance
+    (alphabets and triples only, so that equal bitrades from different
+    triples collide)."""
+    payload = bitrade_to_doc(bitrade)
+    del payload["provenance"]
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     return digest[:16]
 

@@ -176,6 +176,12 @@ class TestSearch:
         lines = capsys.readouterr().out.splitlines()
         assert lines  # the dihedral group admits triples
 
+    def test_bracketed_product_spec(self, capsys):
+        assert main(["search", "--group", "prod:[prod:cyc:2,cyc:2],cyc:3"]) == 0
+        assert "triples found in prod:[prod:cyc:2,cyc:2],cyc:3" in capsys.readouterr().err
+        assert main(["search", "--group", "prod:[pq:7,3,2,cyc:3"]) == 2
+        assert "unbalanced brackets" in capsys.readouterr().err
+
 
 class TestTable:
     def test_default_matches_golden(self, capsys):

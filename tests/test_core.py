@@ -1,9 +1,12 @@
+import dataclasses
 import functools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitrades import core
 from bitrades.core import (
     GroupTriple,
     from_group,
@@ -21,7 +24,7 @@ from bitrades.errors import ResourceCapError, ValidationError
 from bitrades.groups import group_from_spec, parse_permutation
 from bitrades.search import iter_triples
 
-from conftest import TWO_BY_THREE_CIRC
+from conftest import TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR
 
 
 def perm_from_cycles(cycles, points):
@@ -112,6 +115,58 @@ class TestMakeBitrade:
     def test_sizes_match(self, two_by_three, intercalate, nonseparated):
         for bt in (two_by_three, intercalate, nonseparated):
             assert bt.t_circ.size == bt.t_star.size
+
+    def test_mate_triples_as_given(self):
+        # a repeated mate triple counts once; a short one is not a triple
+        bt = make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR + TWO_BY_THREE_STAR[:1])
+        assert bt.t_star.triples == frozenset(TWO_BY_THREE_STAR)
+        with pytest.raises(ValidationError) as err:
+            make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR[:5] + [("b", "e")])
+        assert str(err.value) == "P1: ('b', 'e') is not a (row, column, symbol) triple"
+
+    def test_accepting_checks_the_primary_square_only(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(core, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("make_pls", "check_bitrade_conditions"):
+            monkeypatch.setattr(core, name, counted(name))
+        make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR)
+        assert calls == {"make_pls": 1}
+        # a rejected pair is checked again on labels, to name the violations
+        with pytest.raises(ValidationError):
+            make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_CIRC)
+        assert calls == {"make_pls": 3, "check_bitrade_conditions": 1}
+
+    def test_stores_the_primary_square_and_the_structure(self, two_by_three):
+        assert [f.name for f in dataclasses.fields(two_by_three)] \
+            == ["t_circ", "permutation_triple", "provenance"]
+        star = two_by_three.t_star
+        assert star is not two_by_three.t_star  # built on access, never kept
+        assert star == two_by_three.t_star
+        assert star.triples == frozenset(TWO_BY_THREE_STAR)
+        assert (star.rows, star.cols, star.syms) \
+            == (two_by_three.rows, two_by_three.cols, two_by_three.syms)
+
+    def test_equal_when_both_squares_and_alphabets_are(self):
+        square = [(f"r{i}", f"c{j}", f"s{(i + j) % 3}") for i in range(3) for j in range(3)]
+
+        def shifted(k):
+            return [(r, c, f"s{(int(s[1]) + k) % 3}") for r, c, s in square]
+
+        one = make_bitrade(square, shifted(1))
+        again = make_bitrade(square, shifted(1), provenance={"kind": "other"})
+        other_mate = make_bitrade(square, shifted(2))
+        assert one == again and hash(one) == hash(again)
+        assert one != other_mate
+        assert one != make_bitrade(square, shifted(1), rows=("r2", "r1", "r0"))
+        assert len({one, again, other_mate}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +349,8 @@ def coset_oracle(G, triple):
                 row = f"A:{G.element_str(ca.rep)}"
                 col = f"B:{G.element_str(cb.rep)}"
                 for square, h in ((circ, g), (star, G.mul(g, a_inv))):
-                    square.add((row, col, f"C:{G.element_str(G.coset_of(h, triple.C).rep)}"))
+                    rep = min(G.mul(h, x) for x in triple.C.elements)
+                    square.add((row, col, f"C:{G.element_str(rep)}"))
     return circ, star
 
 

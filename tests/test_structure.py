@@ -17,15 +17,19 @@ from hypothesis import strategies as st
 from bitrades import core, properties
 from bitrades.core import (
     _COORD_NAMES,
+    PartialLatinSquare,
     _sort_key,
     canonical_sorted,
+    check_bitrade_conditions,
     from_permutations,
     make_bitrade,
+    make_pls,
     mate_bijections,
     separation_witness,
     triple_permutations,
     validate_permutation_triple,
 )
+from bitrades.errors import ValidationError
 from bitrades.properties import (
     compute_report,
     homogeneity,
@@ -244,7 +248,7 @@ LABELLINGS = {
 
 
 @st.composite
-def latin_differences(draw):
+def latin_difference_pairs(draw):
     """(T, T*) = (L1 \\ L2, L2 \\ L1) for two random isotopes of one square,
     in a random labelling, if that has between 1 and 12 cells."""
     n = draw(st.sampled_from(sorted(SQUARES)))
@@ -259,7 +263,11 @@ def latin_differences(draw):
     first, second = isotope(), isotope()
     circ, star = first - second, second - first
     assume(1 <= len(circ) <= 12)
-    return make_bitrade(circ, star)
+    return circ, star
+
+
+def latin_differences():
+    return latin_difference_pairs().map(lambda pair: make_bitrade(*pair))
 
 
 FIXTURES = {
@@ -319,28 +327,86 @@ class TestAgainstOracle:
 # ---------------------------------------------------------------------------
 # the structure is built once per bitrade
 
-def test_one_report_builds_the_structure_once(monkeypatch, two_by_three):
+def test_one_report_builds_the_structure_once(monkeypatch):
     builds = []
     calls = []
-    build = core._bitrade_permutation_triple
+    build = core._bitrade_structure
     original = core.triple_permutations
 
-    def counting_build(bitrade):
-        builds.append(bitrade)
-        return build(bitrade)
+    def counting_build(circ, star):
+        builds.append(circ)
+        return build(circ, star)
 
     def counting_calls(bitrade):
         calls.append(bitrade)
         return original(bitrade)
 
-    monkeypatch.setattr(core, "_bitrade_permutation_triple", counting_build)
+    monkeypatch.setattr(core, "_bitrade_structure", counting_build)
     for module in (core, properties):
         monkeypatch.setattr(module, "triple_permutations", counting_calls)
-    report = compute_report(two_by_three)
+    bitrade = make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR)
+    assert builds == [bitrade.t_circ]  # inside make_bitrade
+    report = compute_report(bitrade)
     assert report["separated"].yes and report["primary"].yes
     assert len(calls) == 2  # is_separated (via separation_witness) and is_primary
-    assert builds == [two_by_three]
-    # later reports on the same bitrade reuse it
-    compute_report(two_by_three)
+    # reports read the stored structure and never build it
+    compute_report(bitrade)
     assert len(builds) == 1
-    assert original(two_by_three) is two_by_three.permutation_triple
+    assert original(bitrade) is bitrade.permutation_triple
+
+
+# ---------------------------------------------------------------------------
+# the integer pass accepts exactly what the label checks accept
+
+def label_check(circ, star):
+    """The violations the label-based checks find in a candidate pair: the
+    first error of either square, else every R1-R3 violation."""
+    try:
+        circ_pls = make_pls(circ)
+        star_pls = make_pls(star)
+    except ValidationError as err:
+        return err.violations
+    star_pls = PartialLatinSquare(circ_pls.rows, circ_pls.cols, circ_pls.syms,
+                                  star_pls.triples)
+    return check_bitrade_conditions(circ_pls, star_pls)
+
+
+@st.composite
+def perturbed_pairs(draw):
+    """A latin difference (T, T*) with at most one mate triple changed: a
+    new symbol, dropped, replaced by a primary triple, or given a label
+    foreign to its coordinate; or with one more mate triple on T's labels."""
+    circ, star = draw(latin_difference_pairs())
+    circ, star = sorted(circ, key=repr), sorted(star, key=repr)
+    alphabets = [sorted({t[k] for t in circ}, key=repr) for k in range(3)]
+    i = draw(st.integers(0, len(star) - 1))
+    kind = draw(st.sampled_from(["none", "symbol", "drop", "copy", "foreign", "add"]))
+    if kind == "symbol":
+        r, c, _ = star[i]
+        star[i] = (r, c, draw(st.sampled_from(alphabets[2])))
+    elif kind == "add":
+        star.append(tuple(draw(st.sampled_from(labels)) for labels in alphabets))
+    elif kind == "drop":
+        del star[i]
+    elif kind == "copy":
+        star[i] = draw(st.sampled_from(circ))
+    elif kind == "foreign":
+        k = draw(st.integers(0, 2))
+        label = draw(st.sampled_from(alphabets[(k + 1) % 3] + ["zz"]))
+        star[i] = star[i][:k] + (label,) + star[i][k + 1:]
+    return circ, star
+
+
+class TestValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_pairs())
+    def test_accepts_exactly_what_the_label_checks_accept(self, pair):
+        circ, star = pair
+        expected = label_check(circ, star)
+        try:
+            bt = make_bitrade(circ, star)
+        except ValidationError as err:
+            assert err.violations == expected != []
+        else:
+            assert expected == []
+            assert bt.t_star.triples == frozenset(star)
