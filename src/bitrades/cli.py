@@ -1,10 +1,11 @@
 """Command line front end: construct, verify, search, and table.
 
 Exit codes: 0 success, 1 a requested property check failed, 2 input or
-validation error, 3 a resource cap was exceeded, 4 an internal consistency
-check failed (two computations of one answer disagreed: a defect in this
-package).  The environment variable BITRADE_MAX_ELEMENTS overrides the
-default enumeration cap.
+validation error (a path that cannot be read or written included), 3 a
+resource cap was exceeded, 4 an internal consistency check failed (two
+computations of one answer disagreed: a defect in this package).  The
+environment variable BITRADE_MAX_ELEMENTS overrides the default
+enumeration cap.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def main(argv=None) -> int:
     except ConsistencyError as err:
         print(f"internal consistency check failed: {err}", file=sys.stderr)
         return 4
-    except (BitradesError, FileNotFoundError, ValueError) as err:
+    except (BitradesError, OSError, ValueError) as err:  # OSError: an unusable path
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -28,9 +28,12 @@ Conversely every bitrade has a permutation structure: three permutations
 tau1, tau2, tau3 of its primary triples satisfying Q1-Q3, the i-th fixing
 coordinate i.  With the primary square it fixes the mate, so a
 ``Bitrade`` stores only those two, the structure on integer indices into
-the primary triples in canonical order; building it validates the mate
-(``make_bitrade``).  The property scans read it; labels are looked up
-from it only for output and witnesses.
+the primary triples in canonical order.  The two constructions take the
+structure straight from their checked permutations (tau_i is the i-th
+permutation, reindexed); ``make_bitrade`` validates documents and
+explicit triples, and building the structure there is the validation of
+the mate square.  The property scans read it; labels are looked up from
+it only for output and witnesses.
 """
 
 from __future__ import annotations
@@ -125,12 +128,22 @@ def _pair_map(triples, i, j):
     return out
 
 
+def _check_nonempty(items):
+    if not items:
+        raise ValidationError("P2", "a partial latin square needs at least one triple")
+
+
+def _check_distinct(labels, i):
+    if len(set(labels)) != len(labels):
+        raise ValidationError(
+            "P2", f"duplicate label in the declared {_COORD_NAMES[i]} alphabet")
+
+
 def make_pls(triples, rows=None, cols=None, syms=None):
     """Validate triples as a partial latin square; alphabets are inferred
     (in canonical order) unless explicitly given."""
     triples = frozenset(tuple(t) for t in triples)
-    if not triples:
-        raise ValidationError("P2", "a partial latin square needs at least one triple")
+    _check_nonempty(triples)
     for t in triples:
         if len(t) != 3:
             raise ValidationError("P1", f"{t!r} is not a (row, column, symbol) triple")
@@ -146,9 +159,7 @@ def make_pls(triples, rows=None, cols=None, syms=None):
             alphabets.append(tuple(canonical_sorted(used[i])))
         else:
             given = tuple(given)
-            if len(set(given)) != len(given):
-                raise ValidationError(
-                    "P2", f"duplicate label in the declared {_COORD_NAMES[i]} alphabet")
+            _check_distinct(given, i)
             extra = used[i] - set(given)
             if extra:
                 raise ValidationError(
@@ -415,24 +426,42 @@ def _bitrade_of_permutations(perms, points, tags, fmt, provenance):
     lists into ``points`` (in canonical order).
 
     Rows, columns and symbols are the cycles of the three permutations,
-    labelled ``tag:`` plus the formatted least point of the cycle.  Each
-    point x contributes the primary triple of the cycles through x, and the
-    mate triple of the row cycle through x, the column cycle through q1(x)
-    and the symbol cycle through q2(q1(x)).  The result has size |X|.
+    labelled ``tag:`` plus the formatted least point of the cycle, and
+    declared in cycle order.  Each point x is the primary triple of the
+    cycles through x; the mate triple in its cell is the row and column of
+    x with the symbol of q2(x).  So the permutation structure is q1-q3
+    themselves, reindexed into the canonical order of the primary triples.
+    Q1-Q3 and distinct cycle labels are the whole validation: the result
+    has size |X|, and ``make_bitrade`` (which validates documents and
+    explicit triples) is not involved.
     """
+    _check_nonempty(points)
     cycles, cycle_of = _check_permutation_triple(perms, points)
-    alphabets = []
-    labels = []
-    for tag, cyc, of in zip(tags, cycles, cycle_of):
-        names = tuple(f"{tag}:{fmt(points[c[0]])}" for c in cyc)
-        alphabets.append(names)
-        labels.append([names[k] for k in of])
-    lab1, lab2, lab3 = labels
-    q1, q2, _ = perms
-    t_circ = set(zip(lab1, lab2, lab3))
-    t_star = {(lab1[x], lab2[y], lab3[q2[y]]) for x, y in enumerate(q1)}
-    assert len(t_circ) == len(points) and len(t_star) == len(points)
-    return make_bitrade(t_circ, t_star, *alphabets, provenance=provenance)
+    declared = []
+    ranked = []
+    coords = []
+    for i, (tag, cyc, of) in enumerate(zip(tags, cycles, cycle_of)):
+        names = [f"{tag}:{fmt(points[c[0]])}" for c in cyc]
+        _check_distinct(names, i)  # two points may format alike
+        declared.append(tuple(names))
+        ranked.append(tuple(sorted(names)))  # str labels: _sort_key order is plain order
+        rank_of = {name: r for r, name in enumerate(ranked[-1])}
+        rank = [rank_of[name] for name in names]
+        coords.append([rank[k] for k in of])
+    rows, cols, _ = coords
+    nc = len(ranked[1])
+    # a cell holds one point (Q1), so (row, column) rank orders the points
+    cell = [r * nc + c for r, c in zip(rows, cols)]
+    order = sorted(range(len(points)), key=cell.__getitem__)
+    position = [0] * len(points)
+    for i, x in enumerate(order):
+        position[x] = i
+    index_perms = tuple(array("i", [position[q[x]] for x in order]) for q in perms)
+    coords = tuple(array("i", [coord[x] for x in order]) for coord in coords)
+    triples = tuple(zip(*(map(labels.__getitem__, coord)
+                          for labels, coord in zip(ranked, coords))))
+    pt = PermutationTriple(triples, index_perms, tuple(ranked), coords)
+    return Bitrade(PartialLatinSquare(*declared, frozenset(triples)), pt, dict(provenance))
 
 
 def _bitrade_structure(circ, star):
@@ -598,7 +627,6 @@ def from_group(group, a, b, c, *, provenance=None):
     triple = a if isinstance(a, GroupTriple) else GroupTriple(group, a, b, c)
     group = triple.group
     els = group.elements()
-    n = len(els)
     index = {g: i for i, g in enumerate(els)}
     mul = group.mul
     perms = [[index[mul(x, g)] for x in els] for g in (triple.a, triple.b, triple.c)]
@@ -607,13 +635,7 @@ def from_group(group, a, b, c, *, provenance=None):
     prov = {"kind": "from-group", "group": group.spec, "a": astr, "b": bstr, "c": cstr}
     if provenance:
         prov.update(provenance)
-    bitrade = _bitrade_of_permutations(perms, els, ("A", "B", "C"), group.element_str,
-                                       prov)
-    oa, ob, oc = triple.orders
-    assert len(bitrade.rows) == n // oa
-    assert len(bitrade.cols) == n // ob
-    assert len(bitrade.syms) == n // oc
-    return bitrade
+    return _bitrade_of_permutations(perms, els, ("A", "B", "C"), group.element_str, prov)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import GroupError, ParseError, ResourceCapError
+from .errors import ConsistencyError, GroupError, ParseError, ResourceCapError
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
@@ -319,7 +319,9 @@ class Group:
         a_inv = self.inverse(a)
         conj_gen = self.mul(self.mul(a_inv, subgroup.generator), a)
         out = Subgroup(self, conj_gen)
-        assert len(out) == len(subgroup)
+        if len(out) != len(subgroup):
+            raise ConsistencyError(
+                f"the conjugate of a subgroup of order {len(subgroup)} has order {len(out)}")
         return out
 
     def center(self):

@@ -277,7 +277,9 @@ def group_thin_criterion(triple: GroupTriple) -> PropertyResult:
                     solutions.append((i, j, k))
     extra = [s for s in solutions if s not in ((0, 0, 0), (1, 1, 1))]
     if not extra:
-        assert (0, 0, 0) in solutions and (1, 1, 1) in solutions
+        if solutions != [(0, 0, 0), (1, 1, 1)]:
+            raise ConsistencyError(
+                "abc = 1 but the exponent search misses (0,0,0) or (1,1,1)")
         return _timed(started, "yes", "group-criterion")
     return _timed(started, "no", "group-criterion", min(extra))
 

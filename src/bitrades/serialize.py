@@ -4,37 +4,98 @@ from __future__ import annotations
 
 import io
 import json
+from json.encoder import encode_basestring_ascii as escape
 
 from .core import Bitrade, make_bitrade
 from .errors import ParseError
 
 
+def _label_str(label):
+    return label if isinstance(label, str) else str(label)
+
+
 def bitrade_to_doc(bitrade: Bitrade) -> dict:
     """JSON-ready document: alphabets in canonical order, triples sorted
     lexicographically, labels as strings."""
-    def lab(x):
-        return x if isinstance(x, str) else str(x)
-
     def triples(pls):
-        return sorted([lab(r), lab(c), lab(s)] for (r, c, s) in pls.triples)
+        return sorted([_label_str(r), _label_str(c), _label_str(s)]
+                      for (r, c, s) in pls.triples)
 
     return {
-        "rows": [lab(x) for x in bitrade.rows],
-        "cols": [lab(x) for x in bitrade.cols],
-        "syms": [lab(x) for x in bitrade.syms],
+        "rows": [_label_str(x) for x in bitrade.rows],
+        "cols": [_label_str(x) for x in bitrade.cols],
+        "syms": [_label_str(x) for x in bitrade.syms],
         "t_circ": triples(bitrade.t_circ),
         "t_star": triples(bitrade.t_star),
         "provenance": bitrade.provenance,
     }
 
 
+_TRIPLES_PER_CHUNK = 4096
+
+
+def _square_columns(bitrade, escaped):
+    """For each square, the escaped row, column and symbol of its triples in
+    document order (the string triples sorted).
+
+    When every label is a str, that order is the structure's point order:
+    the points are sorted by row and column rank in ``_sort_key`` order,
+    which for str is plain order, and a cell holds one triple.  The mate
+    triple in the cell of point x holds the symbol of tau2(x), so both
+    squares come from the structure with no sort.  Other labels are taken
+    from ``bitrade_to_doc``, which sorts them as strings.
+    """
+    if all(isinstance(lab, str) for esc in escaped for lab in esc):
+        pt = bitrade.permutation_triple
+        circ = [list(map([esc[lab] for lab in labels].__getitem__, coord))
+                for esc, labels, coord in zip(escaped, pt.alphabets, pt.coords)]
+        star = circ[:2] + [list(map(circ[2].__getitem__, pt.index_perms[1]))]
+        return circ, star
+    doc = bitrade_to_doc(bitrade)
+    by_str = [{_label_str(lab): e for lab, e in esc.items()} for esc in escaped]
+    return [[[esc[t[i]] for t in doc[key]] for i, esc in enumerate(by_str)]
+            for key in ("t_circ", "t_star")]
+
+
+def _square_json(columns):
+    rows, cols, syms = columns
+    sep = "[\n"
+    for start in range(0, len(rows), _TRIPLES_PER_CHUNK):
+        end = start + _TRIPLES_PER_CHUNK
+        yield sep + ",\n".join([
+            f"    [\n      {r},\n      {c},\n      {s}\n    ]"
+            for r, c, s in zip(rows[start:end], cols[start:end], syms[start:end])])
+        sep = ",\n"
+    yield "\n  ]"
+
+
+def _json_chunks(bitrade):
+    """The text of ``json.dumps(bitrade_to_doc(bitrade), indent=2,
+    sort_keys=True)`` plus a newline, in chunks, with each label escaped
+    once per alphabet."""
+    escaped = [{lab: escape(_label_str(lab)) for lab in labels}
+               for labels in (bitrade.rows, bitrade.cols, bitrade.syms)]
+    circ, star = _square_columns(bitrade, escaped)
+    rows, cols, syms = ("[\n    " + ",\n    ".join(esc.values()) + "\n  ]" for esc in escaped)
+    # nested one level deep: every line after the first moves two spaces in
+    provenance = json.dumps(bitrade.provenance, indent=2, sort_keys=True).replace(
+        "\n", "\n  ")
+    yield (f'{{\n  "cols": {cols},\n  "provenance": {provenance},\n'
+           f'  "rows": {rows},\n  "syms": {syms},\n  "t_circ": ')
+    yield from _square_json(circ)
+    yield ',\n  "t_star": '
+    yield from _square_json(star)
+    yield "\n}\n"
+
+
 def bitrade_to_json(bitrade: Bitrade) -> str:
-    return json.dumps(bitrade_to_doc(bitrade), indent=2, sort_keys=True) + "\n"
+    return "".join(_json_chunks(bitrade))
 
 
 def write_bitrade(bitrade: Bitrade, path) -> None:
+    """Write ``bitrade_to_json``'s text to ``path`` chunk by chunk."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(bitrade_to_json(bitrade))
+        fh.writelines(_json_chunks(bitrade))
 
 
 def _check_labels(labels, where):

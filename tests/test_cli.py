@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -62,10 +63,41 @@ class TestConstruct:
         text = out.read_text()
         assert "∘" in text and "⋆" in text
 
+    def test_output_to_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["construct", "--family", "alt:m=1", "-o", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_env_cap_respected(self, monkeypatch, capsys):
         monkeypatch.setenv("BITRADE_MAX_ELEMENTS", "10")
         assert main(["construct", "--family", "alt:m=1"]) == 3
         monkeypatch.delenv("BITRADE_MAX_ELEMENTS")
+
+    # SHA-256 of construct's stdout, recorded while json.dumps still wrote
+    # the document
+    GOLDEN_DIGESTS = [
+        (["--family", "zp2:p=3"],
+         "debf1475cc5643b5f02ecbfeb1cea9823734796d058e91e1dc45f10d67a3e635"),
+        (["--family", "p3:p=3"],
+         "071c104a3c2ae390110aacd95724331394448a237b5d0e5a0a293c53f8c430f0"),
+        (["--family", "pq:p=7,q=3,r=2"],
+         "9c8983e1326dafccbee5a09290c4b218c1109972cf824f5e38ec16349562878b"),
+        (["--family", "alt:m=1"],
+         "b369d292d94452ffaab0c7e26f44d62dac421c439382db0a8a9b9bdcf9e1ba06"),
+        (["--group", "sym:3", "--a", "(1,2,3)", "--b", "(1,2)", "--c", "(2,3)"],
+         "b5b91833a250781962a2e870a84ed6fe6f56e590b4a8568ad74a3655478db97c"),
+        (["--family", "pq:p=7,q=3,r=2", "--format", "text"],
+         "65430fc35ffc506696cb0981c0af1ff17ad11894873865534fc11fe99957365c"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS,
+                             ids=[" ".join(argv) for argv, _ in GOLDEN_DIGESTS])
+    def test_golden_bytes(self, tmp_path, capsys, argv, digest):
+        assert main(["construct"] + argv) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == digest
+        out = tmp_path / "out"
+        assert main(["construct"] + argv + ["-o", str(out)]) == 0
+        assert out.read_bytes() == stdout
 
 
 class TestVerify:
@@ -118,6 +150,11 @@ class TestVerify:
 
     def test_missing_file_exits_2(self):
         assert main(["verify", "/no/such/file.json"]) == 2
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_unknown_check_exits_2(self, sample_path, capsys):
         assert main(["verify", sample_path, "--checks", "nonsense"]) == 2

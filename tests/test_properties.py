@@ -341,7 +341,7 @@ class TestReports:
 CONSISTENCY_SCRIPT = textwrap.dedent("""
     import json, sys
     from bitrades import cli, core, properties, search
-    from bitrades.core import make_bitrade
+    from bitrades.core import GroupTriple, make_bitrade
     from bitrades.errors import ConsistencyError
     from bitrades.groups import group_from_spec
     from bitrades.properties import PropertyResult
@@ -381,6 +381,18 @@ CONSISTENCY_SCRIPT = textwrap.dedent("""
     # that finds nothing there contradicts it
     core.check_bitrade_conditions = lambda circ, star: []
     raises("mates", lambda: make_bitrade(CIRC, CIRC))
+
+    # a conjugate must have the order of the subgroup it conjugates
+    G = group_from_spec("sym:3")
+    a, b = G.parse_element("(1,2,3)"), G.parse_element("(1,2)")
+    order_two = type("OrderTwo", (), {"generator": a, "__len__": lambda self: 2})()
+    raises("conjugate", lambda: G.conjugate_subgroup(order_two, b))
+
+    # (0,0,0) and (1,1,1) solve a^i b^j c^k = 1 whenever abc = 1; an
+    # identity that matches no product hides both
+    triple = GroupTriple(G, a, b, G.inverse(G.mul(a, b)))
+    type(G).identity = property(lambda self: "no element")
+    raises("trivial", lambda: properties.group_thin_criterion(triple))
 """)
 
 
@@ -396,5 +408,6 @@ def test_consistency_checks_raise_under_optimisation(tmp_path):
     verdicts = dict(line.split(" ", 2)[:2] for line in lines[1:])
     assert verdicts == {"primary": "ConsistencyError", "exit": "4",
                         "minimal": "ConsistencyError", "thin": "ConsistencyError",
-                        "orthogonal": "ConsistencyError", "mates": "ConsistencyError"}
+                        "orthogonal": "ConsistencyError", "mates": "ConsistencyError",
+                        "conjugate": "ConsistencyError", "trivial": "ConsistencyError"}
     assert "internal consistency check failed" in proc.stderr

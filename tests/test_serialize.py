@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bitrades.core import from_group
+from bitrades.core import from_group, make_bitrade
 from bitrades.errors import ParseError, ValidationError
 from bitrades.groups import group_from_spec, parse_permutation
 from bitrades.serialize import (
@@ -14,6 +16,7 @@ from bitrades.serialize import (
 )
 
 from conftest import TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR
+from test_structure import latin_difference_pairs
 
 
 class TestDocuments:
@@ -66,6 +69,59 @@ class TestDocuments:
         with pytest.raises(ValidationError) as err:
             read_bitrade(doc)
         assert err.value.condition == "R1"
+
+
+# label forms of the relabelled bitrades below; the str form needs escaping
+LABEL_FORMS = {
+    "str": lambda k: f"\u00e9\"{k}",
+    "int": lambda k: k,
+    "tuple": lambda k: (k, "t"),
+}
+
+
+@st.composite
+def relabelled_bitrades(draw):
+    """A latin difference with every label replaced by a str, int or tuple
+    (one form for all labels, or a form per label), the alphabets declared
+    in a random order or left canonical, and a random provenance."""
+    circ, star = draw(latin_difference_pairs())
+    kind = draw(st.sampled_from(sorted(LABEL_FORMS) + ["mixed"]))
+    labels = sorted({lab for t in circ for lab in t}, key=repr)
+    new = {}
+    for k, lab in enumerate(labels):
+        form = kind if kind != "mixed" else draw(st.sampled_from(sorted(LABEL_FORMS)))
+        new[lab] = LABEL_FORMS[form](k)
+    circ = [tuple(new[lab] for lab in t) for t in circ]
+    star = [tuple(new[lab] for lab in t) for t in star]
+    declared = {}
+    if draw(st.booleans()):
+        for i, key in enumerate(("rows", "cols", "syms")):
+            alphabet = sorted({t[i] for t in circ}, key=repr)
+            declared[key] = tuple(draw(st.permutations(alphabet)))
+    provenance = draw(st.dictionaries(
+        st.text(max_size=3),
+        st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)),
+        max_size=3))
+    return make_bitrade(circ, star, provenance=provenance, **declared)
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(relabelled_bitrades())
+    def test_bytes_of_the_document(self, bitrade):
+        expected = json.dumps(bitrade_to_doc(bitrade), indent=2, sort_keys=True) + "\n"
+        assert bitrade_to_json(bitrade) == expected
+
+    def test_write_bitrade_writes_the_same_bytes(self, tmp_path, two_by_three):
+        bt = make_bitrade([(1, "c", ("s",)), (2, "d", ("s",)), (1, "d", ("t",)),
+                           (2, "c", ("t",))],
+                          [(1, "c", ("t",)), (2, "d", ("t",)), (1, "d", ("s",)),
+                           (2, "c", ("s",))])
+        for bitrade in (bt, two_by_three):
+            path = tmp_path / "bt.json"
+            write_bitrade(bitrade, path)
+            assert path.read_text(encoding="utf-8") == bitrade_to_json(bitrade)
 
 
 class TestRender:

@@ -9,8 +9,10 @@ are kept as the reference the integer code must agree with.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,15 +23,18 @@ from bitrades.core import (
     _sort_key,
     canonical_sorted,
     check_bitrade_conditions,
+    from_group,
     from_permutations,
     make_bitrade,
     make_pls,
     mate_bijections,
+    point_str,
     separation_witness,
     triple_permutations,
     validate_permutation_triple,
 )
 from bitrades.errors import ValidationError
+from bitrades.groups import group_from_spec
 from bitrades.properties import (
     compute_report,
     homogeneity,
@@ -38,6 +43,7 @@ from bitrades.properties import (
     is_thin,
     primary_exhaustive,
 )
+from bitrades.search import iter_triples
 
 from conftest import (
     INTERCALATE_CIRC,
@@ -410,3 +416,99 @@ class TestValidation:
         else:
             assert expected == []
             assert bt.t_star.triples == frozenset(star)
+
+
+# ---------------------------------------------------------------------------
+# the constructions take the structure straight from their permutations
+
+def label_path_bitrade(perms, points, tags, fmt, provenance):
+    """The constructions as they were before they built the structure from
+    their permutations: the cycle labels of every point as a primary and a
+    mate triple, validated by ``make_bitrade``.  The mate of point x is the
+    row cycle through x, the column cycle through q1(x) and the symbol
+    cycle through q2(q1(x))."""
+    cycles, cycle_of = core._check_permutation_triple(perms, points)
+    alphabets = []
+    labels = []
+    for tag, cyc, of in zip(tags, cycles, cycle_of):
+        names = tuple(f"{tag}:{fmt(points[c[0]])}" for c in cyc)
+        alphabets.append(names)
+        labels.append([names[k] for k in of])
+    lab1, lab2, lab3 = labels
+    q1, q2, _ = perms
+    t_circ = set(zip(lab1, lab2, lab3))
+    t_star = {(lab1[x], lab2[y], lab3[q2[y]]) for x, y in enumerate(q1)}
+    return make_bitrade(t_circ, t_star, *alphabets, provenance=provenance)
+
+
+def label_path_from_permutations(p1, p2, p3):
+    points = canonical_sorted(p1.keys())
+    return label_path_bitrade(core._index_permutations((p1, p2, p3), points), points,
+                              core._CYCLE_TAGS, point_str, {"kind": "from-perms"})
+
+
+def label_path_from_group(triple):
+    G = triple.group
+    els = G.elements()
+    index = {g: i for i, g in enumerate(els)}
+    perms = [[index[G.mul(x, g)] for x in els] for g in (triple.a, triple.b, triple.c)]
+    a, b, c = triple.element_strs()
+    return label_path_bitrade(perms, els, "ABC", G.element_str,
+                              {"kind": "from-group", "group": G.spec, "a": a, "b": b, "c": c})
+
+
+def assert_same_bitrade(direct, oracle):
+    mine, ref = direct.permutation_triple, oracle.permutation_triple
+    assert mine.points == ref.points
+    assert mine.alphabets == ref.alphabets
+    assert mine.coords == ref.coords
+    assert mine.index_perms == ref.index_perms
+    assert (direct.rows, direct.cols, direct.syms) == (oracle.rows, oracle.cols, oracle.syms)
+    assert direct == oracle
+    assert direct.provenance == oracle.provenance
+
+
+@functools.lru_cache(maxsize=None)
+def group_triples(spec):
+    return list(iter_triples(group_from_spec(spec)))
+
+
+# points 1 and "1" (and 2 and "2") format alike, so two cycles get one label
+COLLIDING = ({1: "1", "1": 1, 2: "2", "2": 2}, {1: 2, "1": "2", 2: 1, "2": "1"},
+             {1: "2", "1": 2, 2: "1", "2": 1})
+
+
+class TestAgainstLabelPath:
+    @settings(max_examples=150, deadline=None)
+    @given(latin_differences())
+    def test_random_permutation_triples(self, bitrade):
+        perms = oracle_triple_permutations(bitrade)[1]
+        assert_same_bitrade(from_permutations(*perms), label_path_from_permutations(*perms))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(("sym:3", "alt:4", "p3:3", "pq:7,3,2")).flatmap(
+        lambda spec: st.sampled_from(group_triples(spec))))
+    def test_group_triples(self, triple):
+        direct = from_group(triple.group, triple.a, triple.b, triple.c)
+        assert_same_bitrade(direct, label_path_from_group(triple))
+
+    @pytest.mark.parametrize("perms", [({}, {}, {}), COLLIDING])
+    def test_same_rejection(self, perms):
+        with pytest.raises(ValidationError) as expected:
+            label_path_from_permutations(*perms)
+        with pytest.raises(ValidationError) as err:
+            from_permutations(*perms)
+        assert str(err.value) == str(expected.value)
+
+    def test_constructions_never_validate_labels(self, monkeypatch):
+        intercalate_bitrade = make_bitrade(INTERCALATE_CIRC, INTERCALATE_STAR)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("label validation on the construction path")
+
+        for name in ("make_bitrade", "make_pls", "_bitrade_structure"):
+            monkeypatch.setattr(core, name, refuse)
+        triple = group_triples("alt:4")[0]
+        assert from_group(triple.group, triple.a, triple.b, triple.c).size == 12
+        perms = oracle_triple_permutations(intercalate_bitrade)[1]
+        assert from_permutations(*perms).size == 4
