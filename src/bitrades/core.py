@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ConsistencyError, ValidationError
-from .groups import Group, Subgroup
+from .groups import Group
 
 _COORD_NAMES = ("row", "column", "symbol")
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -392,11 +392,13 @@ def _check_permutation_triple(perms, points):
         cycles.append(cyc)
         cycle_of.append(of)
     for r, s in _PAIRS:
+        ns = len(cycles[s])
         seen = {}
-        for x, key in enumerate(zip(cycle_of[r], cycle_of[s])):
+        for x, (kr, ks) in enumerate(zip(cycle_of[r], cycle_of[s])):
+            key = kr * ns + ks  # the pair of cycles through x, as one int
             if key in seen:
-                cr = tuple(points[i] for i in cycles[r][key[0]])
-                cs = tuple(points[i] for i in cycles[s][key[1]])
+                cr = tuple(points[i] for i in cycles[r][kr])
+                cs = tuple(points[i] for i in cycles[s][ks])
                 raise ValidationError(
                     "Q1",
                     f"cycles {cr} and {cs} of permutations {r + 1} and {s + 1} share "
@@ -421,12 +423,13 @@ def validate_permutation_triple(p1, p2, p3, points):
     return pt
 
 
-def _bitrade_of_permutations(perms, points, tags, fmt, provenance):
+def _bitrade_of_permutations(perms, points, tags, strs, provenance):
     """The bitrade of three permutations satisfying Q1-Q3, given as index
     lists into ``points`` (in canonical order).
 
     Rows, columns and symbols are the cycles of the three permutations,
-    labelled ``tag:`` plus the formatted least point of the cycle, and
+    labelled ``tag:`` plus the string of the least point of the cycle
+    (``strs`` maps a list of indices to the strings of those points), and
     declared in cycle order.  Each point x is the primary triple of the
     cycles through x; the mate triple in its cell is the row and column of
     x with the symbol of q2(x).  So the permutation structure is q1-q3
@@ -441,7 +444,7 @@ def _bitrade_of_permutations(perms, points, tags, fmt, provenance):
     ranked = []
     coords = []
     for i, (tag, cyc, of) in enumerate(zip(tags, cycles, cycle_of)):
-        names = [f"{tag}:{fmt(points[c[0]])}" for c in cyc]
+        names = [f"{tag}:{name}" for name in strs([c[0] for c in cyc])]
         _check_distinct(names, i)  # two points may format alike
         declared.append(tuple(names))
         ranked.append(tuple(sorted(names)))  # str labels: _sort_key order is plain order
@@ -458,6 +461,8 @@ def _bitrade_of_permutations(perms, points, tags, fmt, provenance):
         position[x] = i
     index_perms = tuple(array("i", [position[q[x]] for x in order]) for q in perms)
     coords = tuple(array("i", [coord[x] for x in order]) for coord in coords)
+    # the label triples are the largest allocation here: free what is done first
+    del cycles, cycle_of, rows, cols, cell, position, order
     triples = tuple(zip(*(map(labels.__getitem__, coord)
                           for labels, coord in zip(ranked, coords))))
     pt = PermutationTriple(triples, index_perms, tuple(ranked), coords)
@@ -560,8 +565,9 @@ def from_permutations(p1, p2, p3, points=None):
     following the three permutations in order.  The result has size |X|.
     """
     points = canonical_sorted(p1.keys() if points is None else points)
-    return _bitrade_of_permutations(_index_permutations((p1, p2, p3), points), points,
-                                    _CYCLE_TAGS, point_str, {"kind": "from-perms"})
+    return _bitrade_of_permutations(
+        _index_permutations((p1, p2, p3), points), points, _CYCLE_TAGS,
+        lambda idx: [point_str(points[i]) for i in idx], {"kind": "from-perms"})
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +591,9 @@ class GroupTriple:
             raise ValidationError(
                 "G1", "abc != identity (a=%s, b=%s, c=%s)" % (
                     group.element_str(a), group.element_str(b), group.element_str(c)))
-        self.A = Subgroup(group, a)
-        self.B = Subgroup(group, b)
-        self.C = Subgroup(group, c)
+        self.A = group.generated_subgroup(a)
+        self.B = group.generated_subgroup(b)
+        self.C = group.generated_subgroup(c)
         for (name, X, Y) in (("|A∩B|", self.A, self.B),
                              ("|A∩C|", self.A, self.C),
                              ("|B∩C|", self.B, self.C)):
@@ -605,7 +611,8 @@ class GroupTriple:
 
     def element_strs(self):
         g = self.group
-        return (g.element_str(self.a), g.element_str(self.b), g.element_str(self.c))
+        index = g.element_index()
+        return tuple(g.element_strs([index[self.a], index[self.b], index[self.c]]))
 
     def __repr__(self):
         a, b, c = self.element_strs()
@@ -623,19 +630,19 @@ def from_group(group, a, b, c, *, provenance=None):
     to keep the alphabets disjoint.  The result has size |G| with |G:A|
     rows of |A| entries each, |G:B| columns of |B| entries, and |G:C|
     symbols occurring |C| times.  The group's enumeration cap bounds it.
+    The right multiplications and the element strings come from the
+    group's memo, so a group builds each of them once.
     """
     triple = a if isinstance(a, GroupTriple) else GroupTriple(group, a, b, c)
     group = triple.group
-    els = group.elements()
-    index = {g: i for i, g in enumerate(els)}
-    mul = group.mul
-    perms = [[index[mul(x, g)] for x in els] for g in (triple.a, triple.b, triple.c)]
+    perms = [group.right_translation(g) for g in (triple.a, triple.b, triple.c)]
 
     astr, bstr, cstr = triple.element_strs()
     prov = {"kind": "from-group", "group": group.spec, "a": astr, "b": bstr, "c": cstr}
     if provenance:
         prov.update(provenance)
-    return _bitrade_of_permutations(perms, els, ("A", "B", "C"), group.element_str, prov)
+    return _bitrade_of_permutations(perms, group.elements(), ("A", "B", "C"),
+                                    group.element_strs, prov)
 
 
 # ---------------------------------------------------------------------------

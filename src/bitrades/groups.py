@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 
 from .errors import ConsistencyError, GroupError, ParseError, ResourceCapError
 
@@ -205,8 +206,30 @@ class Coset:
 # ---------------------------------------------------------------------------
 # groups
 
+class _ElementMemo:
+    """What a group has computed about its elements, each part on first use:
+    the index of every element in ``elements()``, the strings of the
+    elements asked for (None elsewhere), and the cyclic subgroup and right
+    translation of each element asked for."""
+
+    def __init__(self, n):
+        self.index = None
+        self.strs = [None] * n
+        self.subgroups = {}
+        self.translations = {}
+
+
 class Group:
-    """Base class for finite groups with plain hashable element encodings."""
+    """Base class for finite groups with plain hashable element encodings.
+
+    A group keeps one memo of what it computes about its own elements,
+    each part filled on first use and kept for the group's life: the index
+    of every element in ``elements()``, element strings, the cyclic
+    subgroup of each generator, and each right translation x -> xg as an
+    ``array('i')`` over those indices.  Like ``elements()``, every accessor
+    of the memo checks the enumeration cap on every call, so a group whose
+    ``max_elements`` is lowered below its order refuses all of them.
+    """
 
     kind = "abstract"
     spec = "?"
@@ -259,6 +282,47 @@ class Group:
                 f"group {self.spec} has order {n}, above the enumeration cap", cap)
         return n
 
+    def _memo(self):
+        n = self.check_enumerable()
+        memo = self.__dict__.get("_element_memo")
+        if memo is None:
+            memo = self._element_memo = _ElementMemo(n)
+        return memo
+
+    def element_index(self):
+        """Each element's position in ``elements()``."""
+        memo = self._memo()
+        if memo.index is None:
+            memo.index = {g: i for i, g in enumerate(self.elements())}
+        return memo.index
+
+    def element_strs(self, indices):
+        """``element_str`` of the elements at the given indices."""
+        strs = self._memo().strs
+        els = self.elements()
+        for i in indices:
+            if strs[i] is None:
+                strs[i] = self.element_str(els[i])
+        return [strs[i] for i in indices]
+
+    def generated_subgroup(self, g):
+        """The cyclic subgroup <g>, built once per g."""
+        subgroups = self._memo().subgroups
+        out = subgroups.get(g)
+        if out is None:
+            out = subgroups[g] = Subgroup(self, g)
+        return out
+
+    def right_translation(self, g):
+        """The permutation x -> xg of the element indices, built once per g."""
+        translations = self._memo().translations
+        out = translations.get(g)
+        if out is None:
+            index = self.element_index()
+            mul = self.mul
+            out = translations[g] = array("i", [index[mul(x, g)] for x in self.elements()])
+        return out
+
     def is_identity(self, g):
         return g == self.identity
 
@@ -270,9 +334,6 @@ class Group:
             x = self.mul(x, g)
             n += 1
         return n
-
-    def generated_subgroup(self, g):
-        return Subgroup(self, g)
 
     def closure(self, generators):
         """Smallest multiplication-closed set containing the generators.

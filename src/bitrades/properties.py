@@ -260,21 +260,24 @@ def homogeneity(bitrade: Bitrade) -> PropertyResult:
 
 def group_thin_criterion(triple: GroupTriple) -> PropertyResult:
     """Thin iff the only exponent solutions of a^i b^j c^k = 1 are (0,0,0)
-    and (1,1,1), exponents taken modulo the element orders."""
+    and (1,1,1), exponents taken modulo the element orders.
+
+    For each (i, j) the only candidate k is the exponent of (a^i b^j)^-1
+    among the powers of c, looked up as a^i b^j = c^-k, and one product
+    confirms it."""
     started = time.monotonic()
     G = triple.group
-    oa, ob, oc = triple.orders
-    a_pows = triple.A.elements
-    b_pows = triple.B.elements
     c_pows = triple.C.elements
+    oc = len(c_pows)
+    c_exponent = {g: -m % oc for m, g in enumerate(c_pows)}
     identity = G.identity
     solutions = []
-    for i in range(oa):
-        for j in range(ob):
-            ab = G.mul(a_pows[i], b_pows[j])
-            for k in range(oc):
-                if G.mul(ab, c_pows[k]) == identity:
-                    solutions.append((i, j, k))
+    for i, a_i in enumerate(triple.A.elements):
+        for j, b_j in enumerate(triple.B.elements):
+            ab = G.mul(a_i, b_j)
+            k = c_exponent.get(ab)
+            if k is not None and G.mul(ab, c_pows[k]) == identity:
+                solutions.append((i, j, k))
     extra = [s for s in solutions if s not in ((0, 0, 0), (1, 1, 1))]
     if not extra:
         if solutions != [(0, 0, 0), (1, 1, 1)]:

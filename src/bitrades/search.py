@@ -10,6 +10,7 @@ from .core import GroupTriple, from_group
 from .errors import ConsistencyError, ResourceCapError, ValidationError
 from .properties import (
     DEFAULT_MINIMAL_CAP,
+    _orbit,
     compute_report,
     group_orthogonal_criterion,
     group_thin_criterion,
@@ -17,7 +18,7 @@ from .properties import (
     is_orthogonal,
     is_thin,
 )
-from .serialize import bitrade_to_doc
+from .serialize import _compact_chunks
 
 DEFAULT_SEARCH_CAP = 200
 
@@ -49,11 +50,12 @@ class SearchRecord:
 def bitrade_signature(bitrade) -> str:
     """Stable content hash of the bitrade's document without its provenance
     (alphabets and triples only, so that equal bitrades from different
-    triples collide)."""
-    payload = bitrade_to_doc(bitrade)
-    del payload["provenance"]
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    return digest[:16]
+    triples collide): the first 16 hex digits of the SHA-256 of its
+    compact JSON text, fed to the hash chunk by chunk."""
+    digest = hashlib.sha256()
+    for chunk in _compact_chunks(bitrade):
+        digest.update(chunk.encode("ascii"))
+    return digest.hexdigest()[:16]
 
 
 def iter_triples(group):
@@ -79,8 +81,11 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
     For every surviving triple the bitrade is built and the requested
     properties computed; thin and orthogonal are decided both by direct
     scan and by their group criteria, and a disagreement of the two
-    verdicts raises ConsistencyError.  The group's enumeration cap bounds
-    every enumeration of it.
+    verdicts raises ConsistencyError.  G3 is read off the bitrade: the
+    orbit of an element x under the right multiplications by a, b and c
+    is x<a, b, c>, so a, b and c generate G exactly when the structure is
+    transitive.  The group's enumeration cap bounds every enumeration of
+    it.
     """
     n = group.order()
     if n > search_cap:
@@ -90,10 +95,10 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
     for triple in iter_triples(group):
         if k is not None and triple.orders != (k, k, k):
             continue
-        g3 = triple.satisfies_g3()
+        bitrade = from_group(group, triple.a, triple.b, triple.c)
+        g3 = len(_orbit(bitrade.permutation_triple)) == n
         if require_g3 and not g3:
             continue
-        bitrade = from_group(group, triple.a, triple.b, triple.c)
         properties = {}
         for check in checks:
             if check == "thin":

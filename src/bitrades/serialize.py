@@ -69,12 +69,17 @@ def _square_json(columns):
     yield "\n  ]"
 
 
+def _escaped_alphabets(bitrade):
+    """Per alphabet, each label's JSON string in declared order."""
+    return [{lab: escape(_label_str(lab)) for lab in labels}
+            for labels in (bitrade.rows, bitrade.cols, bitrade.syms)]
+
+
 def _json_chunks(bitrade):
     """The text of ``json.dumps(bitrade_to_doc(bitrade), indent=2,
     sort_keys=True)`` plus a newline, in chunks, with each label escaped
     once per alphabet."""
-    escaped = [{lab: escape(_label_str(lab)) for lab in labels}
-               for labels in (bitrade.rows, bitrade.cols, bitrade.syms)]
+    escaped = _escaped_alphabets(bitrade)
     circ, star = _square_columns(bitrade, escaped)
     rows, cols, syms = ("[\n    " + ",\n    ".join(esc.values()) + "\n  ]" for esc in escaped)
     # nested one level deep: every line after the first moves two spaces in
@@ -86,6 +91,19 @@ def _json_chunks(bitrade):
     yield ',\n  "t_star": '
     yield from _square_json(star)
     yield "\n}\n"
+
+
+def _compact_chunks(bitrade):
+    """The text of ``json.dumps(doc, sort_keys=True)`` for the bitrade's
+    document without its provenance, in chunks (one per square after the
+    alphabets)."""
+    escaped = _escaped_alphabets(bitrade)
+    rows, cols, syms = ("[" + ", ".join(esc.values()) + "]" for esc in escaped)
+    yield f'{{"cols": {cols}, "rows": {rows}, "syms": {syms}, "t_circ": '
+    circ, star = _square_columns(bitrade, escaped)
+    for sep, (r, c, s) in (("", circ), (', "t_star": ', star)):
+        yield sep + "[" + ", ".join([f"[{x}, {y}, {z}]" for x, y, z in zip(r, c, s)]) + "]"
+    yield "}"
 
 
 def bitrade_to_json(bitrade: Bitrade) -> str:

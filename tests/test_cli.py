@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +189,14 @@ class TestVerify:
 
 
 class TestSearch:
+    def test_golden_stdout(self, capsys):
+        # recorded from the version that decided G3 by closure and hashed the
+        # sorted label document
+        golden = Path(__file__).resolve().parent / "golden" / "search_alt4_all_checks.jsonl"
+        assert main(["search", "--group", "alt:4",
+                     "--checks", "thin,orthogonal,primary,minimal"]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_s3_search(self, capsys):
         assert main(["search", "--group", "sym:3"]) == 0
         captured = capsys.readouterr()

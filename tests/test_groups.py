@@ -12,6 +12,7 @@ from bitrades.groups import (
     HeisenbergGroup,
     MetacyclicGroup,
     PermClosureGroup,
+    Subgroup,
     SymmetricGroup,
     group_from_spec,
     parse_permutation,
@@ -385,6 +386,38 @@ class TestGroupSpec:
         G.max_elements = 10
         with pytest.raises(ResourceCapError):
             G.elements()
+
+    def test_memo_accessors_honour_a_lowered_cap(self):
+        G = group_from_spec("alt:4")
+        g = G.parse_element("(1,2,3)")
+        accessors = {
+            "element_index": lambda: G.element_index(),
+            "element_strs": lambda: G.element_strs([0, 5]),
+            "generated_subgroup": lambda: G.generated_subgroup(g),
+            "right_translation": lambda: G.right_translation(g),
+        }
+        for fill in accessors.values():
+            fill()
+        G.max_elements = 11
+        for name, access in accessors.items():
+            with pytest.raises(ResourceCapError):
+                access()
+        G.max_elements = 12
+        assert all(access() is not None for access in accessors.values())
+
+    def test_memo_matches_the_group(self):
+        for spec in ("alt:4", "p3:3", "pq:7,3,2", "prod:cyc:2,cyc:3"):
+            G = group_from_spec(spec)
+            els = G.elements()
+            index = G.element_index()
+            assert [index[x] for x in els] == list(range(len(els)))
+            assert G.element_strs(range(len(els))) == [G.element_str(x) for x in els]
+            for g in els:
+                rho = G.right_translation(g)
+                assert [els[y] for y in rho] == [G.mul(x, g) for x in els]
+                assert G.right_translation(g) is rho
+                assert G.generated_subgroup(g) is G.generated_subgroup(g)
+                assert G.generated_subgroup(g).elements == Subgroup(G, g).elements
 
     def test_spec_sets_the_cap_of_every_group_it_builds(self):
         G = group_from_spec("prod:cyc:3,gens:3:(1 2 3)", 7)

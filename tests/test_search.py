@@ -1,9 +1,24 @@
-import pytest
+import hashlib
+import json
 
-from bitrades.core import GroupTriple
+import pytest
+from hypothesis import given, settings
+
+from bitrades.core import GroupTriple, from_group, make_bitrade
 from bitrades.errors import ResourceCapError, ValidationError
 from bitrades.groups import group_from_spec, parse_permutation
 from bitrades.search import bitrade_signature, iter_triples, search_triples
+from bitrades.serialize import bitrade_to_doc
+
+from conftest import (
+    INTERCALATE_CIRC,
+    INTERCALATE_STAR,
+    NONSEP_CIRC,
+    NONSEP_STAR,
+    TWO_BY_THREE_CIRC,
+    TWO_BY_THREE_STAR,
+)
+from test_serialize import relabelled_bitrades
 
 
 def brute_force_triples(group):
@@ -91,3 +106,57 @@ class TestSearch:
         G = group_from_spec("pq:7,3,2")
         for triple in iter_triples(G):
             assert G.mul(G.mul(triple.a, triple.b), triple.c) == G.identity
+
+
+# ---------------------------------------------------------------------------
+# search against its oracles: G3 by closure, the signature of the sorted doc
+
+CORPUS = ["sym:3", "alt:4", "sym:4", "p3:3", "pq:7,3,2", "prod:cyc:3,cyc:3"]
+
+
+def oracle_signature(bitrade):
+    """The signature as first defined: the SHA-256 of the sorted label
+    document without its provenance, dumped with sorted keys."""
+    payload = bitrade_to_doc(bitrade)
+    del payload["provenance"]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("spec", CORPUS)
+def test_records_against_the_oracles(spec):
+    # search reads G3 off the orbit of its bitrade; the closure of a, b and
+    # c decides it from the group
+    G = group_from_spec(spec)
+    triples = list(iter_triples(G))
+    records = search_triples(G, checks=())
+    assert [(r.a, r.b, r.c) for r in records] == [t.element_strs() for t in triples]
+    for triple, record in zip(triples, records):
+        assert record.g3 == triple.satisfies_g3()
+        bitrade = from_group(G, triple.a, triple.b, triple.c)
+        assert record.signature == oracle_signature(bitrade)
+    if spec == "alt:4":
+        assert (len(records), sum(not r.g3 for r in records)) == (102, 6)
+
+
+def relabel(triples, form):
+    labels = sorted({lab for t in triples for lab in t})
+    code = {lab: form(k) for k, lab in enumerate(labels)}
+    return [tuple(code[lab] for lab in t) for t in triples]
+
+
+@pytest.mark.parametrize("circ, star", [
+    (INTERCALATE_CIRC, INTERCALATE_STAR),
+    (TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR),
+    (NONSEP_CIRC, NONSEP_STAR),
+], ids=["intercalate", "two-by-three", "nonseparated"])
+@pytest.mark.parametrize("form", [lambda k: k, lambda k: (k, "t"), lambda k: (k,)],
+                         ids=["int", "tuple", "1-tuple"])
+def test_signature_of_non_str_labels(circ, star, form):
+    bitrade = make_bitrade(relabel(circ, form), relabel(star, form))
+    assert bitrade_signature(bitrade) == oracle_signature(bitrade)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_bitrades())
+def test_signature_of_relabelled_bitrades(bitrade):
+    assert bitrade_signature(bitrade) == oracle_signature(bitrade)

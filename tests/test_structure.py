@@ -419,6 +419,76 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
+# the first Q1 clash
+
+def oracle_q1_clash(perms, points):
+    """The first Q1 clash of three fixed-point-free index permutations, as
+    the scan keyed by (cycle, cycle) tuples reports it: the message and the
+    witness, or None."""
+    cycles, cycle_of = [], []
+    for q in perms:
+        cyc, of = [], {}
+        for start in range(len(q)):
+            if start in of:
+                continue
+            cycle, x = [start], q[start]
+            while x != start:
+                cycle.append(x)
+                x = q[x]
+            of.update((y, len(cyc)) for y in cycle)
+            cyc.append(cycle)
+        cycles.append(cyc)
+        cycle_of.append([of[x] for x in range(len(q))])
+    for r, s in ((0, 1), (0, 2), (1, 2)):
+        seen = {}
+        for x, key in enumerate(zip(cycle_of[r], cycle_of[s])):
+            if key in seen:
+                cr = tuple(points[i] for i in cycles[r][key[0]])
+                cs = tuple(points[i] for i in cycles[s][key[1]])
+                first, second = points[seen[key]], points[x]
+                return (f"Q1: cycles {cr} and {cs} of permutations {r + 1} and {s + 1} "
+                        f"share the moved points {point_str(first)} and {point_str(second)}",
+                        (cr, cs, first, second))
+            seen[key] = x
+    return None
+
+
+@st.composite
+def derangements(draw, n):
+    """A permutation of range(n) without fixed points, as an index list."""
+    order = draw(st.permutations(range(n)))
+    q = [0] * n
+    start = 0
+    while start < n:
+        rest = n - start
+        length = rest if rest < 4 else draw(st.integers(2, rest))
+        if rest - length == 1:
+            length = rest
+        cycle = order[start:start + length]
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            q[x] = y
+        start += length
+    return q
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(*[derangements(n)] * 3)),
+       st.sampled_from([lambda i: i, lambda i: f"p{i}", lambda i: (i, "x")]))
+def test_first_q1_clash(perms, form):
+    points = tuple(form(i) for i in range(len(perms[0])))
+    expected = oracle_q1_clash(perms, points)
+    try:
+        core._check_permutation_triple(perms, points)
+    except ValidationError as err:
+        if err.condition != "Q1":
+            assert err.condition == "Q3" and expected is None
+        else:
+            assert (str(err), err.witness) == expected
+    else:
+        assert expected is None
+
+
+# ---------------------------------------------------------------------------
 # the constructions take the structure straight from their permutations
 
 def label_path_bitrade(perms, points, tags, fmt, provenance):
