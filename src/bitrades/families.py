@@ -128,8 +128,24 @@ def alt_generators(m):
     return a, b
 
 
+# alternating-family sizes above this print as a factorial expression, in
+# the table and in cap messages
+_ALT_NUMERIC_LIMIT = 10 ** 10
+
+
 def alt_family_size(m):
     return math.factorial(3 * m + 1) // 2
+
+
+def _half_factorial_at_most(n, limit):
+    """n!/2 for n >= 2 if it is at most ``limit``, else None: the product
+    stops as soon as it passes the limit, so a huge n costs a few steps."""
+    size = 1
+    for k in range(3, n + 1):
+        size *= k
+        if size > limit:
+            return None
+    return size
 
 
 def family_alt(m, max_elements=None) -> FamilyInstance:
@@ -138,16 +154,18 @@ def family_alt(m, max_elements=None) -> FamilyInstance:
     The group is materialized as the closure of the two generators, which
     doubles as the computational check that they generate the whole
     alternating group.  Above the enumeration cap (m >= 4 by default) a
-    ResourceCapError reports the formula size without constructing.
+    ResourceCapError reports the formula size without constructing; the
+    size is printed in full up to the table's numeric limit.
     """
     if m < 1:
         raise GroupError("m must be at least 1")
     cap = DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements
     n = 3 * m + 1
-    size = alt_family_size(m)
-    if size > cap:
+    size = _half_factorial_at_most(n, max(cap, _ALT_NUMERIC_LIMIT))
+    if size is None or size > cap:
+        shown = f"{n}!/2" if size is None else f"{n}!/2 = {size}"
         raise ResourceCapError(
-            f"alternating family instance m={m} has size {n}!/2 = {size}, "
+            f"alternating family instance m={m} has size {shown}, "
             "above the enumeration cap", cap)
     a, b = alt_generators(m)
     G = PermClosureGroup(n, [a, b], max_elements)
@@ -161,33 +179,44 @@ def family_alt(m, max_elements=None) -> FamilyInstance:
     return FamilyInstance(spec, triple)
 
 
+# each family's builder and its parameters, in the builder's order
+_FAMILIES = {
+    "zp2": (family_zp2, ("p",)),
+    "p3": (family_p3, ("p",)),
+    "pq": (family_pq, ("p", "q", "r")),
+    "alt": (family_alt, ("m",)),
+}
+
+
 def family_from_spec(text, max_elements=None) -> FamilyInstance:
     """Parse the CLI family syntax: ``zp2:p=3``, ``p3:p=5``,
-    ``pq:p=11,q=5,r=3``, ``alt:m=2``."""
+    ``pq:p=11,q=5,r=3``, ``alt:m=2``.  A parameter the family does not
+    take, or one given twice, is a ParseError."""
     name, _, rest = text.strip().partition(":")
     params = {}
     if rest:
         for part in rest.split(","):
             key, eq, value = part.partition("=")
+            key = key.strip()
             if not eq:
                 raise ParseError(f"malformed family parameter {part!r} in {text!r}")
+            if key in params:
+                raise ParseError(f"family parameter {key!r} repeated in {text!r}")
             try:
-                params[key.strip()] = int(value)
+                params[key] = int(value)
             except ValueError as exc:
                 raise ParseError(f"non-integer family parameter {part!r}") from exc
-    try:
-        if name == "zp2":
-            return family_zp2(params.pop("p"), max_elements)
-        if name == "p3":
-            return family_p3(params.pop("p"), max_elements)
-        if name == "pq":
-            return family_pq(params.pop("p"), params.pop("q"), params.pop("r"),
-                             max_elements)
-        if name == "alt":
-            return family_alt(params.pop("m"), max_elements)
-    except KeyError as exc:
-        raise ParseError(f"family {name!r} is missing parameter {exc}") from exc
-    raise ParseError(f"unknown family {name!r} (expected zp2, p3, pq, or alt)")
+    if name not in _FAMILIES:
+        raise ParseError(f"unknown family {name!r} (expected zp2, p3, pq, or alt)")
+    build, names = _FAMILIES[name]
+    for key in params:
+        if key not in names:
+            raise ParseError(f"family {name!r} has no parameter {key!r} "
+                             f"(it takes {', '.join(names)})")
+    for key in names:
+        if key not in params:
+            raise ParseError(f"family {name!r} is missing parameter {key!r}")
+    return build(*(params[key] for key in names), max_elements)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +226,6 @@ def family_from_spec(text, max_elements=None) -> FamilyInstance:
 # from the literature, and the smallest size known overall
 PUBLISHED_QUADRATIC = {3: 21, 5: 75, 7: 133, 9: 243, 11: 407}
 SMALLEST_KNOWN = {3: 12, 5: 55, 7: 133, 9: 243, 11: 407}
-
-# alternating-column cells above this print as a factorial expression
-_ALT_NUMERIC_LIMIT = 10 ** 10
 
 _PQ_SEARCH_LIMIT = 10_000
 

@@ -14,10 +14,17 @@ Elements are plain hashable encodings owned by their group:
 
 Encodings sort naturally (ints and nested int tuples), which fixes the
 canonical element order used for coset representatives and all output.
+
+Permutation groups of degree at most 255 enumerate closures and build right
+translations on ``bytes`` internally: an image tuple ``x`` is coded as
+``bytes(x)``, codes of one length sort exactly like the tuples they encode,
+and ``x -> xg`` is ``code.translate(table)`` for one 256-byte table per g.
+Every element a caller sees or passes stays an image tuple.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from array import array
@@ -25,6 +32,10 @@ from array import array
 from .errors import ConsistencyError, GroupError, ParseError, ResourceCapError
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
+
+# the largest degree whose image tuples are coded as bytes (one point a byte,
+# with 0 left unused)
+MAX_BYTES_DEGREE = 255
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +233,10 @@ class _ElementMemo:
 class Group:
     """Base class for finite groups with plain hashable element encodings.
 
+    ``closure`` and ``right_translation`` here are the generic paths, on
+    ``mul``; permutation groups of degree at most 255 replace both with
+    ``bytes`` paths and use these above that degree.
+
     A group keeps one memo of what it computes about its own elements,
     each part filled on first use and kept for the group's life: the index
     of every element in ``elements()``, element strings, the cyclic
@@ -274,8 +289,11 @@ class Group:
             self._elements = cached
         return cached
 
+    def _enumeration_cap(self):
+        return DEFAULT_MAX_ELEMENTS if self.max_elements is None else self.max_elements
+
     def check_enumerable(self):
-        cap = DEFAULT_MAX_ELEMENTS if self.max_elements is None else self.max_elements
+        cap = self._enumeration_cap()
         n = self.order()
         if n > cap:
             raise ResourceCapError(
@@ -344,7 +362,7 @@ class Group:
         """
         if not generators:
             raise GroupError("closure requires at least one generator")
-        cap = DEFAULT_MAX_ELEMENTS if self.max_elements is None else self.max_elements
+        cap = self._enumeration_cap()
         gens = list(generators)
         els = {self.identity}
         els.update(gens)
@@ -399,7 +417,13 @@ class Group:
 
 
 class _PermGroupBase(Group):
-    """Common behaviour for groups of image-tuple permutations."""
+    """Common behaviour for groups of image-tuple permutations.
+
+    Up to degree ``MAX_BYTES_DEGREE``, ``closure`` and ``right_translation``
+    run on the ``bytes`` codes of the elements (see the module docstring);
+    above it they are the generic ``Group`` paths.  Either way they take and
+    return image tuples.
+    """
 
     def __init__(self, degree):
         self.degree = degree
@@ -412,6 +436,52 @@ class _PermGroupBase(Group):
         if not isinstance(g, tuple) or len(g) != self.degree:
             raise GroupError(
                 f"element {g!r} does not belong to {self.spec} (mixed-group operands?)")
+
+    def _table(self, g):
+        """The ``bytes.translate`` table taking the code of x to that of xg."""
+        if not perm_is_valid(g, self.degree):
+            self._check(g)
+            raise GroupError(f"{g!r} is not a permutation of degree {self.degree}")
+        return b"\0" + bytes(g) + bytes(range(self.degree + 1, 256))
+
+    def _closure_codes(self, generators):
+        """The codes of ``closure(generators)``, in BFS order; degree at
+        most ``MAX_BYTES_DEGREE``."""
+        if not generators:
+            raise GroupError("closure requires at least one generator")
+        cap = self._enumeration_cap()
+        tables = [self._table(g) for g in generators]
+        seen = {bytes(self.identity)}
+        seen.update(bytes(g) for g in generators)
+        codes = list(seen)
+        for x in codes:  # codes grows while it is walked: the BFS queue
+            for table in tables:
+                y = x.translate(table)
+                if y not in seen:
+                    seen.add(y)
+                    codes.append(y)
+                    if len(codes) > cap:
+                        raise ResourceCapError(
+                            "closure exceeded the enumeration cap", cap)
+        return codes
+
+    def closure(self, generators):
+        if self.degree > MAX_BYTES_DEGREE:
+            return super().closure(generators)
+        return {tuple(x) for x in self._closure_codes(list(generators))}
+
+    def right_translation(self, g):
+        if self.degree > MAX_BYTES_DEGREE:
+            return super().right_translation(g)
+        translations = self._memo().translations
+        out = translations.get(g)
+        if out is None:
+            table = self._table(g)
+            # transient: only the translation outlives the call
+            codes = [bytes(x) for x in self.elements()]
+            index = {x: i for i, x in enumerate(codes)}
+            out = translations[g] = array("i", [index[x.translate(table)] for x in codes])
+        return out
 
     def mul(self, g, h):
         self._check(g)
@@ -478,7 +548,8 @@ class AlternatingGroup(_PermGroupBase):
 
 
 class PermClosureGroup(_PermGroupBase):
-    """Group generated by explicit degree-n permutations (table kind)."""
+    """Group generated by explicit degree-n permutations (table kind); it
+    keeps the sorted element list of the closure and nothing else."""
 
     kind = "gens"
 
@@ -494,16 +565,21 @@ class PermClosureGroup(_PermGroupBase):
         self.generators = tuple(gens)
         self.spec = "gens:%d:%s" % (n, ";".join(perm_str(g) for g in gens))
         self.max_elements = max_elements
-        self._members = frozenset(self.closure(gens))
+        if n > MAX_BYTES_DEGREE:
+            self._elements = sorted(self.closure(gens))
+        else:
+            self._elements = [tuple(x) for x in sorted(self._closure_codes(gens))]
 
     def order(self):
-        return len(self._members)
+        return len(self._elements)
 
     def iter_elements(self):
-        return iter(self._members)
+        return iter(self._elements)
 
     def contains(self, g):
-        return g in self._members
+        els = self._elements
+        i = bisect.bisect_left(els, g)
+        return i < len(els) and els[i] == g
 
 
 class CyclicGroup(Group):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,38 @@ class TestConstruct:
     def test_resource_cap_exits_3(self, capsys):
         assert main(["construct", "--family", "alt:m=4"]) == 3
         assert "3113510400" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", [20000, 10 ** 8])
+    def test_huge_alt_family_exits_3_at_once(self, capsys, m):
+        # the size is compared against the cap without building (3m+1)!
+        start = time.perf_counter()
+        assert main(["construct", "--family", f"alt:m={m}"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"resource cap exceeded: alternating family instance m={m} has size "
+            f"{3 * m + 1}!/2, above the enumeration cap (cap: 5000000)\n")
+
+    @pytest.mark.parametrize("family, message", [
+        ("pq:p=7,q=3,r=2,x=1", "family 'pq' has no parameter 'x' (it takes p, q, r)"),
+        ("alt:m=1,m=2", "family parameter 'm' repeated in 'alt:m=1,m=2'"),
+    ])
+    def test_unknown_or_repeated_family_parameter_exits_2(self, capsys, family, message):
+        assert main(["construct", "--family", family]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_degree_above_255_matches_degree_4(self, capsys):
+        # gens:256 runs the generic group paths, gens:4 the bytes paths
+        c = "(2,4,3)"  # (ab)^-1 for a = (1,2,3), b = (2,1,4)
+        docs = []
+        for n in (4, 256):
+            argv = ["construct", "--group", f"gens:{n}:(1,2,3);(2,1,4)",
+                    "--a", "(1,2,3)", "--b", "(2,1,4)", "--c", c]
+            assert main(argv) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert [doc["provenance"].pop("group") for doc in docs] == [
+            "gens:4:(1,2,3);(1,4,2)", "gens:256:(1,2,3);(1,4,2)"]
+        assert docs[0] == docs[1]
+        assert len(docs[0]["t_circ"]) == 12
 
     def test_byte_identical_runs(self, tmp_path):
         out1 = tmp_path / "a.json"

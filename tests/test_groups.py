@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from bitrades.groups import (
     AlternatingGroup,
     CyclicGroup,
     DirectProductGroup,
+    Group,
     HeisenbergGroup,
     MetacyclicGroup,
     PermClosureGroup,
@@ -195,6 +197,28 @@ class TestSubgroupsCosets:
             G.closure(gens)
         G.max_elements = 200
         assert len(G.closure(gens)) == 120
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=3))))
+    def test_bytes_paths_match_the_generic_paths(self, case):
+        # permutation groups of degree <= 255 close and translate on bytes;
+        # the generic Group methods, on a second group whose memo is apart,
+        # are the oracle
+        n, gens = case
+        closed = Group.closure(SymmetricGroup(n), gens)
+        for make in (lambda: PermClosureGroup(n, gens), lambda: SymmetricGroup(n)):
+            G, oracle = make(), make()
+            assert G.closure(gens) == closed
+            if isinstance(G, PermClosureGroup):
+                assert G.elements() == sorted(closed)
+            for g in gens + [G.elements()[-1]]:
+                assert G.right_translation(g) == Group.right_translation(oracle, g)
+        if n <= 5:
+            G = PermClosureGroup(n, gens)
+            assert all(G.contains(g) == (g in closed)
+                       for g in itertools.permutations(range(1, n + 1)))
 
     def test_s3_coset_counts(self):
         G = s3()
