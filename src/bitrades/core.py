@@ -30,19 +30,22 @@ coordinate i.  With the primary square it fixes the mate, so a
 ``Bitrade`` stores only those two, the structure on integer indices into
 the primary triples in canonical order.  The two constructions take the
 structure straight from their checked permutations (tau_i is the i-th
-permutation, reindexed); ``make_bitrade`` validates documents and
-explicit triples, and building the structure there is the validation of
-the mate square.  The property scans read it; labels are looked up from
-it only for output and witnesses.
+permutation, reindexed).  ``make_bitrade`` validates documents and
+explicit triples in one integer pass that checks both squares and builds
+the structure; label code (``make_pls``, ``check_bitrade_conditions``)
+runs only to name a rejection.  The property scans read the structure;
+labels are looked up from it only for output and witnesses.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, GroupError, ValidationError
 from .groups import Group
 
 _COORD_NAMES = ("row", "column", "symbol")
@@ -271,24 +274,121 @@ def make_bitrade(circ_triples, star_triples, rows=None, cols=None, syms=None,
                  provenance=None):
     """Validate a (T, T*) pair as a latin bitrade.
 
-    Building the permutation structure validates the mate square; a
-    rejected pair is checked again on labels, and the ValidationError
-    carries every violated condition with a witness.  The shared alphabets
-    are taken in canonical order unless given.
+    One pass on label ranks checks both squares and builds the permutation
+    structure (``_pair_structure``).  Label code runs only to name a
+    rejection: a rejected pair goes through ``make_pls`` for each square
+    and ``check_bitrade_conditions``, and the ValidationError carries every
+    violated condition with a witness.  Each triple is read once, through
+    ``tuple``.  Repeated triples merge, as do hash-equal labels.  The
+    shared alphabets are taken in canonical order unless given.
     """
-    circ = make_pls(circ_triples, rows, cols, syms)
-    star_triples = frozenset(tuple(t) for t in star_triples)
-    pt = _bitrade_structure(circ, star_triples)
-    if pt is None:
-        star = make_pls(star_triples, rows, cols, syms)
-        # a label used by one square only is a missing-mate (R2 or R3) failure
-        star = PartialLatinSquare(circ.rows, circ.cols, circ.syms, star.triples)
-        violations = check_bitrade_conditions(circ, star)
-        if not violations:
-            raise ConsistencyError("the integer check rejects a pair the label check accepts")
-        cond, witness, message = violations[0]
-        raise ValidationError(cond, message, witness=witness, violations=violations)
+    circ_triples = [tuple(t) for t in circ_triples]
+    declared = (rows, cols, syms)
+    try:
+        star_triples = list(star_triples)  # kept if an item is no sequence
+        star_triples = [tuple(t) for t in star_triples]
+        found = _pair_structure(circ_triples, star_triples, declared)
+    except TypeError:  # an unhashable label or a non-sequence: named on labels
+        found = None
+    if found is None:
+        _raise_violations(circ_triples, star_triples, declared)
+    circ, pt = found
     return Bitrade(circ, pt, dict(provenance or {}))
+
+
+def _raise_violations(circ_triples, star_triples, declared):
+    """Name the rejection of a pair on labels: the first P1/P2 error of
+    either square, else every R1-R3 violation."""
+    circ = make_pls(circ_triples, *declared)
+    star = make_pls(star_triples, *declared)
+    # a label used by one square only is a missing-mate (R2 or R3) failure
+    star = PartialLatinSquare(circ.rows, circ.cols, circ.syms, star.triples)
+    violations = check_bitrade_conditions(circ, star)
+    if not violations:
+        raise ConsistencyError("the integer check rejects a pair the label check accepts")
+    cond, witness, message = violations[0]
+    raise ValidationError(cond, message, witness=witness, violations=violations)
+
+
+def _pair_structure(circ, star, declared):
+    """The primary square and the permutation structure of the pair
+    (circ, star) of tuple lists, or None when the pair is not a bitrade.
+
+    The primary square is checked on the distinct labels of each
+    coordinate (P2: a declared alphabet has no repeat and is exactly the
+    labels used; the three alphabets are disjoint).  Of hash-equal labels,
+    an inferred alphabet keeps the first in document order.  Labels are then
+    replaced by their positions in the alphabets sorted by ``_sort_key``,
+    and three int-keyed pair maps index the primary triples by (row,
+    column), (row, symbol) and (column, symbol).  A cell holds one triple
+    (P1), so sorting the cells by row and column position gives the
+    canonical ``sorted_triples`` order.
+
+    The maps drive the mate pass.  Each mate triple m meets three primary
+    triples: x in its cell (same row and column), y with its row and symbol
+    and z with its column and symbol.  These are the images of m under the
+    three mate bijections, and m contributes tau1(y) = x, tau2(x) = z and
+    tau3(z) = y.  A foreign label, an unmatched pair or x = y (R1) fails
+    the pass; else the n mate triples fill every slot exactly when the
+    three maps are bijections.  A P1 clash of the primary square leaves a
+    pair map with fewer than n points, so its slots cannot all be filled.
+    Passing is thus P1/P2 of both squares and R1-R3.
+    """
+    circ = list(dict.fromkeys(circ))  # repeats and hash-equal labels merge
+    star = list(dict.fromkeys(star))
+    triples = frozenset(circ)
+    n = len(circ)
+    if len(star) != n or set(map(len, circ)) != {3} or set(map(len, star)) != {3}:
+        return None
+    # labels in document order: the label objects lie in memory in that order
+    labels = [list(map(itemgetter(i), circ)) for i in range(3)]
+    alphabets = tuple(tuple(canonical_sorted(set(col))) if given is None else tuple(given)
+                      for given, col in zip(declared, labels))
+    sets = [set(alphabet) for alphabet in alphabets]
+    if any(len(s) != len(alphabet) for s, alphabet in zip(sets, alphabets)):
+        return None  # a declared label repeated
+    if not (sets[0].isdisjoint(sets[1]) and sets[0].isdisjoint(sets[2])
+            and sets[1].isdisjoint(sets[2])):
+        return None
+    ranked = tuple(tuple(sorted(alphabet, key=_sort_key)) for alphabet in alphabets)
+    ranks = [dict(zip(alphabet, range(len(alphabet)))) for alphabet in ranked]
+    try:  # a KeyError is a label missing from its declared alphabet
+        rows, cols, syms = (list(map(rank.__getitem__, col)) for rank, col in zip(ranks, labels))
+    except KeyError:
+        return None
+    if any(given is not None and len(set(coord)) != len(rank)
+           for given, coord, rank in zip(declared, (rows, cols, syms), ranks)):
+        return None  # a declared label used by no triple
+    nc, ns = len(ranked[1]), len(ranked[2])
+    cell = [r * nc + c for r, c in zip(rows, cols)]
+    order = sorted(range(n), key=cell.__getitem__)
+    points = tuple(map(circ.__getitem__, order))
+    rows, cols, syms = (list(map(coord.__getitem__, order)) for coord in (rows, cols, syms))
+    index = list(range(n))  # one int object per point, shared by the three maps
+    at_rc = dict(zip(map(cell.__getitem__, order), index))
+    at_rs = dict(zip([r * ns + s for r, s in zip(rows, syms)], index))
+    at_cs = dict(zip([c * ns + s for c, s in zip(cols, syms)], index))
+    coords = tuple(array("i", coord) for coord in (rows, cols, syms))
+    del circ, labels, sets, cell, order, rows, cols, syms
+    try:
+        rows, cols, syms = (list(map(rank.__getitem__, map(itemgetter(i), star)))
+                            for i, rank in enumerate(ranks))
+        xs = list(map(at_rc.__getitem__, [r * nc + c for r, c in zip(rows, cols)]))
+        ys = list(map(at_rs.__getitem__, [r * ns + s for r, s in zip(rows, syms)]))
+        zs = list(map(at_cs.__getitem__, [c * ns + s for c, s in zip(cols, syms)]))
+    except KeyError:  # a foreign label or an unmatched pair
+        return None
+    del rows, cols, syms, at_rc, at_rs, at_cs
+    if any(map(int.__eq__, xs, ys)):
+        return None  # a mate triple equal to the primary triple in its cell (R1)
+    perms = []
+    for keys, images in ((ys, xs), (xs, zs), (zs, ys)):  # tau1, tau2, tau3
+        perm = dict(zip(keys, images))
+        if len(perm) != n:
+            return None  # two mate triples on one primary triple
+        perms.append(array("i", map(perm.__getitem__, index)))
+    return (PartialLatinSquare(*alphabets, triples),
+            PermutationTriple(points, tuple(perms), ranked, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -469,56 +569,6 @@ def _bitrade_of_permutations(perms, points, tags, strs, provenance):
     return Bitrade(PartialLatinSquare(*declared, frozenset(triples)), pt, dict(provenance))
 
 
-def _bitrade_structure(circ, star):
-    """The permutation structure of the pair (circ, star) on integer
-    indices, or None when star is not a mate of circ.
-
-    Labels are replaced by their positions in the alphabets sorted by
-    ``_sort_key``; a cell holds one triple (P1), so sorting the cells by
-    row and column position gives the canonical ``sorted_triples`` order.
-    Each mate triple m then meets three primary triples: x in its cell
-    (same row and column), y with its row and symbol and z with its column
-    and symbol.  These are the images of m under the three mate
-    bijections, and m contributes tau1(y) = x, tau2(x) = z and tau3(z) = y.
-
-    A foreign label, an unmatched pair or x = y (R1) fails the pass; else
-    the n mate triples fill every slot exactly when the three maps are
-    bijections.  Passing is thus P1/P2 of star and R1-R3.
-    """
-    alphabets = tuple(tuple(sorted(labels, key=_sort_key))
-                      for labels in (circ.rows, circ.cols, circ.syms))
-    ranks = [{lab: k for k, lab in enumerate(labels)} for labels in alphabets]
-    rank_r, rank_c, rank_s = ranks
-    nc, ns = len(alphabets[1]), len(alphabets[2])
-    points = tuple(sorted(circ.triples, key=lambda t: rank_r[t[0]] * nc + rank_c[t[1]]))
-    n = len(points)
-    if len(star) != n:
-        return None
-    coords = tuple(array("i", [rank[t[i]] for t in points]) for i, rank in enumerate(ranks))
-    rows, cols, syms = coords
-    index = list(range(n))  # one int object per point, shared by the three maps
-    at_rc = dict(zip([r * nc + c for r, c in zip(rows, cols)], index))
-    at_rs = dict(zip([r * ns + s for r, s in zip(rows, syms)], index))
-    at_cs = dict(zip([c * ns + s for c, s in zip(cols, syms)], index))
-    tau1, tau2, tau3 = (array("i", [-1]) * n for _ in range(3))
-    try:
-        for r, c, s in star:
-            r, c, s = rank_r[r], rank_c[c], rank_s[s]
-            x = at_rc[r * nc + c]
-            y = at_rs[r * ns + s]
-            z = at_cs[c * ns + s]
-            if x == y:
-                return None
-            tau1[y] = x
-            tau2[x] = z
-            tau3[z] = y
-    except (KeyError, ValueError):  # a foreign label, an unmatched pair, not a triple
-        return None
-    if -1 in tau1 or -1 in tau2 or -1 in tau3:
-        return None
-    return PermutationTriple(points, (tau1, tau2, tau3), alphabets, coords)
-
-
 def mate_bijections(bitrade):
     """The three bijections from mate triples to primary triples.
 
@@ -610,9 +660,15 @@ class GroupTriple:
         return len(self.group.closure([self.a, self.b, self.c])) == self.group.order()
 
     def element_strs(self):
+        """The strings of a, b and c, from the group's memo; ``elements()``
+        is sorted, so a bisection finds their indices."""
         g = self.group
-        index = g.element_index()
-        return tuple(g.element_strs([index[self.a], index[self.b], index[self.c]]))
+        els = g.elements()
+        found = [bisect_left(els, x) for x in (self.a, self.b, self.c)]
+        for i, x in zip(found, (self.a, self.b, self.c)):
+            if i == len(els) or els[i] != x:
+                raise GroupError(f"{x!r} is not an element of {g.spec}")
+        return tuple(g.element_strs(found))
 
     def __repr__(self):
         a, b, c = self.element_strs()
@@ -635,9 +691,8 @@ def from_group(group, a, b, c, *, provenance=None):
     """
     triple = a if isinstance(a, GroupTriple) else GroupTriple(group, a, b, c)
     group = triple.group
-    perms = [group.right_translation(g) for g in (triple.a, triple.b, triple.c)]
-
     astr, bstr, cstr = triple.element_strs()
+    perms = group.right_translations((triple.a, triple.b, triple.c))
     prov = {"kind": "from-group", "group": group.spec, "a": astr, "b": bstr, "c": cstr}
     if provenance:
         prov.update(provenance)

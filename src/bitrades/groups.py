@@ -233,7 +233,7 @@ class _ElementMemo:
 class Group:
     """Base class for finite groups with plain hashable element encodings.
 
-    ``closure`` and ``right_translation`` here are the generic paths, on
+    ``closure`` and ``_build_translations`` here are the generic paths, on
     ``mul``; permutation groups of degree at most 255 replace both with
     ``bytes`` paths and use these above that degree.
 
@@ -333,13 +333,22 @@ class Group:
 
     def right_translation(self, g):
         """The permutation x -> xg of the element indices, built once per g."""
+        return self.right_translations([g])[0]
+
+    def right_translations(self, gs):
+        """``right_translation`` of each g in gs; those not built yet are
+        built in one ``_build_translations`` call."""
         translations = self._memo().translations
-        out = translations.get(g)
-        if out is None:
-            index = self.element_index()
-            mul = self.mul
-            out = translations[g] = array("i", [index[mul(x, g)] for x in self.elements()])
-        return out
+        missing = list(dict.fromkeys(g for g in gs if g not in translations))
+        if missing:
+            translations.update(zip(missing, self._build_translations(missing)))
+        return [translations[g] for g in gs]
+
+    def _build_translations(self, gs):
+        index = self.element_index()
+        els = self.elements()
+        mul = self.mul
+        return [array("i", [index[mul(x, g)] for x in els]) for g in gs]
 
     def is_identity(self, g):
         return g == self.identity
@@ -419,7 +428,7 @@ class Group:
 class _PermGroupBase(Group):
     """Common behaviour for groups of image-tuple permutations.
 
-    Up to degree ``MAX_BYTES_DEGREE``, ``closure`` and ``right_translation``
+    Up to degree ``MAX_BYTES_DEGREE``, ``closure`` and the right translations
     run on the ``bytes`` codes of the elements (see the module docstring);
     above it they are the generic ``Group`` paths.  Either way they take and
     return image tuples.
@@ -470,18 +479,14 @@ class _PermGroupBase(Group):
             return super().closure(generators)
         return {tuple(x) for x in self._closure_codes(list(generators))}
 
-    def right_translation(self, g):
+    def _build_translations(self, gs):
         if self.degree > MAX_BYTES_DEGREE:
-            return super().right_translation(g)
-        translations = self._memo().translations
-        out = translations.get(g)
-        if out is None:
-            table = self._table(g)
-            # transient: only the translation outlives the call
-            codes = [bytes(x) for x in self.elements()]
-            index = {x: i for i, x in enumerate(codes)}
-            out = translations[g] = array("i", [index[x.translate(table)] for x in codes])
-        return out
+            return super()._build_translations(gs)
+        tables = [self._table(g) for g in gs]
+        # transient and shared by the translations, which alone outlive the call
+        codes = [bytes(x) for x in self.elements()]
+        index = {x: i for i, x in enumerate(codes)}
+        return [array("i", [index[x.translate(table)] for x in codes]) for table in tables]
 
     def mul(self, g, h):
         self._check(g)

@@ -7,7 +7,7 @@ import json
 from json.encoder import encode_basestring_ascii as escape
 
 from .core import Bitrade, make_bitrade
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 
 def _label_str(label):
@@ -123,12 +123,10 @@ def _check_labels(labels, where):
             raise ParseError(f"label {label!r} in {where} is not a scalar")
 
 
-def doc_to_bitrade(doc) -> Bitrade:
-    """Validate a parsed document (or raw triple lists) as a bitrade.
-
-    ``rows``/``cols``/``syms`` are optional; when present they fix the
-    alphabet order, otherwise canonical order is inferred.
-    """
+def _check_document(doc):
+    """Raise the first ParseError of a document, in document order: item by
+    item, each triple's shape and labels, then the provenance and the
+    declared alphabets."""
     if not isinstance(doc, dict):
         raise ParseError("a bitrade document must be a JSON object")
     for key in ("t_circ", "t_star"):
@@ -140,25 +138,50 @@ def doc_to_bitrade(doc) -> Bitrade:
             if not isinstance(item, (list, tuple)) or len(item) != 3:
                 raise ParseError(f"malformed triple {item!r} in {key!r}")
             _check_labels(item, f"triple {item!r} in {key!r}")
-
-    def alphabet(key):
-        value = doc.get(key)
-        if value is None:
-            return None
-        if not isinstance(value, list):
-            raise ParseError(f"{key!r} must be a list of labels")
-        _check_labels(value, repr(key))
-        return tuple(value)
-
-    provenance = doc.get("provenance") or {}
-    if not isinstance(provenance, dict):
+    if not isinstance(doc.get("provenance") or {}, dict):
         raise ParseError("'provenance' must be an object")
-    return make_bitrade(
-        [tuple(t) for t in doc["t_circ"]],
-        [tuple(t) for t in doc["t_star"]],
-        rows=alphabet("rows"), cols=alphabet("cols"), syms=alphabet("syms"),
-        provenance=provenance,
-    )
+    for key in ("rows", "cols", "syms"):
+        value = doc.get(key)
+        if value is not None:
+            if not isinstance(value, list):
+                raise ParseError(f"{key!r} must be a list of labels")
+            _check_labels(value, repr(key))
+
+
+def _well_typed(doc):
+    """Whether a document passes ``_check_document``'s checks of types.
+    A triple of another length makes ``make_bitrade`` raise, and a list or
+    object label makes its sets raise TypeError."""
+    if not isinstance(doc, dict):
+        return False
+    for key in ("t_circ", "t_star"):
+        items = doc.get(key)
+        if not isinstance(items, list) or not set(map(type, items)) <= {list, tuple}:
+            return False
+    return (isinstance(doc.get("provenance") or {}, dict)
+            and all(isinstance(doc.get(key), (list, type(None)))
+                    for key in ("rows", "cols", "syms")))
+
+
+def doc_to_bitrade(doc) -> Bitrade:
+    """Validate a parsed document (or raw triple lists) as a bitrade.
+
+    ``rows``/``cols``/``syms`` are optional; when present they fix the
+    alphabet order, otherwise canonical order is inferred.  The parsed
+    lists go to ``make_bitrade`` as they are, after a check of their types.
+    Only a rejection runs the item-by-item scan (``_check_document``), which
+    names a malformed triple or a nested label before any violated
+    condition.
+    """
+    try:
+        if not _well_typed(doc):
+            _check_document(doc)
+        return make_bitrade(doc["t_circ"], doc["t_star"], doc.get("rows"),
+                            doc.get("cols"), doc.get("syms"),
+                            provenance=doc.get("provenance") or {})
+    except (ValidationError, TypeError):
+        _check_document(doc)
+        raise
 
 
 def read_bitrade(source) -> Bitrade:
@@ -176,6 +199,7 @@ def read_bitrade(source) -> Bitrade:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    del text  # not held beside the parsed document while it is validated
     return doc_to_bitrade(doc)
 
 

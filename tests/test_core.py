@@ -20,7 +20,7 @@ from bitrades.core import (
     triple_permutations,
     validate_permutation_triple,
 )
-from bitrades.errors import ResourceCapError, ValidationError
+from bitrades.errors import GroupError, ResourceCapError, ValidationError
 from bitrades.groups import group_from_spec, parse_permutation
 from bitrades.search import iter_triples
 
@@ -124,7 +124,23 @@ class TestMakeBitrade:
             make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR[:5] + [("b", "e")])
         assert str(err.value) == "P1: ('b', 'e') is not a (row, column, symbol) triple"
 
-    def test_accepting_checks_the_primary_square_only(self, monkeypatch):
+    def test_triples_as_any_iterables(self, two_by_three):
+        # as make_pls reads them: each triple through tuple()
+        assert make_bitrade((iter(t) for t in TWO_BY_THREE_CIRC),
+                            [iter(t) for t in TWO_BY_THREE_STAR]) == two_by_three
+        assert make_bitrade(["".join(t) for t in TWO_BY_THREE_CIRC],
+                            ["".join(t) for t in TWO_BY_THREE_STAR]) == two_by_three
+        # and a rejection is named as for lists
+        with pytest.raises(ValidationError) as listed:
+            make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_CIRC)
+        with pytest.raises(ValidationError) as iterated:
+            make_bitrade((iter(t) for t in TWO_BY_THREE_CIRC),
+                         [iter(t) for t in TWO_BY_THREE_CIRC])
+        assert listed.value.condition == "R1"
+        assert str(iterated.value) == str(listed.value)
+        assert iterated.value.violations == listed.value.violations
+
+    def test_accepting_runs_no_label_check(self, monkeypatch):
         calls = Counter()
 
         def counted(name):
@@ -138,11 +154,11 @@ class TestMakeBitrade:
         for name in ("make_pls", "check_bitrade_conditions"):
             monkeypatch.setattr(core, name, counted(name))
         make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR)
-        assert calls == {"make_pls": 1}
-        # a rejected pair is checked again on labels, to name the violations
+        assert calls == {}
+        # a rejected pair is checked on labels, to name the violations
         with pytest.raises(ValidationError):
             make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_CIRC)
-        assert calls == {"make_pls": 3, "check_bitrade_conditions": 1}
+        assert calls == {"make_pls": 2, "check_bitrade_conditions": 1}
 
     def test_stores_the_primary_square_and_the_structure(self, two_by_three):
         assert [f.name for f in dataclasses.fields(two_by_three)] \
@@ -411,6 +427,17 @@ class TestFromGroup:
             from_group(G, 3, 3, 3)
         assert err.value.condition == "G2"
         assert "|A∩B|=3" in str(err.value)
+
+    def test_operands_outside_the_group_rejected(self):
+        # (1,2)(1,3) = (1,3,2): abc = 1 and G2 hold in S4, but a and b are odd
+        G = group_from_spec("alt:4")
+        a = parse_permutation("(1,2)", 4)
+        b = parse_permutation("(1,3)", 4)
+        triple = GroupTriple(G, a, b, G.inverse(G.mul(a, b)))
+        with pytest.raises(GroupError, match=r"\(2, 1, 3, 4\) is not an element of alt:4"):
+            triple.element_strs()
+        with pytest.raises(GroupError):
+            from_group(G, a, b, G.inverse(G.mul(a, b)))
 
     def test_identity_operand_rejected(self):
         G = group_from_spec("sym:3")

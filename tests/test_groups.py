@@ -214,7 +214,7 @@ class TestSubgroupsCosets:
             if isinstance(G, PermClosureGroup):
                 assert G.elements() == sorted(closed)
             for g in gens + [G.elements()[-1]]:
-                assert G.right_translation(g) == Group.right_translation(oracle, g)
+                assert G.right_translation(g) == Group._build_translations(oracle, [g])[0]
         if n <= 5:
             G = PermClosureGroup(n, gens)
             assert all(G.contains(g) == (g in closed)
@@ -419,6 +419,7 @@ class TestGroupSpec:
             "element_strs": lambda: G.element_strs([0, 5]),
             "generated_subgroup": lambda: G.generated_subgroup(g),
             "right_translation": lambda: G.right_translation(g),
+            "right_translations": lambda: G.right_translations([g, g]),
         }
         for fill in accessors.values():
             fill()
@@ -442,6 +443,22 @@ class TestGroupSpec:
                 assert G.right_translation(g) is rho
                 assert G.generated_subgroup(g) is G.generated_subgroup(g)
                 assert G.generated_subgroup(g).elements == Subgroup(G, g).elements
+
+    @pytest.mark.parametrize("spec", ["alt:5", "gens:5:(1,2,3,4,5);(1,2,3)", "p3:3"])
+    def test_translations_asked_together_are_built_together(self, spec, monkeypatch):
+        G = group_from_spec(spec)
+        els = G.elements()
+        a, b, c = els[1], els[-1], els[len(els) // 2]
+        builds = []
+        build = G._build_translations
+        monkeypatch.setattr(G, "_build_translations",
+                            lambda gs: builds.append(list(gs)) or build(gs))
+        rho_a = G.right_translation(a)
+        rhos = G.right_translations([a, b, c, b])
+        assert builds == [[a], [b, c]]  # each built once; the rest in one call
+        assert rhos[0] is rho_a and rhos[1] is rhos[3]
+        for g, rho in zip((a, b, c), rhos):
+            assert [els[y] for y in rho] == [G.mul(x, g) for x in els]
 
     def test_spec_sets_the_cap_of_every_group_it_builds(self):
         G = group_from_spec("prod:cyc:3,gens:3:(1 2 3)", 7)

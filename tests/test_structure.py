@@ -9,8 +9,11 @@ are kept as the reference the integer code must agree with.
 
 from __future__ import annotations
 
+import copy
 import functools
+from array import array
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,7 +36,7 @@ from bitrades.core import (
     triple_permutations,
     validate_permutation_triple,
 )
-from bitrades.errors import ValidationError
+from bitrades.errors import BitradesError, ParseError, ValidationError
 from bitrades.groups import group_from_spec
 from bitrades.properties import (
     compute_report,
@@ -44,6 +47,7 @@ from bitrades.properties import (
     primary_exhaustive,
 )
 from bitrades.search import iter_triples
+from bitrades.serialize import doc_to_bitrade
 
 from conftest import (
     INTERCALATE_CIRC,
@@ -254,12 +258,12 @@ LABELLINGS = {
 
 
 @st.composite
-def latin_difference_pairs(draw):
+def latin_difference_pairs(draw, labellings=tuple(LABELLINGS.values())):
     """(T, T*) = (L1 \\ L2, L2 \\ L1) for two random isotopes of one square,
     in a random labelling, if that has between 1 and 12 cells."""
     n = draw(st.sampled_from(sorted(SQUARES)))
     square = draw(st.sampled_from(SQUARES[n]))
-    fr, fc, fs = LABELLINGS[draw(st.sampled_from(sorted(LABELLINGS)))]
+    fr, fc, fs = draw(st.sampled_from(labellings))
 
     def isotope():
         pr, pc, ps = (draw(st.permutations(range(n))) for _ in range(3))
@@ -336,18 +340,19 @@ class TestAgainstOracle:
 def test_one_report_builds_the_structure_once(monkeypatch):
     builds = []
     calls = []
-    build = core._bitrade_structure
+    build = core._pair_structure
     original = core.triple_permutations
 
-    def counting_build(circ, star):
-        builds.append(circ)
-        return build(circ, star)
+    def counting_build(circ, star, declared):
+        found = build(circ, star, declared)
+        builds.append(found[0])
+        return found
 
     def counting_calls(bitrade):
         calls.append(bitrade)
         return original(bitrade)
 
-    monkeypatch.setattr(core, "_bitrade_structure", counting_build)
+    monkeypatch.setattr(core, "_pair_structure", counting_build)
     for module in (core, properties):
         monkeypatch.setattr(module, "triple_permutations", counting_calls)
     bitrade = make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR)
@@ -416,6 +421,185 @@ class TestValidation:
         else:
             assert expected == []
             assert bt.t_star.triples == frozenset(star)
+
+
+def label_document(doc):
+    """What the label code makes of a document: the error it raises, or the
+    primary and mate squares it accepts.  The scan is the item-by-item
+    document check; the squares are ``make_pls``'s, and a rejected pair
+    carries every R1-R3 violation ``check_bitrade_conditions`` finds."""
+    try:
+        if not isinstance(doc, dict):
+            raise ParseError("a bitrade document must be a JSON object")
+        for key in ("t_circ", "t_star"):
+            if key not in doc:
+                raise ParseError(f"bitrade document is missing {key!r}")
+            if not isinstance(doc[key], list):
+                raise ParseError(f"{key!r} must be a list of [row, col, symbol] triples")
+            for item in doc[key]:
+                if not isinstance(item, (list, tuple)) or len(item) != 3:
+                    raise ParseError(f"malformed triple {item!r} in {key!r}")
+                for label in item:
+                    if isinstance(label, (list, dict)):
+                        raise ParseError(f"label {label!r} in triple {item!r} in {key!r} "
+                                         f"is not a scalar")
+        if not isinstance(doc.get("provenance") or {}, dict):
+            raise ParseError("'provenance' must be an object")
+        declared = []
+        for key in ("rows", "cols", "syms"):
+            value = doc.get(key)
+            if value is not None:
+                if not isinstance(value, list):
+                    raise ParseError(f"{key!r} must be a list of labels")
+                for label in value:
+                    if isinstance(label, (list, dict)):
+                        raise ParseError(f"label {label!r} in {key!r} is not a scalar")
+                value = tuple(value)
+            declared.append(value)
+        circ = make_pls([tuple(t) for t in doc["t_circ"]], *declared)
+        star = make_pls([tuple(t) for t in doc["t_star"]], *declared)
+    except (ParseError, ValidationError) as err:
+        return err
+    star = PartialLatinSquare(circ.rows, circ.cols, circ.syms, star.triples)
+    violations = check_bitrade_conditions(circ, star)
+    if violations:
+        cond, witness, message = violations[0]
+        return ValidationError(cond, message, witness=witness, violations=violations)
+    return circ, star
+
+
+def assert_same_as_label_squares(bitrade, doc, circ, star):
+    """Same squares and alphabets, and the structure of the label reference.
+
+    Of hash-equal labels, an inferred alphabet holds the first in the
+    document; ``make_pls`` holds the first in its set's order, which
+    changes with the hash seed when str labels are about."""
+    assert bitrade.t_circ == circ
+    assert bitrade.t_star.triples == star.triples
+    assert (bitrade.rows, bitrade.cols, bitrade.syms) == (circ.rows, circ.cols, circ.syms)
+    for i, key in enumerate(("rows", "cols", "syms")):
+        first = dict.fromkeys(t[i] for t in doc["t_circ"])
+        expected = canonical_sorted(first) if doc.get(key) is None else doc[key]
+        assert repr((bitrade.rows, bitrade.cols, bitrade.syms)[i]) == repr(tuple(expected))
+    pt = bitrade.permutation_triple
+    ref, ref_perms = oracle_triple_permutations(SimpleNamespace(t_circ=circ, t_star=star))
+    assert repr(pt.points) == repr(ref.points)
+    assert pt.perms == ref_perms
+    assert pt.alphabets == tuple(tuple(sorted(labels, key=_sort_key))
+                                 for labels in (circ.rows, circ.cols, circ.syms))
+    assert pt.coords == tuple(
+        array("i", [pt.alphabets[i].index(t[i]) for t in pt.points]) for i in range(3))
+
+
+# ``1``, ``1.0`` and ``True`` hash alike, and so do ``10`` and ``10.0``
+ALIKE = {1: (1.0, True), 10: (10.0,)}
+NUMBER_LABELS = (lambda i: i + 1, lambda j: 10 + j, lambda k: f"s{k}")
+
+
+@st.composite
+def perturbed_documents(draw):
+    """A latin difference as a document (lists for triples, declared
+    alphabets or not) with up to two perturbations of either square or of
+    the declared alphabets: a P1 clash in one coordinate pair, a repeated
+    triple, a declared alphabet with a label missing, unused or repeated, a
+    label moved to another coordinate's alphabet, a label replaced by a
+    hash-equal one, a non-list item, or a nested label; a triple dropped,
+    replaced by one of the other square or given another symbol; the mate
+    replaced by the primary square (R1); or a label renamed everywhere to
+    one of another coordinate."""
+    circ, star = draw(latin_difference_pairs((*LABELLINGS.values(), NUMBER_LABELS)))
+    doc = {key: sorted(map(list, triples), key=repr)
+           for key, triples in (("t_circ", circ), ("t_star", star))}
+    alphabets = [sorted({t[k] for t in circ}, key=repr) for k in range(3)]
+    for k, key in enumerate(("rows", "cols", "syms")):
+        if draw(st.booleans()):
+            doc[key] = draw(st.permutations(alphabets[k]))
+    for _ in range(draw(st.sampled_from([1, 0, 1, 2]))):
+        kind = draw(st.sampled_from(["clash", "repeat", "declared", "shared", "alike",
+                                     "item", "nested", "drop", "copy", "symbol", "same",
+                                     "rename"]))
+        if kind == "same":
+            doc["t_star"] = copy.deepcopy(doc["t_circ"])  # items of any kind
+            continue
+        if kind == "rename":  # a label of coordinate k, everywhere, to one of k + 1
+            k = draw(st.integers(0, 2))
+            old, new = (draw(st.sampled_from(alphabets[j])) for j in (k, (k + 1) % 3))
+            for t in doc["t_circ"] + doc["t_star"]:
+                if isinstance(t, list) and len(t) == 3 and t[k] == old:
+                    t[k] = new
+            key = ("rows", "cols", "syms")[k]
+            if doc.get(key):
+                doc[key] = [new if x == old else x for x in doc[key]]
+            continue
+        items = doc[draw(st.sampled_from(["t_circ", "t_star"]))]
+        triples = [i for i, t in enumerate(items) if isinstance(t, list) and len(t) == 3]
+        if not triples:
+            continue
+        i = draw(st.sampled_from(triples))
+        k = draw(st.integers(0, 2))
+        if kind == "clash":  # agree with item i outside coordinate k
+            new = list(items[i])
+            new[k] = draw(st.sampled_from(alphabets[k] + ["zz"]))
+            items.append(new)
+        elif kind == "repeat":
+            items.insert(draw(st.integers(0, len(items))), list(items[i]))
+        elif kind == "drop":
+            del items[i]
+        elif kind == "copy":  # the other square's triple: R1, or R2/R3
+            items[i] = list(draw(st.sampled_from(sorted(star if items is doc["t_circ"]
+                                                        else circ, key=repr))))
+        elif kind == "symbol":
+            items[i] = items[i][:2] + [draw(st.sampled_from(alphabets[2]))]
+        elif kind == "declared":
+            key = ("rows", "cols", "syms")[k]
+            labels = list(doc.get(key) or alphabets[k])
+            how = draw(st.sampled_from(["missing", "unused", "repeated"]))
+            if how == "missing":
+                labels.pop(draw(st.integers(0, len(labels) - 1)))
+            elif how == "unused":
+                labels.append("zz")
+            else:
+                labels.append(draw(st.sampled_from(labels)))
+            doc[key] = labels
+        elif kind == "shared":
+            items[i] = list(items[i])
+            items[i][k] = draw(st.sampled_from(alphabets[(k + 1) % 3]))
+        elif kind == "alike":  # labels of one item or alphabet entry, hash-equal
+            def alike(x):
+                return draw(st.sampled_from(ALIKE[x])) if type(x) is int and x in ALIKE else x
+
+            places = [(lst, j) for lst in (doc["t_circ"], doc["t_star"], doc.get("rows"),
+                                           doc.get("cols"), doc.get("syms"))
+                      if lst for j in range(len(lst))
+                      if any(type(x) is int and x in ALIKE for x in
+                             (lst[j] if isinstance(lst[j], list) else [lst[j]]))]
+            if not places:
+                continue
+            lst, j = draw(st.sampled_from(places))
+            lst[j] = [alike(x) for x in lst[j]] if isinstance(lst[j], list) else alike(lst[j])
+        elif kind == "item":
+            items[i] = draw(st.sampled_from(["abc", 7, {"r": 1}, None, items[i][:2],
+                                             items[i] + ["zz"]]))
+        else:
+            items[i] = list(items[i])
+            items[i][k] = draw(st.sampled_from([[items[i][k]], {"x": items[i][k]}]))
+    return doc
+
+
+class TestDocuments:
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_documents())
+    def test_documents_against_the_label_oracle(self, doc):
+        expected = label_document(doc)
+        try:
+            bt = doc_to_bitrade(doc)
+        except (ParseError, ValidationError) as err:
+            assert isinstance(expected, BitradesError), err
+            assert (type(err), str(err)) == (type(expected), str(expected))
+            assert getattr(err, "violations", None) == getattr(expected, "violations", None)
+        else:
+            assert not isinstance(expected, BitradesError), expected
+            assert_same_as_label_squares(bt, doc, *expected)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +760,7 @@ class TestAgainstLabelPath:
         def refuse(*args, **kwargs):
             raise AssertionError("label validation on the construction path")
 
-        for name in ("make_bitrade", "make_pls", "_bitrade_structure"):
+        for name in ("make_bitrade", "make_pls", "_pair_structure"):
             monkeypatch.setattr(core, name, refuse)
         triple = group_triples("alt:4")[0]
         assert from_group(triple.group, triple.a, triple.b, triple.c).size == 12
