@@ -26,9 +26,9 @@ replaces the symbol coset by g a^-1 C.
 
 Conversely every bitrade has a permutation structure: three permutations
 tau1, tau2, tau3 of its primary triples satisfying Q1-Q3, the i-th fixing
-coordinate i.  With the primary square it fixes the mate, so a
-``Bitrade`` stores only those two, the structure on integer indices into
-the primary triples in canonical order.  The two constructions take the
+coordinate i.  With the alphabets it fixes both squares, so a ``Bitrade``
+stores each label once, in its alphabet, and the structure on integer
+indices; both squares are views.  The two constructions take the
 structure straight from their checked permutations (tau_i is the i-th
 permutation, reindexed).  ``make_bitrade`` validates documents and
 explicit triples in one integer pass that checks both squares and builds
@@ -194,45 +194,52 @@ def make_pls(triples, rows=None, cols=None, syms=None):
 
 @dataclass(frozen=True, eq=False)
 class Bitrade:
-    """A latin bitrade, stored as its primary square and its permutation
-    structure (see ``triple_permutations``)."""
+    """A latin bitrade, stored as its alphabets (declared order) and its
+    structure (``triple_permutations``); both squares are built on each access."""
 
-    t_circ: PartialLatinSquare
+    alphabets: tuple
     permutation_triple: PermutationTriple
     provenance: dict = field(default_factory=dict)
 
     @property
     def rows(self):
-        return self.t_circ.rows
+        return self.alphabets[0]
 
     @property
     def cols(self):
-        return self.t_circ.cols
+        return self.alphabets[1]
 
     @property
     def syms(self):
-        return self.t_circ.syms
+        return self.alphabets[2]
 
     @property
     def size(self):
-        return self.t_circ.size
+        return len(self.permutation_triple.index_perms[0])
+
+    @property
+    def t_circ(self):
+        """The primary square: its triples are the points of the structure."""
+        return PartialLatinSquare(*self.alphabets, frozenset(self.permutation_triple.points))
 
     @property
     def t_star(self):
-        """The mate square, built on each access and not kept: the mate
-        triple in the cell of primary triple x holds the symbol of tau2(x)."""
+        """The mate square: the cell of primary triple x holds tau2(x)'s symbol."""
         pt = self.permutation_triple
         pts = pt.points
-        return PartialLatinSquare(self.rows, self.cols, self.syms, frozenset(
+        return PartialLatinSquare(*self.alphabets, frozenset(
             (r, c, pts[z][2]) for (r, c, _), z in zip(pts, pt.index_perms[1])))
 
     def __eq__(self, other):
+        # equal alphabets rank alike: equal coords and tau2 are equal squares
         if not isinstance(other, Bitrade):
             return NotImplemented
-        return self.t_circ == other.t_circ and self.t_star == other.t_star
+        mine, theirs = self.permutation_triple, other.permutation_triple
+        return (self.alphabets == other.alphabets and mine.coords == theirs.coords
+                and mine.index_perms[1] == theirs.index_perms[1])
 
     def __hash__(self):
-        return hash(self.t_circ)
+        return hash(self.alphabets)
 
     def __repr__(self):
         return (f"Bitrade(size={self.size}, rows={len(self.rows)}, "
@@ -292,8 +299,7 @@ def make_bitrade(circ_triples, star_triples, rows=None, cols=None, syms=None,
         found = None
     if found is None:
         _raise_violations(circ_triples, star_triples, declared)
-    circ, pt = found
-    return Bitrade(circ, pt, dict(provenance or {}))
+    return Bitrade(*found, dict(provenance or {}))
 
 
 def _raise_violations(circ_triples, star_triples, declared):
@@ -311,7 +317,7 @@ def _raise_violations(circ_triples, star_triples, declared):
 
 
 def _pair_structure(circ, star, declared):
-    """The primary square and the permutation structure of the pair
+    """The declared alphabets and the permutation structure of the pair
     (circ, star) of tuple lists, or None when the pair is not a bitrade.
 
     The primary square is checked on the distinct labels of each
@@ -320,9 +326,7 @@ def _pair_structure(circ, star, declared):
     an inferred alphabet keeps the first in document order.  Labels are then
     replaced by their positions in the alphabets sorted by ``_sort_key``,
     and three int-keyed pair maps index the primary triples by (row,
-    column), (row, symbol) and (column, symbol).  A cell holds one triple
-    (P1), so sorting the cells by row and column position gives the
-    canonical ``sorted_triples`` order.
+    column), (row, symbol) and (column, symbol).
 
     The maps drive the mate pass.  Each mate triple m meets three primary
     triples: x in its cell (same row and column), y with its row and symbol
@@ -336,7 +340,6 @@ def _pair_structure(circ, star, declared):
     """
     circ = list(dict.fromkeys(circ))  # repeats and hash-equal labels merge
     star = list(dict.fromkeys(star))
-    triples = frozenset(circ)
     n = len(circ)
     if len(star) != n or set(map(len, circ)) != {3} or set(map(len, star)) != {3}:
         return None
@@ -344,85 +347,97 @@ def _pair_structure(circ, star, declared):
     labels = [list(map(itemgetter(i), circ)) for i in range(3)]
     alphabets = tuple(tuple(canonical_sorted(set(col))) if given is None else tuple(given)
                       for given, col in zip(declared, labels))
-    sets = [set(alphabet) for alphabet in alphabets]
-    if any(len(s) != len(alphabet) for s, alphabet in zip(sets, alphabets)):
-        return None  # a declared label repeated
-    if not (sets[0].isdisjoint(sets[1]) and sets[0].isdisjoint(sets[2])
-            and sets[1].isdisjoint(sets[2])):
-        return None
+    if len(set().union(*alphabets)) != sum(map(len, alphabets)):
+        return None  # a declared label repeated, or one in two alphabets
     ranked = tuple(tuple(sorted(alphabet, key=_sort_key)) for alphabet in alphabets)
     ranks = [dict(zip(alphabet, range(len(alphabet)))) for alphabet in ranked]
     try:  # a KeyError is a label missing from its declared alphabet
-        rows, cols, syms = (list(map(rank.__getitem__, col)) for rank, col in zip(ranks, labels))
+        coords = [list(map(rank.__getitem__, col)) for rank, col in zip(ranks, labels)]
     except KeyError:
         return None
-    if any(given is not None and len(set(coord)) != len(rank)
-           for given, coord, rank in zip(declared, (rows, cols, syms), ranks)):
+    if any(len(set(coord)) != len(rank) for coord, rank in zip(coords, ranks)):
         return None  # a declared label used by no triple
+    rows, cols, syms = coords
     nc, ns = len(ranked[1]), len(ranked[2])
-    cell = [r * nc + c for r, c in zip(rows, cols)]
-    order = sorted(range(n), key=cell.__getitem__)
-    points = tuple(map(circ.__getitem__, order))
-    rows, cols, syms = (list(map(coord.__getitem__, order)) for coord in (rows, cols, syms))
     index = list(range(n))  # one int object per point, shared by the three maps
-    at_rc = dict(zip(map(cell.__getitem__, order), index))
+    at_rc = dict(zip([r * nc + c for r, c in zip(rows, cols)], index))
     at_rs = dict(zip([r * ns + s for r, s in zip(rows, syms)], index))
     at_cs = dict(zip([c * ns + s for c, s in zip(cols, syms)], index))
-    coords = tuple(array("i", coord) for coord in (rows, cols, syms))
-    del circ, labels, sets, cell, order, rows, cols, syms
-    try:
+    try:  # KeyError: a foreign label, an unmatched pair, two mate triples on one point
         rows, cols, syms = (list(map(rank.__getitem__, map(itemgetter(i), star)))
                             for i, rank in enumerate(ranks))
         xs = list(map(at_rc.__getitem__, [r * nc + c for r, c in zip(rows, cols)]))
         ys = list(map(at_rs.__getitem__, [r * ns + s for r, s in zip(rows, syms)]))
         zs = list(map(at_cs.__getitem__, [c * ns + s for c, s in zip(cols, syms)]))
-    except KeyError:  # a foreign label or an unmatched pair
+        del circ, labels, rows, cols, syms, at_rc, at_rs, at_cs  # not held beside tau1-tau3
+        if any(map(int.__eq__, xs, ys)):
+            return None  # a mate triple equal to the primary triple in its cell (R1)
+        # tau1, tau2, tau3, one dict at a time: a point missing from one is a KeyError
+        return alphabets, _canonical_structure(ranked, coords, (
+            dict(zip(keys, images)) for keys, images in ((ys, xs), (xs, zs), (zs, ys))))
+    except KeyError:
         return None
-    del rows, cols, syms, at_rc, at_rs, at_cs
-    if any(map(int.__eq__, xs, ys)):
-        return None  # a mate triple equal to the primary triple in its cell (R1)
-    perms = []
-    for keys, images in ((ys, xs), (xs, zs), (zs, ys)):  # tau1, tau2, tau3
-        perm = dict(zip(keys, images))
-        if len(perm) != n:
-            return None  # two mate triples on one primary triple
-        perms.append(array("i", map(perm.__getitem__, index)))
-    return (PartialLatinSquare(*alphabets, triples),
-            PermutationTriple(points, tuple(perms), ranked, coords))
+
+
+def _canonical_structure(ranked, coords, perms):
+    """The permutation structure from the alphabets in ``_sort_key`` order
+    and each point's label ranks and tau1-tau3 in builder order, reindexed
+    by row and column rank: a cell holds one point (P1), so this is the order
+    of ``sorted_triples``, in which the JSON writer emits both squares."""
+    nc = len(ranked[1])
+    cell = [r * nc + c for r, c in zip(coords[0], coords[1])]
+    order = sorted(range(len(cell)), key=cell.__getitem__)
+    position = [0] * len(order)
+    for i, x in enumerate(order):
+        position[x] = i
+    return PermutationTriple(
+        tuple(array("i", [position[q[x]] for x in order]) for q in perms),
+        ranked, tuple(array("i", map(coord.__getitem__, order)) for coord in coords))
 
 
 # ---------------------------------------------------------------------------
 # the permutation structure of a bitrade
 
-@dataclass(frozen=True, eq=False)
 class PermutationTriple:
     """Three fixed-point-free permutations of a point set, one per coordinate.
 
     The permutations are held on integer indices into ``points`` (arrays
     for a bitrade): ``index_perms[i][x]`` is the index of the image of
-    ``points[x]``; ``index_cycles[i]`` lists the cycles of the i-th permutation as index
-    lists, each starting at its least index and in ascending order of it;
-    and ``cycle_of[i][x]`` is the number of the cycle through ``points[x]``.
+    point x; ``index_cycles[i]`` lists the cycles of the i-th permutation as
+    index lists, each starting at its least index and in ascending order of
+    it; and ``cycle_of[i][x]`` is the number of the cycle through point x.
     The cycles are found on first access, which also checks Q1-Q3.
     ``perms`` (dicts over the points) and ``cycles`` (point tuples) are the
     same permutations in terms of the points, built on first access.
 
-    For a bitrade the points are the primary triples in canonical order, the
-    i-th permutation fixes coordinate i, and its cycles partition the points
-    by their i-th label.  ``alphabets`` then holds the row, column and symbol
-    labels in canonical order, and ``coords[i][x]`` is the position of the
-    i-th label of ``points[x]`` in ``alphabets[i]``; for other point sets
-    both are None.
+    For a bitrade the points are the primary triples in canonical order,
+    the i-th permutation fixes coordinate i, and its cycles partition the
+    points by their i-th label.  ``alphabets`` holds the row, column and
+    symbol labels in canonical order, and ``coords[i][x]`` is the position
+    of the i-th label of point x in ``alphabets[i]``.  ``points`` is built
+    from them on first access and kept; ``pt[x]`` reads point x alone.  A
+    bare point set passes its ``points`` in instead.
     """
 
-    points: tuple
-    index_perms: tuple
-    alphabets: tuple = None
-    coords: tuple = None
+    def __init__(self, index_perms, alphabets=None, coords=None, points=None):
+        self.index_perms = index_perms
+        self.alphabets = alphabets
+        self.coords = coords
+        if points is not None:
+            self.points = points
+
+    @cached_property
+    def points(self):
+        return tuple(zip(*(map(labels.__getitem__, coord)
+                           for labels, coord in zip(self.alphabets, self.coords))))
+
+    def __getitem__(self, x):
+        return tuple(labels[coord[x]] for labels, coord in zip(self.alphabets, self.coords))
 
     @cached_property
     def _cycles(self):
-        return _check_permutation_triple(self.index_perms, self.points)
+        return _check_permutation_triple(self.index_perms,
+                                         self.points if self.coords is None else self)
 
     @property
     def index_cycles(self):
@@ -461,13 +476,13 @@ def _index_permutations(perms, points):
 def _check_permutation_triple(perms, points):
     """Check Q2 (no fixed points), Q1 (cycles of different permutations
     share at most one moved point) and Q3 (the product is the identity)
-    for three permutations given as index lists into ``points``.
+    for three permutations given as index lists into ``points`` (named in errors).
 
     Returns, per permutation, its cycles as index lists, each starting at
     its least index and in ascending order of it, and the cycle number of
     every index.
     """
-    n = len(points)
+    n = len(perms[0])
     cycles = []
     cycle_of = []
     for idx, q in enumerate(perms, 1):
@@ -518,7 +533,7 @@ def _check_permutation_triple(perms, points):
 def validate_permutation_triple(p1, p2, p3, points):
     """Check that three dict permutations of ``points`` satisfy Q1-Q3."""
     points = tuple(points)
-    pt = PermutationTriple(points, tuple(_index_permutations((p1, p2, p3), points)))
+    pt = PermutationTriple(tuple(_index_permutations((p1, p2, p3), points)), points=points)
     pt.index_cycles  # finding the cycles checks Q1-Q3
     return pt
 
@@ -540,9 +555,7 @@ def _bitrade_of_permutations(perms, points, tags, strs, provenance):
     """
     _check_nonempty(points)
     cycles, cycle_of = _check_permutation_triple(perms, points)
-    declared = []
-    ranked = []
-    coords = []
+    declared, ranked, coords = [], [], []
     for i, (tag, cyc, of) in enumerate(zip(tags, cycles, cycle_of)):
         names = [f"{tag}:{name}" for name in strs([c[0] for c in cyc])]
         _check_distinct(names, i)  # two points may format alike
@@ -551,22 +564,8 @@ def _bitrade_of_permutations(perms, points, tags, strs, provenance):
         rank_of = {name: r for r, name in enumerate(ranked[-1])}
         rank = [rank_of[name] for name in names]
         coords.append([rank[k] for k in of])
-    rows, cols, _ = coords
-    nc = len(ranked[1])
-    # a cell holds one point (Q1), so (row, column) rank orders the points
-    cell = [r * nc + c for r, c in zip(rows, cols)]
-    order = sorted(range(len(points)), key=cell.__getitem__)
-    position = [0] * len(points)
-    for i, x in enumerate(order):
-        position[x] = i
-    index_perms = tuple(array("i", [position[q[x]] for x in order]) for q in perms)
-    coords = tuple(array("i", [coord[x] for x in order]) for coord in coords)
-    # the label triples are the largest allocation here: free what is done first
-    del cycles, cycle_of, rows, cols, cell, position, order
-    triples = tuple(zip(*(map(labels.__getitem__, coord)
-                          for labels, coord in zip(ranked, coords))))
-    pt = PermutationTriple(triples, index_perms, tuple(ranked), coords)
-    return Bitrade(PartialLatinSquare(*declared, frozenset(triples)), pt, dict(provenance))
+    return Bitrade(tuple(declared), _canonical_structure(tuple(ranked), coords, perms),
+                   dict(provenance))
 
 
 def mate_bijections(bitrade):
@@ -633,6 +632,11 @@ class GroupTriple:
         self.a = a
         self.b = b
         self.c = c
+        els = group.elements()  # sorted, and checks the cap
+        self._indices = [bisect_left(els, x) for x in (a, b, c)]
+        for i, x in zip(self._indices, (a, b, c)):
+            if i == len(els) or els[i] != x:
+                raise GroupError(f"{x!r} is not an element of {group.spec}")
         for name, g in (("a", a), ("b", b), ("c", c)):
             if group.is_identity(g):
                 raise ValidationError(
@@ -660,15 +664,8 @@ class GroupTriple:
         return len(self.group.closure([self.a, self.b, self.c])) == self.group.order()
 
     def element_strs(self):
-        """The strings of a, b and c, from the group's memo; ``elements()``
-        is sorted, so a bisection finds their indices."""
-        g = self.group
-        els = g.elements()
-        found = [bisect_left(els, x) for x in (self.a, self.b, self.c)]
-        for i, x in zip(found, (self.a, self.b, self.c)):
-            if i == len(els) or els[i] != x:
-                raise GroupError(f"{x!r} is not an element of {g.spec}")
-        return tuple(g.element_strs(found))
+        """The strings of a, b and c, from the group's memo."""
+        return tuple(self.group.element_strs(self._indices))
 
     def __repr__(self):
         a, b, c = self.element_strs()
@@ -715,7 +712,7 @@ def separation_witness(bitrade, pt=None):
             continue
         by_label = {}
         for ci, cycle in enumerate(pt.index_cycles[i]):
-            by_label.setdefault(pt.points[cycle[0]][i], []).append(ci)
+            by_label.setdefault(pt.alphabets[i][pt.coords[i][cycle[0]]], []).append(ci)
         for label in canonical_sorted(by_label):
             ids = by_label[label]
             if len(ids) > 1:
@@ -741,10 +738,7 @@ def roundtrip_check(bitrade):
     rebuilt = from_permutations(*pt.perms, points=pt.points)
     f = [{x[i]: f"{tag}:{point_str(cycle[0])}" for cycle in cycles for x in cycle}
          for i, (tag, cycles) in enumerate(zip(_CYCLE_TAGS, pt.cycles))]
-    relabel_circ = {(f[0][t[0]], f[1][t[1]], f[2][t[2]])
-                    for t in bitrade.t_circ.triples}
-    relabel_star = {(f[0][t[0]], f[1][t[1]], f[2][t[2]])
-                    for t in bitrade.t_star.triples}
-    ok = (relabel_circ == rebuilt.t_circ.triples
-          and relabel_star == rebuilt.t_star.triples)
+    ok = all({tuple(m[x] for m, x in zip(f, t)) for t in mine.triples} == theirs.triples
+             for mine, theirs in ((bitrade.t_circ, rebuilt.t_circ),
+                                  (bitrade.t_star, rebuilt.t_star)))
     return ok, {"rows": f[0], "cols": f[1], "syms": f[2]}

@@ -103,8 +103,8 @@ def primary_exhaustive(bitrade: Bitrade):
     Returns (is_primary, witness_subset).  Exponential; callers cap the size.
     """
     pt = bitrade.permutation_triple
-    n = len(pt.points)
     _, tau2, tau3 = pt.index_perms
+    n = len(tau2)
     # mate triple x is the one in the cell of primary triple x; it agrees
     # with x outside the symbol, with tau2(x) outside the row and with
     # tau3(tau2(x)) outside the column.  Per primary triple: the bitmask of
@@ -133,7 +133,7 @@ def primary_exhaustive(bitrade: Bitrade):
                 break
             s ^= low
         if ok:
-            return False, tuple(pt.points[i] for i in range(n) if mask >> i & 1)
+            return False, tuple(pt[i] for i in range(n) if mask >> i & 1)
     return True, None
 
 
@@ -148,7 +148,7 @@ def is_primary(bitrade: Bitrade, definitional_cap=DEFAULT_PRIMARY_CAP) -> Proper
     started = time.monotonic()
     pt = triple_permutations(bitrade)
     orbit = _orbit(pt)
-    transitive = len(orbit) == len(pt.points)
+    transitive = len(orbit) == bitrade.size
     separated = separation_witness(bitrade, pt) is None
     exhaustive = None
     if bitrade.size <= definitional_cap:
@@ -159,7 +159,7 @@ def is_primary(bitrade: Bitrade, definitional_cap=DEFAULT_PRIMARY_CAP) -> Proper
         method = "orbit" if separated else "oracle"
         if transitive:
             return _timed(started, "yes", method)
-        witness = tuple(pt.points[x] for x in sorted(orbit))
+        witness = tuple(map(pt.__getitem__, sorted(orbit)))
         return _timed(started, "no", method, witness)
     return _timed(started, "unknown", "orbit")
 
@@ -242,16 +242,13 @@ def homogeneity(bitrade: Bitrade) -> PropertyResult:
     symbol occurs k times, else "no" with the first deviating label."""
     started = time.monotonic()
     pt = bitrade.permutation_triple
-    counters = [Counter(coord) for coord in pt.coords]
-    baseline = counters[0][pt.alphabets[0].index(bitrade.rows[0])]
-    labels_by_coord = (bitrade.rows, bitrade.cols, bitrade.syms)
-    for coord, labels, alphabet, counter in zip(("row", "column", "symbol"),
-                                                labels_by_coord, pt.alphabets, counters):
-        position = {lab: k for k, lab in enumerate(alphabet)}
+    counters = [dict(zip(alphabet, map(Counter(coord).__getitem__, range(len(alphabet)))))
+                for alphabet, coord in zip(pt.alphabets, pt.coords)]
+    baseline = counters[0][bitrade.rows[0]]
+    for coord, labels, counter in zip(("row", "column", "symbol"), bitrade.alphabets, counters):
         for lab in labels:
-            if counter[position[lab]] != baseline:
-                return _timed(started, "no", "direct-scan",
-                              (coord, lab, counter[position[lab]], baseline))
+            if counter[lab] != baseline:
+                return _timed(started, "no", "direct-scan", (coord, lab, counter[lab], baseline))
     return _timed(started, baseline, "direct-scan")
 
 

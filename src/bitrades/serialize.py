@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 from json.encoder import encode_basestring_ascii as escape
 
 from .core import Bitrade, make_bitrade
@@ -38,12 +39,11 @@ def _square_columns(bitrade, escaped):
     """For each square, the escaped row, column and symbol of its triples in
     document order (the string triples sorted).
 
-    When every label is a str, that order is the structure's point order:
-    the points are sorted by row and column rank in ``_sort_key`` order,
-    which for str is plain order, and a cell holds one triple.  The mate
-    triple in the cell of point x holds the symbol of tau2(x), so both
-    squares come from the structure with no sort.  Other labels are taken
-    from ``bitrade_to_doc``, which sorts them as strings.
+    When every label is a str, that order is the structure's point order
+    (``core._canonical_structure``; for str, ``_sort_key`` order is plain
+    order), and the mate triple in the cell of point x holds the symbol of
+    tau2(x), so both squares come from the structure with no sort.  Other
+    labels are taken from ``bitrade_to_doc``, which sorts them as strings.
     """
     if all(isinstance(lab, str) for esc in escaped for lab in esc):
         pt = bitrade.permutation_triple
@@ -72,14 +72,19 @@ def _square_json(columns):
 def _escaped_alphabets(bitrade):
     """Per alphabet, each label's JSON string in declared order."""
     return [{lab: escape(_label_str(lab)) for lab in labels}
-            for labels in (bitrade.rows, bitrade.cols, bitrade.syms)]
+            for labels in bitrade.alphabets]
 
 
 def _json_chunks(bitrade):
     """The text of ``json.dumps(bitrade_to_doc(bitrade), indent=2,
     sort_keys=True)`` plus a newline, in chunks, with each label escaped
-    once per alphabet."""
+    once per alphabet.  Two labels written as one string are refused: the
+    document would not read back."""
     escaped = _escaped_alphabets(bitrade)
+    written = Counter(e for esc in escaped for e in esc.values())
+    shared = [e for e, count in written.items() if count > 1]
+    if shared:
+        raise ValidationError("P2", f"two labels are both written as {min(shared)}")
     circ, star = _square_columns(bitrade, escaped)
     rows, cols, syms = ("[\n    " + ",\n    ".join(esc.values()) + "\n  ]" for esc in escaped)
     # nested one level deep: every line after the first moves two spaces in
@@ -112,8 +117,11 @@ def bitrade_to_json(bitrade: Bitrade) -> str:
 
 def write_bitrade(bitrade: Bitrade, path) -> None:
     """Write ``bitrade_to_json``'s text to ``path`` chunk by chunk."""
+    chunks = _json_chunks(bitrade)
+    head = next(chunks)  # a refused bitrade leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(bitrade))
+        fh.write(head)
+        fh.writelines(chunks)
 
 
 def _check_labels(labels, where):

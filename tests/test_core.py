@@ -162,7 +162,10 @@ class TestMakeBitrade:
 
     def test_stores_the_primary_square_and_the_structure(self, two_by_three):
         assert [f.name for f in dataclasses.fields(two_by_three)] \
-            == ["t_circ", "permutation_triple", "provenance"]
+            == ["alphabets", "permutation_triple", "provenance"]
+        circ = two_by_three.t_circ
+        assert circ is not two_by_three.t_circ  # built on access, never kept
+        assert circ.triples == frozenset(TWO_BY_THREE_CIRC)
         star = two_by_three.t_star
         assert star is not two_by_three.t_star  # built on access, never kept
         assert star == two_by_three.t_star
@@ -433,11 +436,22 @@ class TestFromGroup:
         G = group_from_spec("alt:4")
         a = parse_permutation("(1,2)", 4)
         b = parse_permutation("(1,3)", 4)
-        triple = GroupTriple(G, a, b, G.inverse(G.mul(a, b)))
         with pytest.raises(GroupError, match=r"\(2, 1, 3, 4\) is not an element of alt:4"):
-            triple.element_strs()
+            GroupTriple(G, a, b, G.inverse(G.mul(a, b)))
         with pytest.raises(GroupError):
             from_group(G, a, b, G.inverse(G.mul(a, b)))
+
+    def test_group_over_its_cap_refused_at_the_triple(self):
+        G = group_from_spec("alt:4")
+        a, b = parse_permutation("(1,2,3)", 4), parse_permutation("(2,1,4)", 4)
+        c = G.inverse(G.mul(a, b))
+        G.max_elements = 11
+        with pytest.raises(ResourceCapError) as at_triple:
+            GroupTriple(G, a, b, c)
+        with pytest.raises(ResourceCapError) as at_construction:
+            from_group(G, a, b, c)
+        assert str(at_triple.value) == str(at_construction.value) \
+            == "group alt:4 has order 12, above the enumeration cap (cap: 11)"
 
     def test_identity_operand_rejected(self):
         G = group_from_spec("sym:3")

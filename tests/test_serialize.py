@@ -44,6 +44,33 @@ class TestDocuments:
         # a second write is byte-identical
         assert path.read_text() == bitrade_to_json(loaded)
 
+    def test_hash_equal_labels_round_trip(self):
+        # rows 1.0 and 1 are one label: the alphabet keeps 1.0, the first
+        circ = [(1.0, "c1", "s1"), (1, "c2", "s2"), (2, "c1", "s2"), (2, "c2", "s1")]
+        star = [(1, "c1", "s2"), (1, "c2", "s1"), (2, "c1", "s1"), (2, "c2", "s2")]
+        bt = make_bitrade(circ, star)
+        assert bt.rows == (1.0, 2)
+        text = bitrade_to_json(bt)
+        back = read_bitrade(text)
+        assert back.rows == ("1.0", "2")
+        assert ["1.0", "c2", "s2"] in json.loads(text)["t_circ"]
+        assert bitrade_to_json(back) == text
+
+    @pytest.mark.parametrize("circ", [
+        [(1, "c1", "s1"), (1, "c2", "s2"), ("1", "c1", "s2"), ("1", "c2", "s1")],
+        [(1, "1", "s1"), (1, "c2", "s2"), (2, "1", "s2"), (2, "c2", "s1")],
+    ], ids=["one alphabet", "two alphabets"])
+    def test_labels_written_alike_refused(self, circ, tmp_path):
+        swap = {"s1": "s2", "s2": "s1"}
+        bt = make_bitrade(circ, [(r, c, swap[s]) for r, c, s in circ])
+        path = tmp_path / "bt.json"
+        path.write_text("kept")
+        for write in (bitrade_to_json, lambda bt: write_bitrade(bt, path)):
+            with pytest.raises(ValidationError) as err:
+                write(bt)
+            assert str(err.value) == 'P2: two labels are both written as "1"'
+        assert path.read_text() == "kept"
+
     def test_raw_triple_lists_accepted(self):
         bt = read_bitrade({"t_circ": [list(t) for t in TWO_BY_THREE_CIRC],
                            "t_star": [list(t) for t in TWO_BY_THREE_STAR]})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import gc
 from array import array
 from collections import Counter
 from types import SimpleNamespace
@@ -47,7 +48,7 @@ from bitrades.properties import (
     primary_exhaustive,
 )
 from bitrades.search import iter_triples
-from bitrades.serialize import doc_to_bitrade
+from bitrades.serialize import bitrade_to_json, doc_to_bitrade, read_bitrade
 
 from conftest import (
     INTERCALATE_CIRC,
@@ -356,7 +357,7 @@ def test_one_report_builds_the_structure_once(monkeypatch):
     for module in (core, properties):
         monkeypatch.setattr(module, "triple_permutations", counting_calls)
     bitrade = make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR)
-    assert builds == [bitrade.t_circ]  # inside make_bitrade
+    assert builds == [bitrade.alphabets]  # inside make_bitrade
     report = compute_report(bitrade)
     assert report["separated"].yes and report["primary"].yes
     assert len(calls) == 2  # is_separated (via separation_witness) and is_primary
@@ -483,7 +484,9 @@ def assert_same_as_label_squares(bitrade, doc, circ, star):
         assert repr((bitrade.rows, bitrade.cols, bitrade.syms)[i]) == repr(tuple(expected))
     pt = bitrade.permutation_triple
     ref, ref_perms = oracle_triple_permutations(SimpleNamespace(t_circ=circ, t_star=star))
-    assert repr(pt.points) == repr(ref.points)
+    own = [{label: label for label in alphabet} for alphabet in bitrade.alphabets]
+    assert repr(pt.points) == repr(tuple(tuple(own[i][x] for i, x in enumerate(t))
+                                         for t in ref.points))
     assert pt.perms == ref_perms
     assert pt.alphabets == tuple(tuple(sorted(labels, key=_sort_key))
                                  for labels in (circ.rows, circ.cols, circ.syms))
@@ -675,10 +678,10 @@ def test_first_q1_clash(perms, form):
 # ---------------------------------------------------------------------------
 # the constructions take the structure straight from their permutations
 
-def label_path_bitrade(perms, points, tags, fmt, provenance):
+def label_path_squares(perms, points, tags, fmt):
     """The constructions as they were before they built the structure from
-    their permutations: the cycle labels of every point as a primary and a
-    mate triple, validated by ``make_bitrade``.  The mate of point x is the
+    their permutations: the declared alphabets, and the cycle labels of
+    every point as a primary and a mate triple.  The mate of point x is the
     row cycle through x, the column cycle through q1(x) and the symbol
     cycle through q2(q1(x))."""
     cycles, cycle_of = core._check_permutation_triple(perms, points)
@@ -692,6 +695,12 @@ def label_path_bitrade(perms, points, tags, fmt, provenance):
     q1, q2, _ = perms
     t_circ = set(zip(lab1, lab2, lab3))
     t_star = {(lab1[x], lab2[y], lab3[q2[y]]) for x, y in enumerate(q1)}
+    return tuple(alphabets), t_circ, t_star
+
+
+def label_path_bitrade(perms, points, tags, fmt, provenance):
+    """``label_path_squares`` validated by ``make_bitrade``."""
+    alphabets, t_circ, t_star = label_path_squares(perms, points, tags, fmt)
     return make_bitrade(t_circ, t_star, *alphabets, provenance=provenance)
 
 
@@ -701,13 +710,19 @@ def label_path_from_permutations(p1, p2, p3):
                               core._CYCLE_TAGS, point_str, {"kind": "from-perms"})
 
 
-def label_path_from_group(triple):
+def right_multiplications(triple):
+    """x -> xa, x -> xb and x -> xc as index lists into ``elements()``."""
     G = triple.group
     els = G.elements()
     index = {g: i for i, g in enumerate(els)}
-    perms = [[index[G.mul(x, g)] for x in els] for g in (triple.a, triple.b, triple.c)]
+    return [[index[G.mul(x, g)] for x in els] for g in (triple.a, triple.b, triple.c)]
+
+
+def label_path_from_group(triple):
+    G = triple.group
     a, b, c = triple.element_strs()
-    return label_path_bitrade(perms, els, "ABC", G.element_str,
+    return label_path_bitrade(right_multiplications(triple), G.elements(), "ABC",
+                              G.element_str,
                               {"kind": "from-group", "group": G.spec, "a": a, "b": b, "c": c})
 
 
@@ -766,3 +781,121 @@ class TestAgainstLabelPath:
         assert from_group(triple.group, triple.a, triple.b, triple.c).size == 12
         perms = oracle_triple_permutations(intercalate_bitrade)[1]
         assert from_permutations(*perms).size == 4
+
+
+# ---------------------------------------------------------------------------
+# one copy of every label: the squares and the points are views
+
+@st.composite
+def bitrades_and_label_squares(draw):
+    """A bitrade from an accepted document, from permutations or from a
+    group, with what the label code makes of the same input: the declared
+    alphabets and the sets of primary and mate triples."""
+    source = draw(st.sampled_from(["document", "permutations", "group"]))
+    if source == "document":
+        doc = draw(perturbed_documents())
+        expected = label_document(doc)
+        assume(not isinstance(expected, BitradesError))
+        circ, star = expected
+        return doc_to_bitrade(doc), ((circ.rows, circ.cols, circ.syms), circ.triples,
+                                     star.triples)
+    if source == "permutations":
+        perms = oracle_triple_permutations(draw(latin_differences()))[1]
+        points = canonical_sorted(perms[0])
+        return from_permutations(*perms), label_path_squares(
+            core._index_permutations(perms, points), points, core._CYCLE_TAGS, point_str)
+    triple = draw(st.sampled_from(("sym:3", "alt:4", "p3:3", "pq:7,3,2")).flatmap(
+        lambda spec: st.sampled_from(group_triples(spec))))
+    G = triple.group
+    return (from_group(G, triple.a, triple.b, triple.c),
+            label_path_squares(right_multiplications(triple), G.elements(), "ABC",
+                               G.element_str))
+
+
+def label_equal(one, other):
+    """Bitrade equality as it was while both squares were stored: equal
+    squares, their alphabets included."""
+    return one.t_circ == other.t_circ and one.t_star == other.t_star
+
+
+class TestViews:
+    @settings(max_examples=300, deadline=None)
+    @given(bitrades_and_label_squares(), st.data())
+    def test_views_against_the_label_squares(self, case, data):
+        bitrade, (alphabets, circ, star) = case
+        pt = bitrade.permutation_triple
+        assert bitrade.alphabets == alphabets
+        assert bitrade.t_circ == PartialLatinSquare(*alphabets, frozenset(circ))
+        assert bitrade.t_star == PartialLatinSquare(*alphabets, frozenset(star))
+        expected = sorted(circ, key=lambda t: tuple(map(_sort_key, t)))
+        assert bitrade.t_circ.sorted_triples() == expected
+        assert list(pt.points) == expected
+        assert pt.points is pt.points  # built once, then kept
+        # every label is its alphabet's own object, also where the input
+        # held a hash-equal one (1 for 1.0)
+        own = [{label: label for label in alphabet} for alphabet in bitrade.alphabets]
+        for triples in (pt.points, bitrade.t_circ.triples, bitrade.t_star.triples):
+            for t in triples:
+                assert all(x is own[i][x] for i, x in enumerate(t))
+        assert [pt[x] for x in range(bitrade.size)] == list(pt.points)
+
+        triples = (list(bitrade.t_circ.triples), list(bitrade.t_star.triples))
+        kind = data.draw(st.sampled_from(["same", "inferred", "reordered", "swapped",
+                                          "other"]))
+        if kind == "same":
+            other = make_bitrade(*triples, *bitrade.alphabets)
+        elif kind == "inferred":
+            other = make_bitrade(*triples)
+        elif kind == "reordered":
+            other = make_bitrade(*triples, data.draw(st.permutations(bitrade.rows)),
+                                 *bitrade.alphabets[1:])
+        elif kind == "swapped":
+            other = make_bitrade(*reversed(triples), *bitrade.alphabets)
+        else:
+            other = data.draw(bitrades_and_label_squares())[0]
+        assert (bitrade == other) == (other == bitrade) == label_equal(bitrade, other)
+        if kind == "same":
+            assert bitrade == other
+        if bitrade == other:
+            assert hash(bitrade) == hash(other)
+
+
+def held_label_triples(bitrade):
+    """The frozensets, and the tuples of a row, a column and a symbol label,
+    reachable from a bitrade."""
+    alphabets = [set(alphabet) for alphabet in bitrade.alphabets]
+    found, seen, todo = [], set(), [bitrade]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, str)):
+            continue
+        seen.add(id(obj))
+        try:
+            triple = len(obj) == 3 and all(x in labels for x, labels in zip(obj, alphabets))
+        except TypeError:  # no length, or an unhashable item
+            triple = False
+        if isinstance(obj, frozenset) or (isinstance(obj, tuple) and triple):
+            found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+def _group_bitrade():
+    triple = group_triples("alt:4")[0]
+    return from_group(triple.group, triple.a, triple.b, triple.c)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR),
+    _group_bitrade,
+    lambda: from_permutations(*oracle_triple_permutations(
+        make_bitrade(INTERCALATE_CIRC, INTERCALATE_STAR))[1]),
+    lambda: read_bitrade(bitrade_to_json(_group_bitrade())),
+], ids=["make_bitrade", "from_group", "from_permutations", "read_bitrade"])
+def test_no_label_triple_held_until_read(build):
+    bitrade = build()
+    compute_report(bitrade)  # Q1-Q3 and every scan
+    bitrade_to_json(bitrade)
+    assert held_label_triples(bitrade) == []
+    circ = bitrade.t_circ.triples
+    assert set(held_label_triples(bitrade)) == circ  # the points, now kept
