@@ -29,12 +29,13 @@ tau1, tau2, tau3 of its primary triples satisfying Q1-Q3, the i-th fixing
 coordinate i.  With the alphabets it fixes both squares, so a ``Bitrade``
 stores each label once, in its alphabet, and the structure on integer
 indices; both squares are views.  The two constructions take the
-structure straight from their checked permutations (tau_i is the i-th
-permutation, reindexed).  ``make_bitrade`` validates documents and
-explicit triples in one integer pass that checks both squares and builds
-the structure; label code (``make_pls``, ``check_bitrade_conditions``)
-runs only to name a rejection.  The property scans read the structure;
-labels are looked up from it only for output and witnesses.
+structure straight from their permutations (tau_i is the i-th permutation,
+reindexed), whose Q1-Q3 ``from_permutations`` checks and ``from_group``
+takes from G1-G2.  ``make_bitrade`` validates documents and explicit
+triples in one integer pass that checks both squares and builds the
+structure; label code (``make_pls``, ``check_bitrade_conditions``) runs
+only to name a rejection.  The property scans read the structure; labels
+are looked up from it only for output and witnesses.
 """
 
 from __future__ import annotations
@@ -406,7 +407,8 @@ class PermutationTriple:
     point x; ``index_cycles[i]`` lists the cycles of the i-th permutation as
     index lists, each starting at its least index and in ascending order of
     it; and ``cycle_of[i][x]`` is the number of the cycle through point x.
-    The cycles are found on first access, which also checks Q1-Q3.
+    The cycles are found on first access, which also checks Q1-Q3 (even
+    where ``from_group`` took them on trust from G1-G2).
     ``perms`` (dicts over the points) and ``cycles`` (point tuples) are the
     same permutations in terms of the points, built on first access.
 
@@ -473,10 +475,9 @@ def _index_permutations(perms, points):
     return out
 
 
-def _check_permutation_triple(perms, points):
-    """Check Q2 (no fixed points), Q1 (cycles of different permutations
-    share at most one moved point) and Q3 (the product is the identity)
-    for three permutations given as index lists into ``points`` (named in errors).
+def _walk_cycles(perms, points):
+    """The cycles of three permutations given as index lists into
+    ``points`` (named in errors), checking Q2 (no fixed points) on the way.
 
     Returns, per permutation, its cycles as index lists, each starting at
     its least index and in ascending order of it, and the cycle number of
@@ -506,6 +507,13 @@ def _check_permutation_triple(perms, points):
             cyc.append(cycle)
         cycles.append(cyc)
         cycle_of.append(of)
+    return cycles, cycle_of
+
+
+def _check_permutation_triple(perms, points):
+    """``_walk_cycles``, then Q1 (cycles of different permutations share at
+    most one moved point) and Q3 (the product is the identity)."""
+    cycles, cycle_of = _walk_cycles(perms, points)
     for r, s in _PAIRS:
         ns = len(cycles[s])
         seen = {}
@@ -522,7 +530,7 @@ def _check_permutation_triple(perms, points):
                     witness=(cr, cs, points[seen[key]], points[x]))
             seen[key] = x
     q1, q2, q3 = perms
-    for x in range(n):
+    for x in range(len(q1)):
         if q3[q2[q1[x]]] != x:
             raise ValidationError(
                 "Q3", f"the product moves the point {point_str(points[x])}",
@@ -538,9 +546,10 @@ def validate_permutation_triple(p1, p2, p3, points):
     return pt
 
 
-def _bitrade_of_permutations(perms, points, tags, strs, provenance):
+def _bitrade_of_permutations(perms, cycles, cycle_of, tags, strs, provenance):
     """The bitrade of three permutations satisfying Q1-Q3, given as index
-    lists into ``points`` (in canonical order).
+    lists into the points in canonical order, and their ``_walk_cycles``:
+    the caller has checked Q1-Q3 or knows them.
 
     Rows, columns and symbols are the cycles of the three permutations,
     labelled ``tag:`` plus the string of the least point of the cycle
@@ -553,8 +562,7 @@ def _bitrade_of_permutations(perms, points, tags, strs, provenance):
     has size |X|, and ``make_bitrade`` (which validates documents and
     explicit triples) is not involved.
     """
-    _check_nonempty(points)
-    cycles, cycle_of = _check_permutation_triple(perms, points)
+    _check_nonempty(perms[0])
     declared, ranked, coords = [], [], []
     for i, (tag, cyc, of) in enumerate(zip(tags, cycles, cycle_of)):
         names = [f"{tag}:{name}" for name in strs([c[0] for c in cyc])]
@@ -614,8 +622,9 @@ def from_permutations(p1, p2, p3, points=None):
     following the three permutations in order.  The result has size |X|.
     """
     points = canonical_sorted(p1.keys() if points is None else points)
+    perms = _index_permutations((p1, p2, p3), points)
     return _bitrade_of_permutations(
-        _index_permutations((p1, p2, p3), points), points, _CYCLE_TAGS,
+        perms, *_check_permutation_triple(perms, points), _CYCLE_TAGS,
         lambda idx: [point_str(points[i]) for i in idx], {"kind": "from-perms"})
 
 
@@ -633,10 +642,15 @@ class GroupTriple:
         self.b = b
         self.c = c
         els = group.elements()  # sorted, and checks the cap
-        self._indices = [bisect_left(els, x) for x in (a, b, c)]
-        for i, x in zip(self._indices, (a, b, c)):
+        self._indices = []
+        for x in (a, b, c):
+            try:
+                i = bisect_left(els, x)
+            except TypeError:  # x does not compare with the elements
+                i = len(els)
             if i == len(els) or els[i] != x:
                 raise GroupError(f"{x!r} is not an element of {group.spec}")
+            self._indices.append(i)
         for name, g in (("a", a), ("b", b), ("c", c)):
             if group.is_identity(g):
                 raise ValidationError(
@@ -685,6 +699,9 @@ def from_group(group, a, b, c, *, provenance=None):
     symbols occurring |C| times.  The group's enumeration cap bounds it.
     The right multiplications and the element strings come from the
     group's memo, so a group builds each of them once.
+    By the construction theorem G1-G2 give Q1-Q3 of the right
+    multiplications, so their cycles are walked once and nothing is checked
+    again; ``triple_permutations`` checks Q1-Q3 on the result.
     """
     triple = a if isinstance(a, GroupTriple) else GroupTriple(group, a, b, c)
     group = triple.group
@@ -693,8 +710,8 @@ def from_group(group, a, b, c, *, provenance=None):
     prov = {"kind": "from-group", "group": group.spec, "a": astr, "b": bstr, "c": cstr}
     if provenance:
         prov.update(provenance)
-    return _bitrade_of_permutations(perms, group.elements(), ("A", "B", "C"),
-                                    group.element_strs, prov)
+    return _bitrade_of_permutations(perms, *_walk_cycles(perms, group.elements()),
+                                    ("A", "B", "C"), group.element_strs, prov)
 
 
 # ---------------------------------------------------------------------------

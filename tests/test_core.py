@@ -441,6 +441,14 @@ class TestFromGroup:
         with pytest.raises(GroupError):
             from_group(G, a, b, G.inverse(G.mul(a, b)))
 
+    @pytest.mark.parametrize("a", [5, [1, 2, 3, 4]], ids=["int", "list"])
+    def test_foreign_typed_operand_rejected(self, a):
+        # neither compares with the tuple elements of alt:4
+        G = group_from_spec("alt:4")
+        with pytest.raises(GroupError) as err:
+            GroupTriple(G, a, 6, 7)
+        assert str(err.value) == f"{a!r} is not an element of alt:4"
+
     def test_group_over_its_cap_refused_at_the_triple(self):
         G = group_from_spec("alt:4")
         a, b = parse_permutation("(1,2,3)", 4), parse_permutation("(2,1,4)", 4)

@@ -784,6 +784,51 @@ class TestAgainstLabelPath:
 
 
 # ---------------------------------------------------------------------------
+# from_group takes Q1-Q3 on trust from G1-G2; the checker is its oracle
+
+TRUSTED_SPECS = ("sym:3", "alt:4", "sym:4", "p3:3", "pq:7,3,2", "prod:cyc:3,cyc:3",
+                 "gens:5:(1,2,3,4,5);(2,5)(3,4)")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TRUSTED_SPECS).flatmap(
+    lambda spec: st.sampled_from(group_triples(spec))))
+def test_group_triples_pass_the_full_check(triple):
+    G = triple.group
+    els = G.elements()
+    perms = G.right_translations((triple.a, triple.b, triple.c))
+    assert list(map(list, perms)) == right_multiplications(triple)
+    checked = core._check_permutation_triple(perms, els)  # raises on a Q1-Q3 failure
+    assert checked == core._walk_cycles(perms, els)
+    direct = from_group(G, triple.a, triple.b, triple.c)
+    oracle = core._bitrade_of_permutations(perms, *checked, "ABC", G.element_strs,
+                                           direct.provenance)
+    assert direct == oracle
+    mine, ref = direct.permutation_triple, oracle.permutation_triple
+    assert (mine.index_perms, mine.coords) == (ref.index_perms, ref.coords)
+
+
+def test_trust_stays_inside_the_group_builder(monkeypatch):
+    calls = []
+    check = core._check_permutation_triple
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(core, "_check_permutation_triple", counted)
+    triple = group_triples("alt:4")[0]
+    bitrade = from_group(triple.group, triple.a, triple.b, triple.c)
+    assert len(calls) == 0
+    pt = triple_permutations(bitrade)
+    assert len(calls) == 1
+    from_permutations(*pt.perms)
+    assert len(calls) == 2
+    validate_permutation_triple(*pt.perms, pt.points)
+    assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
 # one copy of every label: the squares and the points are views
 
 @st.composite
