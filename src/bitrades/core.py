@@ -393,7 +393,7 @@ def _canonical_structure(ranked, coords, perms):
         position[x] = i
     return PermutationTriple(
         tuple(array("i", [position[q[x]] for x in order]) for q in perms),
-        ranked, tuple(array("i", map(coord.__getitem__, order)) for coord in coords))
+        ranked, tuple(array("i", [coord[x] for x in order]) for coord in coords))
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +548,9 @@ def validate_permutation_triple(p1, p2, p3, points):
 
 def _bitrade_of_permutations(perms, cycles, cycle_of, tags, strs, provenance):
     """The bitrade of three permutations satisfying Q1-Q3, given as index
-    lists into the points in canonical order, and their ``_walk_cycles``:
-    the caller has checked Q1-Q3 or knows them.
+    lists into the points in canonical order, and their checked cycles
+    (``_check_permutation_triple``).  ``from_group`` labels the same way
+    from the cosets in the group's memo.
 
     Rows, columns and symbols are the cycles of the three permutations,
     labelled ``tag:`` plus the string of the least point of the cycle
@@ -631,10 +632,17 @@ def from_permutations(p1, p2, p3, points=None):
 # ---------------------------------------------------------------------------
 # the group construction
 
+_GROUP_TAGS = ("A", "B", "C")
+
+
 class GroupTriple:
     """Elements a, b, c of a finite group with abc = 1 and pairwise trivially
     intersecting cyclic subgroups (conditions G1 and G2), plus the optional
-    generation condition G3."""
+    generation condition G3.
+
+    Both conditions are decided on element indices: abc = 1 by the right
+    translations, G2 on the power sets of the three coset walks
+    (``Group.coset_walk``), which ``walks`` keeps."""
 
     def __init__(self, group: Group, a, b, c):
         self.group = group
@@ -651,27 +659,37 @@ class GroupTriple:
             if i == len(els) or els[i] != x:
                 raise GroupError(f"{x!r} is not an element of {group.spec}")
             self._indices.append(i)
-        for name, g in (("a", a), ("b", b), ("c", c)):
-            if group.is_identity(g):
+        identity = bisect_left(els, group.identity)
+        for name, i in zip("abc", self._indices):
+            if i == identity:
                 raise ValidationError(
                     "nontrivial", f"element {name} must not be the identity")
-        if not group.is_identity(group.mul(group.mul(a, b), c)):
+        _, rho_b, rho_c = group.right_translations((a, b, c))  # one build for the walks too
+        if rho_c[rho_b[self._indices[0]]] != identity:
             raise ValidationError(
-                "G1", "abc != identity (a=%s, b=%s, c=%s)" % (
-                    group.element_str(a), group.element_str(b), group.element_str(c)))
-        self.A = group.generated_subgroup(a)
-        self.B = group.generated_subgroup(b)
-        self.C = group.generated_subgroup(c)
-        for (name, X, Y) in (("|A∩B|", self.A, self.B),
-                             ("|A∩C|", self.A, self.C),
-                             ("|B∩C|", self.B, self.C)):
-            size = len(X.members & Y.members)
+                "G1", "abc != identity (a=%s, b=%s, c=%s)" % self.element_strs())
+        self.walks = tuple(map(group.coset_walk, (a, b, c)))
+        wa, wb, wc = self.walks
+        for name, x, y in (("|A∩B|", wa, wb), ("|A∩C|", wa, wc), ("|B∩C|", wb, wc)):
+            size = len(x.members & y.members)
             if size != 1:
                 raise ValidationError("G2", f"{name}={size}")
 
     @property
+    def A(self):
+        return self.group.generated_subgroup(self.a)
+
+    @property
+    def B(self):
+        return self.group.generated_subgroup(self.b)
+
+    @property
+    def C(self):
+        return self.group.generated_subgroup(self.c)
+
+    @property
     def orders(self):
-        return (len(self.A), len(self.B), len(self.C))
+        return tuple(len(w.powers) for w in self.walks)
 
     def satisfies_g3(self):
         """Whether a, b, c generate the whole group."""
@@ -680,6 +698,11 @@ class GroupTriple:
     def element_strs(self):
         """The strings of a, b and c, from the group's memo."""
         return tuple(self.group.element_strs(self._indices))
+
+    def escaped_alphabets(self):
+        """Per alphabet of the coset bitrade, each label mapped to its JSON
+        string in declared order, from the group's memo."""
+        return [w.escaped(tag) for w, tag in zip(self.walks, _GROUP_TAGS)]
 
     def __repr__(self):
         a, b, c = self.element_strs()
@@ -697,21 +720,25 @@ def from_group(group, a, b, c, *, provenance=None):
     to keep the alphabets disjoint.  The result has size |G| with |G:A|
     rows of |A| entries each, |G:B| columns of |B| entries, and |G:C|
     symbols occurring |C| times.  The group's enumeration cap bounds it.
-    The right multiplications and the element strings come from the
-    group's memo, so a group builds each of them once.
     By the construction theorem G1-G2 give Q1-Q3 of the right
-    multiplications, so their cycles are walked once and nothing is checked
-    again; ``triple_permutations`` checks Q1-Q3 on the result.
+    multiplications, so nothing is checked again; ``triple_permutations``
+    checks Q1-Q3 on the result.  The right multiplications, their coset
+    walks (ranks and labels) and the element strings come from the group's
+    memo, so a group walks each element's cosets once, and a bitrade costs
+    only the reindexing into canonical order (``_canonical_structure``).
     """
     triple = a if isinstance(a, GroupTriple) else GroupTriple(group, a, b, c)
     group = triple.group
     astr, bstr, cstr = triple.element_strs()
-    perms = group.right_translations((triple.a, triple.b, triple.c))
     prov = {"kind": "from-group", "group": group.spec, "a": astr, "b": bstr, "c": cstr}
     if provenance:
         prov.update(provenance)
-    return _bitrade_of_permutations(perms, *_walk_cycles(perms, group.elements()),
-                                    ("A", "B", "C"), group.element_strs, prov)
+    declared, ranked = zip(*(w.labels(tag) for w, tag in zip(triple.walks, _GROUP_TAGS)))
+    for i, names in enumerate(declared):
+        _check_distinct(names, i)  # two elements may format alike
+    perms = group.right_translations((triple.a, triple.b, triple.c))
+    return Bitrade(declared, _canonical_structure(ranked, [w.rank for w in triple.walks],
+                                                  perms), prov)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import bisect
 import itertools
 import math
 from array import array
+from json.encoder import encode_basestring_ascii as escape
 
 from .errors import ConsistencyError, GroupError, ParseError, ResourceCapError
 
@@ -217,17 +218,80 @@ class Coset:
 # ---------------------------------------------------------------------------
 # groups
 
+class CosetWalk:
+    """The walk of the right translation x -> xg of the element indices,
+    for one element g; its cycles are the left cosets x<g>.
+
+    * ``powers``: the cycle through the identity, the power list of <g>
+      (identity, g, g^2, ...) as indices; ``members``: the same as a set.
+    * ``names``: each coset named by the string of its least element,
+      cosets in order of their least index (declared order); ``order``:
+      the coset numbers in order of their names.
+    * ``rank``: per index, the position of its coset's name in name order,
+      as an ``array('i')``.
+    * ``labels(tag)`` and ``escaped(tag)``: the names prefixed with
+      ``tag:``, and their JSON strings, each made on first use per tag.
+    """
+
+    __slots__ = ("powers", "members", "names", "order", "rank", "_labels", "_escaped")
+
+    def __init__(self, group, q, identity):
+        powers = [identity]
+        x = q[identity]
+        while x != identity:
+            powers.append(x)
+            x = q[x]
+        self.powers = tuple(powers)
+        self.members = frozenset(powers)
+        coset = [-1] * len(q)
+        reps = []
+        for start, k in enumerate(coset):  # reads each entry after the walks before it
+            if k < 0:
+                k = len(reps)
+                reps.append(start)
+                coset[start] = k
+                x = q[start]
+                while x != start:
+                    coset[x] = k
+                    x = q[x]
+        self.names = tuple(group.element_strs(reps))
+        self.order = array("i", sorted(range(len(reps)), key=self.names.__getitem__))
+        rank = [0] * len(reps)
+        for r, k in enumerate(self.order):
+            rank[k] = r
+        self.rank = array("i", [rank[k] for k in coset])
+        self._labels = {}
+        self._escaped = {}
+
+    def labels(self, tag):
+        """The names prefixed with ``tag:``, in declared and in name order."""
+        out = self._labels.get(tag)
+        if out is None:
+            declared = tuple([f"{tag}:{name}" for name in self.names])
+            out = self._labels[tag] = (declared, tuple(map(declared.__getitem__, self.order)))
+        return out
+
+    def escaped(self, tag):
+        """Each label of ``labels(tag)`` mapped to its JSON string, in
+        declared order."""
+        out = self._escaped.get(tag)
+        if out is None:
+            out = self._escaped[tag] = {lab: escape(lab) for lab in self.labels(tag)[0]}
+        return out
+
+
 class _ElementMemo:
     """What a group has computed about its elements, each part on first use:
     the index of every element in ``elements()``, the strings of the
-    elements asked for (None elsewhere), and the cyclic subgroup and right
-    translation of each element asked for."""
+    elements asked for (None elsewhere), and the cyclic subgroup, right
+    translation and coset walk of each element asked for."""
 
     def __init__(self, n):
         self.index = None
         self.strs = [None] * n
         self.subgroups = {}
         self.translations = {}
+        self.walks = {}
 
 
 class Group:
@@ -240,10 +304,13 @@ class Group:
     A group keeps one memo of what it computes about its own elements,
     each part filled on first use and kept for the group's life: the index
     of every element in ``elements()``, element strings, the cyclic
-    subgroup of each generator, and each right translation x -> xg as an
-    ``array('i')`` over those indices.  Like ``elements()``, every accessor
-    of the memo checks the enumeration cap on every call, so a group whose
-    ``max_elements`` is lowered below its order refuses all of them.
+    subgroup of each generator, each right translation x -> xg as an
+    ``array('i')`` over those indices, and the walk of each translation
+    (``CosetWalk``: the powers of g and the left cosets of <g> as indices,
+    their coset ranks and names, and the tagged and escaped names).  Like
+    ``elements()``, every accessor of the memo checks the enumeration cap on
+    every call, so a group whose ``max_elements`` is lowered below its order
+    refuses all of them.
     """
 
     kind = "abstract"
@@ -344,14 +411,20 @@ class Group:
             translations.update(zip(missing, self._build_translations(missing)))
         return [translations[g] for g in gs]
 
+    def coset_walk(self, g):
+        """The walk of the right translation x -> xg, made once per g."""
+        walks = self._memo().walks
+        out = walks.get(g)
+        if out is None:
+            out = walks[g] = CosetWalk(self, self.right_translation(g),
+                                       bisect.bisect_left(self.elements(), self.identity))
+        return out
+
     def _build_translations(self, gs):
         index = self.element_index()
         els = self.elements()
         mul = self.mul
         return [array("i", [index[mul(x, g)] for x in els]) for g in gs]
-
-    def is_identity(self, g):
-        return g == self.identity
 
     def element_order(self, g):
         """Least n > 0 with g**n = identity."""

@@ -96,44 +96,56 @@ def _orbit(pt):
     return seen
 
 
+def _subset_ors(masks):
+    """For every subset s of range(len(masks)), as a bitmask, the OR of
+    ``masks[i]`` over the bits i of s."""
+    table = [0]
+    for m in masks:
+        table += [t | m for t in table]
+    return table
+
+
 def primary_exhaustive(bitrade: Bitrade):
     """Definitional search: try every nonempty proper subset of the primary
     triples as a sub-bitrade with its forced mate triples.
 
-    Returns (is_primary, witness_subset).  Exponential; callers cap the size.
+    Returns (is_primary, witness_subset), the witness from the least subset
+    bitmask.  Exponential in time; callers cap the size.
     """
     pt = bitrade.permutation_triple
     _, tau2, tau3 = pt.index_perms
     n = len(tau2)
     # mate triple x is the one in the cell of primary triple x; it agrees
     # with x outside the symbol, with tau2(x) outside the row and with
-    # tau3(tau2(x)) outside the column.  Per primary triple: the bitmask of
-    # its three mates; per mate triple: the bitmask of the three primary
-    # triples it needs
-    star_bits = [0] * n
-    star_need = [0] * n
+    # tau3(tau2(x)) outside the column, and a sub-bitrade holding one of
+    # these three holds its mate and so all three.  So a subset is a
+    # sub-bitrade exactly when it contains forced[x] for each of its x,
+    # where forced[x] is every primary triple needed by a mate of x
+    forced = [0] * n
     for x in range(n):
-        for ci in (x, tau2[x], tau3[tau2[x]]):
-            star_bits[ci] |= 1 << x
-            star_need[x] |= 1 << ci
+        trio = (x, tau2[x], tau3[tau2[x]])
+        need = 1 << trio[0] | 1 << trio[1] | 1 << trio[2]
+        for y in trio:
+            forced[y] |= need
+    # a subset is hi << h | lo; the OR of forced over it is the OR of one
+    # entry of each half's table, so tables of 2^h and 2^(n-h) entries
+    # stand for all 2^n, and the four tests below are the condition split
+    # by half
+    h = n // 2
+    low = (1 << h) - 1
+    lo_or = _subset_ors(forced[:h])
+    hi_or = _subset_ors(forced[h:])
+    closed_lo = [lo for lo, f in enumerate(lo_or) if f & low & ~lo == 0]
     full = (1 << n) - 1
-    for mask in range(1, full):
-        sbits = 0
-        m = mask
-        while m:
-            low = m & -m
-            sbits |= star_bits[low.bit_length() - 1]
-            m ^= low
-        ok = True
-        s = sbits
-        while s:
-            low = s & -s
-            if star_need[low.bit_length() - 1] & ~mask:
-                ok = False
-                break
-            s ^= low
-        if ok:
-            return False, tuple(pt[i] for i in range(n) if mask >> i & 1)
+    for hi, f in enumerate(hi_or):
+        if (f >> h) & ~hi:
+            continue
+        f &= low
+        for lo in closed_lo:
+            if f & ~lo == 0 and (lo_or[lo] >> h) & ~hi == 0:
+                mask = hi << h | lo
+                if 0 < mask < full:
+                    return False, tuple(pt[i] for i in range(n) if mask >> i & 1)
     return True, None
 
 
@@ -242,13 +254,17 @@ def homogeneity(bitrade: Bitrade) -> PropertyResult:
     symbol occurs k times, else "no" with the first deviating label."""
     started = time.monotonic()
     pt = bitrade.permutation_triple
-    counters = [dict(zip(alphabet, map(Counter(coord).__getitem__, range(len(alphabet)))))
-                for alphabet, coord in zip(pt.alphabets, pt.coords)]
-    baseline = counters[0][bitrade.rows[0]]
-    for coord, labels, counter in zip(("row", "column", "symbol"), bitrade.alphabets, counters):
+    counts = [Counter(coord) for coord in pt.coords]  # per rank; every rank occurs (P2)
+    baseline = counts[0][pt.alphabets[0].index(bitrade.rows[0])]
+    for coord, labels, ranked, count in zip(("row", "column", "symbol"), bitrade.alphabets,
+                                            pt.alphabets, counts):
+        if set(count.values()) == {baseline}:
+            continue
+        # only to name the first deviating label, in declared order
+        by_label = dict(zip(ranked, map(count.__getitem__, range(len(ranked)))))
         for lab in labels:
-            if counter[lab] != baseline:
-                return _timed(started, "no", "direct-scan", (coord, lab, counter[lab], baseline))
+            if by_label[lab] != baseline:
+                return _timed(started, "no", "direct-scan", (coord, lab, by_label[lab], baseline))
     return _timed(started, baseline, "direct-scan")
 
 
@@ -259,22 +275,27 @@ def group_thin_criterion(triple: GroupTriple) -> PropertyResult:
     """Thin iff the only exponent solutions of a^i b^j c^k = 1 are (0,0,0)
     and (1,1,1), exponents taken modulo the element orders.
 
-    For each (i, j) the only candidate k is the exponent of (a^i b^j)^-1
-    among the powers of c, looked up as a^i b^j = c^-k, and one product
-    confirms it."""
+    On element indices: from each power a^i the right translation by b
+    walks a^i b^j, and the only candidate k is the exponent of (a^i b^j)^-1
+    among the powers of c, looked up as a^i b^j = c^-k.  One product in the
+    group confirms each solution found."""
     started = time.monotonic()
     G = triple.group
-    c_pows = triple.C.elements
-    oc = len(c_pows)
-    c_exponent = {g: -m % oc for m, g in enumerate(c_pows)}
+    wa, wb, wc = triple.walks
+    rho_b = G.right_translation(triple.b)
+    oc = len(wc.powers)
+    c_exponent = {g: -m % oc for m, g in enumerate(wc.powers)}
+    found = []
+    for i, x in enumerate(wa.powers):
+        for j in range(len(wb.powers)):
+            k = c_exponent.get(x)
+            if k is not None:
+                found.append((i, j, k, x))
+            x = rho_b[x]
+    els = G.elements()
     identity = G.identity
-    solutions = []
-    for i, a_i in enumerate(triple.A.elements):
-        for j, b_j in enumerate(triple.B.elements):
-            ab = G.mul(a_i, b_j)
-            k = c_exponent.get(ab)
-            if k is not None and G.mul(ab, c_pows[k]) == identity:
-                solutions.append((i, j, k))
+    solutions = [(i, j, k) for i, j, k, x in found
+                 if G.mul(els[x], els[wc.powers[k]]) == identity]
     extra = [s for s in solutions if s not in ((0, 0, 0), (1, 1, 1))]
     if not extra:
         if solutions != [(0, 0, 0), (1, 1, 1)]:
@@ -286,15 +307,24 @@ def group_thin_criterion(triple: GroupTriple) -> PropertyResult:
 
 def group_orthogonal_criterion(triple: GroupTriple) -> PropertyResult:
     """Orthogonal iff the symbol subgroup meets its conjugate by a trivially:
-    |C ∩ a^-1 C a| = 1."""
+    |C ∩ a^-1 C a| = 1.  On element indices: a^-1 is the last power of a,
+    a^-1 c a is read off the right translations by c and by a, and C meets
+    the powers of a^-1 c a."""
     started = time.monotonic()
     G = triple.group
-    conj = G.conjugate_subgroup(triple.C, triple.a)
-    common = triple.C.members & conj.members
+    els = G.elements()
+    wa, _, wc = triple.walks
+    rho_a, rho_c = G.right_translations((triple.a, triple.c))
+    conj = G.coset_walk(els[rho_a[rho_c[wa.powers[-1]]]])
+    if len(conj.powers) != len(wc.powers):
+        raise ConsistencyError(
+            f"the conjugate of a subgroup of order {len(wc.powers)} "
+            f"has order {len(conj.powers)}")
+    common = wc.members & conj.members
     if len(common) == 1:
         return _timed(started, "yes", "group-criterion")
-    witness = min((g for g in common if not G.is_identity(g)),
-                  key=lambda g: _sort_key(g))
+    identity = wa.powers[0]
+    witness = min((els[g] for g in common if g != identity), key=_sort_key)
     return _timed(started, "no", "group-criterion", witness)
 
 

@@ -47,13 +47,15 @@ class SearchRecord:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def bitrade_signature(bitrade) -> str:
+def bitrade_signature(bitrade, escaped=None) -> str:
     """Stable content hash of the bitrade's document without its provenance
     (alphabets and triples only, so that equal bitrades from different
     triples collide): the first 16 hex digits of the SHA-256 of its
-    compact JSON text, fed to the hash chunk by chunk."""
+    compact JSON text, fed to the hash chunk by chunk.  ``escaped`` gives
+    each label's JSON string per alphabet, as a coset bitrade's
+    ``GroupTriple.escaped_alphabets`` has them; else they are made here."""
     digest = hashlib.sha256()
-    for chunk in _compact_chunks(bitrade):
+    for chunk in _compact_chunks(bitrade, escaped):
         digest.update(chunk.encode("ascii"))
     return digest.hexdigest()[:16]
 
@@ -61,15 +63,24 @@ def bitrade_signature(bitrade) -> str:
 def iter_triples(group):
     """All ordered pairs (a, b) of non-identity elements with c = (ab)^-1
     also non-identity and conditions G1-G2 satisfied. G1 holds by the
-    choice of c; pairs failing G2 are skipped."""
-    els = [g for g in group.elements() if not group.is_identity(g)]
-    for a in els:
-        for b in els:
-            c = group.inverse(group.mul(a, b))
-            if group.is_identity(c):
+    choice of c; pairs failing G2 are skipped.  ab and its inverse are read
+    on indices: ab from the right translation by b, the inverse as the last
+    power in the coset walk of ab."""
+    els = group.elements()
+    identity = group.element_index()[group.identity]
+    others = [i for i in range(len(els)) if i != identity]
+    rhos = group.right_translations([els[i] for i in others])
+    inverse = [identity] * len(els)
+    for i in others:
+        inverse[i] = group.coset_walk(els[i]).powers[-1]
+    for ia in others:
+        a = els[ia]
+        for ib, rho_b in zip(others, rhos):
+            ic = inverse[rho_b[ia]]
+            if ic == identity:
                 continue
             try:
-                yield GroupTriple(group, a, b, c)
+                yield GroupTriple(group, a, els[ib], els[ic])
             except ValidationError:
                 continue
 
@@ -124,6 +135,6 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
             size=bitrade.size, orders=triple.orders, g3=g3,
             k=hom.value if hom.value != "no" else None,
             properties=properties,
-            signature=bitrade_signature(bitrade),
+            signature=bitrade_signature(bitrade, triple.escaped_alphabets()),
         ))
     return records

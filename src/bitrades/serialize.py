@@ -98,11 +98,12 @@ def _json_chunks(bitrade):
     yield "\n}\n"
 
 
-def _compact_chunks(bitrade):
+def _compact_chunks(bitrade, escaped=None):
     """The text of ``json.dumps(doc, sort_keys=True)`` for the bitrade's
     document without its provenance, in chunks (one per square after the
-    alphabets)."""
-    escaped = _escaped_alphabets(bitrade)
+    alphabets); ``escaped`` is ``_escaped_alphabets(bitrade)`` if given."""
+    if escaped is None:
+        escaped = _escaped_alphabets(bitrade)
     rows, cols, syms = ("[" + ", ".join(esc.values()) + "]" for esc in escaped)
     yield f'{{"cols": {cols}, "rows": {rows}, "syms": {syms}, "t_circ": '
     circ, star = _square_columns(bitrade, escaped)

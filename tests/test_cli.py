@@ -230,6 +230,19 @@ class TestSearch:
                      "--checks", "thin,orthogonal,primary,minimal"]) == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("spec, name", [
+        ("sym:4", "search_sym4"),
+        ("p3:3", "search_p3_3"),
+        ("pq:7,3,2", "search_pq_7_3_2"),
+        ("gens:5:(1,2,3,4,5);(2,5)(3,4)", "search_dihedral5"),
+    ])
+    def test_golden_stdout_of_other_groups(self, capsys, spec, name):
+        # recorded from the version that built every record's cosets anew;
+        # the benchmark's digests cover alternating groups only
+        golden = Path(__file__).resolve().parent / "golden" / f"{name}.jsonl"
+        assert main(["search", "--group", spec]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_s3_search(self, capsys):
         assert main(["search", "--group", "sym:3"]) == 0
         captured = capsys.readouterr()

@@ -420,6 +420,7 @@ class TestGroupSpec:
             "generated_subgroup": lambda: G.generated_subgroup(g),
             "right_translation": lambda: G.right_translation(g),
             "right_translations": lambda: G.right_translations([g, g]),
+            "coset_walk": lambda: G.coset_walk(g),
         }
         for fill in accessors.values():
             fill()

@@ -4,9 +4,24 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from bitrades.core import GroupTriple, from_group, make_bitrade
+from hypothesis import strategies as st
+
+from bitrades.core import (
+    GroupTriple,
+    from_group,
+    from_permutations,
+    make_bitrade,
+    triple_permutations,
+)
 from bitrades.errors import ResourceCapError, ValidationError
-from bitrades.groups import group_from_spec, parse_permutation
+from bitrades.groups import Subgroup, group_from_spec, parse_permutation
+from bitrades.properties import (
+    _sort_key,
+    group_orthogonal_criterion,
+    group_thin_criterion,
+    is_primary,
+    primary_exhaustive,
+)
 from bitrades.search import bitrade_signature, iter_triples, search_triples
 from bitrades.serialize import bitrade_to_doc
 
@@ -19,6 +34,7 @@ from conftest import (
     TWO_BY_THREE_STAR,
 )
 from test_serialize import relabelled_bitrades
+from test_structure import latin_differences
 
 
 def brute_force_triples(group):
@@ -160,3 +176,146 @@ def test_signature_of_non_str_labels(circ, star, form):
 @given(relabelled_bitrades())
 def test_signature_of_relabelled_bitrades(bitrade):
     assert bitrade_signature(bitrade) == oracle_signature(bitrade)
+
+
+# ---------------------------------------------------------------------------
+# the index-space group code against the element-space code it replaced:
+# G2 on frozensets of elements, the thin criterion by a mul loop, and the
+# orthogonality criterion by conjugate_subgroup
+
+ORACLE_SPECS = CORPUS + ["gens:5:(1,2,3,4,5);(2,5)(3,4)"]
+
+
+def oracle_g2(group, a, b, c):
+    """The first G2 failure of a triple as GroupTriple words it, or None."""
+    A, B, C = (Subgroup(group, g) for g in (a, b, c))
+    for name, X, Y in (("|A∩B|", A, B), ("|A∩C|", A, C), ("|B∩C|", B, C)):
+        size = len(X.members & Y.members)
+        if size != 1:
+            return f"G2: {name}={size}"
+    return None
+
+
+def oracle_thin(group, a, b, c):
+    """(value, witness) of the exponent criterion, by products of powers."""
+    A, B, C = (Subgroup(group, g) for g in (a, b, c))
+    solutions = [(i, j, k)
+                 for i, a_i in enumerate(A.elements)
+                 for j, b_j in enumerate(B.elements)
+                 for k, c_k in enumerate(C.elements)
+                 if group.mul(group.mul(a_i, b_j), c_k) == group.identity]
+    assert (0, 0, 0) in solutions and (1, 1, 1) in solutions
+    extra = [s for s in solutions if s not in ((0, 0, 0), (1, 1, 1))]
+    return ("no", min(extra)) if extra else ("yes", None)
+
+
+def oracle_orthogonal(group, a, c):
+    """(value, witness) of |C ∩ a^-1 C a| = 1, on element sets."""
+    C = Subgroup(group, c)
+    common = C.members & group.conjugate_subgroup(C, a).members
+    if len(common) == 1:
+        return "yes", None
+    return "no", min((g for g in common if g != group.identity), key=_sort_key)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_group_code_against_the_element_oracles(spec):
+    G = group_from_spec(spec)
+    els = G.elements()
+    e = G.identity
+    admitted = []
+    for a in els:
+        for b in els:
+            c = G.inverse(G.mul(a, b))
+            if e in (a, b, c):
+                continue
+            expected = oracle_g2(G, a, b, c)
+            try:
+                triple = GroupTriple(G, a, b, c)
+            except ValidationError as err:
+                assert str(err) == expected
+                continue
+            assert expected is None
+            admitted.append(triple)
+    assert [(t.a, t.b, t.c) for t in iter_triples(G)] == [(t.a, t.b, t.c) for t in admitted]
+    for t in admitted:
+        assert t.orders == tuple(len(Subgroup(G, g)) for g in (t.a, t.b, t.c))
+        thin = group_thin_criterion(t)
+        assert (thin.value, thin.witness) == oracle_thin(G, t.a, t.b, t.c)
+        orthogonal = group_orthogonal_criterion(t)
+        assert (orthogonal.value, orthogonal.witness) == oracle_orthogonal(G, t.a, t.c)
+
+
+def test_coset_walks_against_the_cosets():
+    for spec in ORACLE_SPECS:
+        G = group_from_spec(spec)
+        els = G.elements()
+        for g in els:
+            walk = G.coset_walk(g)
+            assert walk is G.coset_walk(g)
+            assert [els[i] for i in walk.powers] == list(Subgroup(G, g).elements)
+            cosets = {frozenset(G.mul(x, h) for h in Subgroup(G, g).elements) for x in els}
+            least = sorted(min(coset) for coset in cosets)  # declared order
+            assert walk.names == tuple(map(G.element_str, least))
+            ranked = sorted(walk.names)
+            coset_of = {x: coset for coset in cosets for x in coset}
+            assert [ranked[r] for r in walk.rank] == [
+                G.element_str(min(coset_of[x])) for x in els]
+            declared, in_order = walk.labels("B")
+            assert declared == tuple("B:" + name for name in walk.names)
+            assert in_order == tuple(sorted(declared))
+            assert list(walk.escaped("B").items()) == [
+                (label, json.dumps(label)) for label in declared]
+
+
+# ---------------------------------------------------------------------------
+# the half-table primality search against the subset loop it replaced
+
+def loop_primary_exhaustive(bitrade):
+    """Every nonempty proper subset of the primary triples in ascending
+    bitmask order, each tested with its forced mate triples."""
+    pt = bitrade.permutation_triple
+    _, tau2, tau3 = pt.index_perms
+    n = len(tau2)
+    star_bits = [0] * n
+    star_need = [0] * n
+    for x in range(n):
+        for ci in (x, tau2[x], tau3[tau2[x]]):
+            star_bits[ci] |= 1 << x
+            star_need[x] |= 1 << ci
+    for mask in range(1, (1 << n) - 1):
+        sbits = 0
+        for i in range(n):
+            if mask >> i & 1:
+                sbits |= star_bits[i]
+        if all(not star_need[m] & ~mask for m in range(n) if sbits >> m & 1):
+            return False, tuple(pt[i] for i in range(n) if mask >> i & 1)
+    return True, None
+
+
+def disjoint_union(bitrades):
+    """The separated bitrade of the disjoint union of the structures."""
+    perms = ({}, {}, {})
+    offset = 0
+    for bitrade in bitrades:
+        for perm, q in zip(perms, triple_permutations(bitrade).index_perms):
+            perm.update((offset + x, offset + y) for x, y in enumerate(q))
+        offset += bitrade.size
+    return from_permutations(*perms)
+
+
+SMALL_GROUP_BITRADES = [from_group(t.group, t.a, t.b, t.c)
+                        for spec in ("sym:3", "prod:cyc:2,cyc:2", "cyc:3", "alt:4")
+                        for t in list(iter_triples(group_from_spec(spec)))[:4]]
+small_bitrades = st.one_of(latin_differences(), st.sampled_from(SMALL_GROUP_BITRADES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_bitrades,
+                 st.lists(small_bitrades, min_size=2, max_size=3).filter(
+                     lambda parts: sum(b.size for b in parts) <= 12).map(disjoint_union)))
+def test_primary_exhaustive_against_the_subset_loop(bitrade):
+    assert bitrade.size <= 12
+    found = primary_exhaustive(bitrade)
+    assert found == loop_primary_exhaustive(bitrade)
+    assert is_primary(bitrade).yes == found[0]
