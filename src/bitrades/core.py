@@ -33,9 +33,11 @@ structure straight from their permutations (tau_i is the i-th permutation,
 reindexed), whose Q1-Q3 ``from_permutations`` checks and ``from_group``
 takes from G1-G2.  ``make_bitrade`` validates documents and explicit
 triples in one integer pass that checks both squares and builds the
-structure; label code (``make_pls``, ``check_bitrade_conditions``) runs
-only to name a rejection.  The property scans read the structure; labels
-are looked up from it only for output and witnesses.
+structure, whose Q1-Q3 follow from P1 and R1-R3; label code (``make_pls``,
+``check_bitrade_conditions``) runs only to name a rejection.  So every
+construction proves Q1-Q3, and a report only walks the cycles.  The property
+scans read the structure; labels are looked up from it only for output and
+witnesses.
 """
 
 from __future__ import annotations
@@ -338,6 +340,15 @@ def _pair_structure(circ, star, declared):
     three maps are bijections.  A P1 clash of the primary square leaves a
     pair map with fewer than n points, so its slots cannot all be filled.
     Passing is thus P1/P2 of both squares and R1-R3.
+
+    A passing pair's structure satisfies Q1-Q3, so nothing checks them
+    again.  tau_i keeps coordinate i (x and y share a row, x and z a
+    column, z and y a symbol), so the cycles of tau_i lie in one label of
+    coordinate i and two cycles of different permutations share at most the
+    one point of their two labels (Q1, by P1).  Each of y = x, z = x and
+    z = y makes the mate triple equal to x, which R1 rules out (Q2).  On
+    each mate triple tau3(tau2(tau1(y))) = y, and the mate triples cover
+    every y (Q3).
     """
     circ = list(dict.fromkeys(circ))  # repeats and hash-equal labels merge
     star = list(dict.fromkeys(star))
@@ -407,10 +418,14 @@ class PermutationTriple:
     point x; ``index_cycles[i]`` lists the cycles of the i-th permutation as
     index lists, each starting at its least index and in ascending order of
     it; and ``cycle_of[i][x]`` is the number of the cycle through point x.
-    The cycles are found on first access, which also checks Q1-Q3 (even
-    where ``from_group`` took them on trust from G1-G2).
-    ``perms`` (dicts over the points) and ``cycles`` (point tuples) are the
-    same permutations in terms of the points, built on first access.
+    The cycles are found on first access by one walk, which checks Q2.
+    For a bitrade (``coords`` given) that is all: its construction proved
+    Q1-Q3 (``from_permutations`` on its input, ``from_group`` by the
+    construction theorem from G1-G2, ``make_bitrade`` from P1 and R1-R3,
+    see ``_pair_structure``).  A bare point set
+    (``validate_permutation_triple``) gets the full Q1-Q3 check.
+    ``perms`` (dicts over the points) and ``cycles`` (point tuples) are
+    the same permutations in terms of the points, built on first access.
 
     For a bitrade the points are the primary triples in canonical order,
     the i-th permutation fixes coordinate i, and its cycles partition the
@@ -438,8 +453,9 @@ class PermutationTriple:
 
     @cached_property
     def _cycles(self):
-        return _check_permutation_triple(self.index_perms,
-                                         self.points if self.coords is None else self)
+        if self.coords is None:  # a bare point set: Q1-Q3 are checked here
+            return _check_permutation_triple(self.index_perms, self.points)
+        return _walk_cycles(self.index_perms, self)  # a bitrade's construction proved Q1-Q3
 
     @property
     def index_cycles(self):
@@ -603,11 +619,12 @@ def triple_permutations(bitrade):
 
     Composing the inverse of one mate bijection with another yields three
     permutations of the primary triples; the i-th fixes coordinate i.  The
-    result always satisfies Q1-Q3 (checked).  ``make_bitrade`` builds it
-    once per bitrade and stores it as ``Bitrade.permutation_triple``.
+    result always satisfies Q1-Q3: the construction that stored it as
+    ``Bitrade.permutation_triple`` proved them (see ``PermutationTriple``),
+    so this only walks its cycles, once per bitrade.
     """
     pt = bitrade.permutation_triple
-    pt.index_cycles  # finding the cycles checks Q1-Q3
+    pt.index_cycles  # the cycle walk, which checks Q2
     return pt
 
 
@@ -721,11 +738,11 @@ def from_group(group, a, b, c, *, provenance=None):
     rows of |A| entries each, |G:B| columns of |B| entries, and |G:C|
     symbols occurring |C| times.  The group's enumeration cap bounds it.
     By the construction theorem G1-G2 give Q1-Q3 of the right
-    multiplications, so nothing is checked again; ``triple_permutations``
-    checks Q1-Q3 on the result.  The right multiplications, their coset
-    walks (ranks and labels) and the element strings come from the group's
-    memo, so a group walks each element's cosets once, and a bitrade costs
-    only the reindexing into canonical order (``_canonical_structure``).
+    multiplications, so nothing checks them again.  The right
+    multiplications, their coset walks (ranks and labels) and the element
+    strings come from the group's memo, so a group walks each element's
+    cosets once, and a bitrade costs only the reindexing into canonical
+    order (``_canonical_structure``).
     """
     triple = a if isinstance(a, GroupTriple) else GroupTriple(group, a, b, c)
     group = triple.group

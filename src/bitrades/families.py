@@ -70,7 +70,7 @@ class FamilyInstance:
 def family_zp2(p, max_elements=None) -> FamilyInstance:
     """Z_p x Z_p with a=(0,1), b=(1,0), c=(p-1,p-1); the trade is a full
     latin square of order p."""
-    if not _is_prime(p):
+    if not _is_prime(p, "p"):
         raise GroupError(f"p={p} must be prime")
     G = DirectProductGroup([CyclicGroup(p), CyclicGroup(p)])
     G.max_elements = max_elements
@@ -108,9 +108,9 @@ def family_pq(p, q, r, max_elements=None) -> FamilyInstance:
 
 def find_r(p, q):
     """All r in 2..p-1 with r^q = 1 (mod p), ascending."""
-    if not _is_prime(p):
+    if not _is_prime(p, "p"):
         raise GroupError(f"p={p} must be prime")
-    if not _is_prime(q):
+    if not _is_prime(q, "q"):
         raise GroupError(f"q={q} must be prime")
     if (p - 1) % q != 0:
         raise GroupError(f"q={q} does not divide p-1={p - 1}")
@@ -259,11 +259,11 @@ class TableRow:
 def best_pq_cell(q):
     """Smallest thin instance of the pq family with homogeneity q: the least
     prime p = 1 (mod q) admitting a thin r, with the least such r."""
-    if not _is_prime(q) or q <= 2:
+    if not _is_prime(q, "q") or q <= 2:
         return None
     p = q + 1
     while p <= _PQ_SEARCH_LIMIT:
-        if p % q == 1 and _is_prime(p):
+        if p % q == 1 and _is_prime(p, "p"):
             thin_rs = [r for r in find_r(p, q) if pq_thin_predicate(p, q, r).yes]
             if thin_rs:
                 return PqCell(p * q, p, q, thin_rs[0])
@@ -285,7 +285,7 @@ def predicted_table(k_values, recompute=False, max_elements=None):
     for k in k_values:
         if k % 2 == 0 or k < 3:
             raise GroupError(f"k={k} must be odd and at least 3")
-        p3_size = k ** 3 if _is_prime(k) else None
+        p3_size = k ** 3 if _is_prime(k, "k") else None
         pq_cell = best_pq_cell(k)
         m = (k - 1) // 2
         if k <= 11:

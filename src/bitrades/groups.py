@@ -753,8 +753,36 @@ class DirectProductGroup(Group):
         return tuple(c.parse_element(p) for c, p in zip(self.components, parts))
 
 
-def _is_prime(n):
-    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+# Miller-Rabin on the prime bases up to 41 decides primality exactly below
+# this bound (Sorenson and Webster, 2015); a parameter this large names a
+# group far beyond any enumeration cap
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n, name="n"):
+    """Whether n is prime; a parameter ``name`` of 3.3e24 or more is refused."""
+    if n >= _PRIME_BOUND:
+        raise GroupError(f"{name}={n} is too large to enumerate")
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class HeisenbergGroup(Group):
@@ -770,7 +798,7 @@ class HeisenbergGroup(Group):
     kind = "heisenberg-p3"
 
     def __init__(self, p):
-        if p == 2 or not _is_prime(p):
+        if p == 2 or not _is_prime(p, "p"):
             raise GroupError("p must be an odd prime for the p^3 family")
         self.p = p
         self.spec = f"p3:{p}"
@@ -831,9 +859,9 @@ class MetacyclicGroup(Group):
     kind = "metacyclic-pq"
 
     def __init__(self, p, q, r):
-        if not _is_prime(p):
+        if not _is_prime(p, "p"):
             raise GroupError(f"p={p} must be prime")
-        if not _is_prime(q):
+        if not _is_prime(q, "q"):
             raise GroupError(f"q={q} must be prime")
         if q <= 2:
             raise GroupError(f"q={q} must be greater than 2")

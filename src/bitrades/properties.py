@@ -182,21 +182,7 @@ def is_primary(bitrade: Bitrade, definitional_cap=DEFAULT_PRIMARY_CAP) -> Proper
 # Both scans run on label positions (see PermutationTriple.coords): a cell is
 # a (row, column) position pair, and since positions follow the canonical
 # label order, the least violation over positions is the least over labels.
-
-def _symbol_classes(pt):
-    """Per symbol, the indices of the primary triples holding it."""
-    classes = [[] for _ in pt.alphabets[2]]
-    for x, s in enumerate(pt.coords[2]):
-        classes[s].append(x)
-    return classes
-
-
-def _mate_symbols(pt):
-    """Per primary triple x, the position of the mate symbol in its cell:
-    the mate triple there agrees with tau2(x) in column and symbol."""
-    syms = pt.coords[2]
-    return [syms[z] for z in pt.index_perms[1]]
-
+# The points are in cell order, so a later point never has a lesser cell.
 
 def _cell_witness(pt, violation):
     rows, cols = pt.alphabets[0], pt.alphabets[1]
@@ -206,44 +192,74 @@ def _cell_witness(pt, violation):
 
 def is_thin(bitrade: Bitrade) -> PropertyResult:
     """Whenever two cells of the trade hold the same symbol, the mate square
-    is undefined or holds that symbol at the two crossing cells."""
+    is undefined or holds that symbol at the two crossing cells.
+
+    Decided once per cell on the symbol sets R(r) of each row and C(c) of
+    each column.  Lemma: the cell (r, c) of primary triple x holds x's
+    symbol and its mate symbol, which differ (R1) and both lie in R(r) and
+    C(c) (R2/R3: the two squares have the same row-symbol and column-symbol
+    pairs), so |R(r) ∩ C(c)| >= 2.  Two cells (r, c') and (r', c) holding a
+    symbol s cross at (r, c), and s lies in R(r) ∩ C(c) without being the
+    symbol of (r, c), as row r holds s once (P1); thinness asks that it be
+    the mate symbol there.  Conversely a symbol of the meet lies in two
+    such cells.  So a violation is a third symbol in the meet of a filled
+    cell, and the bitrade is thin exactly when every meet has two.  Only a
+    "no" names its witness: the least violation, which lies in the first
+    row with a larger meet, built from that row's extra symbols."""
     started = time.monotonic()
     pt = bitrade.permutation_triple
     rows, cols, syms = pt.coords
-    nc = len(pt.alphabets[1])
-    at_cell = {r * nc + c: x for x, (r, c) in enumerate(zip(rows, cols))}
-    mate_sym = _mate_symbols(pt)
-    violations = []
-    for ts in _symbol_classes(pt):
-        for x in ts:
-            row = rows[x] * nc
-            sym = syms[x]
-            for y in ts:
-                if x == y:
-                    continue
-                crossing = at_cell.get(row + cols[y])
-                if crossing is not None and mate_sym[crossing] != sym:
-                    violations.append((rows[x], cols[x], rows[y], cols[y]))
-    if not violations:
+    row_syms = [set() for _ in pt.alphabets[0]]
+    col_syms = [[] for _ in pt.alphabets[1]]
+    for r, c, s in zip(rows, cols, syms):
+        row_syms[r].add(s)
+        col_syms[c].append(s)
+    meets = list(map(len, map(set.intersection, map(row_syms.__getitem__, rows),
+                              map(col_syms.__getitem__, cols))))
+    if min(meets) < 2:
+        raise ConsistencyError("a filled cell's row and column share fewer than two "
+                               "symbols, though they share its symbol and its mate symbol")
+    if max(meets) == 2:
         return _timed(started, "yes", "direct-scan")
+    r = min(rows[x] for x, k in enumerate(meets) if k > 2)
+    in_row = [x for x, row in enumerate(rows) if row == r]
+    col_of = {syms[x]: cols[x] for x in in_row}  # each symbol of row r, at its column
+    ns = len(pt.alphabets[2])
+    wanted = set(col_of.values())
+    row_of = {c * ns + s: row for row, c, s in zip(rows, cols, syms)
+              if c in wanted}  # (column, symbol) -> row, for the columns of row r
+    tau2 = pt.index_perms[1]
+    violations = []
+    for w in in_row:
+        c = cols[w]
+        own = (syms[w], syms[tau2[w]])
+        violations.extend((r, col_of[s], row_of[c * ns + s], c)
+                          for s in row_syms[r].intersection(col_syms[c]) if s not in own)
     return _timed(started, "no", "direct-scan", _cell_witness(pt, min(violations)))
 
 
 def is_orthogonal(bitrade: Bitrade) -> PropertyResult:
-    """Two cells with equal trade symbols never hold equal mate symbols."""
+    """Two cells with equal trade symbols never hold equal mate symbols:
+    the n (symbol, mate symbol) pairs, keyed as one int, are distinct.
+
+    The mate triple in the cell of primary triple x agrees with tau2(x) in
+    column and symbol (see ``core.mate_bijections``), so a cell's pair is
+    read off the structure; a repeated key is two cells with equal trade
+    and equal mate symbols."""
     started = time.monotonic()
     pt = bitrade.permutation_triple
-    rows, cols, _ = pt.coords
-    mate_sym = _mate_symbols(pt)
-    violations = []
-    for ts in _symbol_classes(pt):
-        for i, x in enumerate(ts):
-            for y in ts[i + 1:]:
-                if mate_sym[x] == mate_sym[y]:
-                    violations.append((rows[x], cols[x], rows[y], cols[y]))
-    if not violations:
+    rows, cols, syms = pt.coords
+    ns = len(pt.alphabets[2])
+    keys = [s * ns + syms[z] for s, z in zip(syms, pt.index_perms[1])]
+    if len(set(keys)) == len(keys):
         return _timed(started, "yes", "direct-scan")
-    return _timed(started, "no", "direct-scan", _cell_witness(pt, min(violations)))
+    classes = {}
+    for x, key in enumerate(keys):
+        classes.setdefault(key, []).append(x)
+    # in cell order, the least pair of a class is its first two points
+    x, y = min(xs[:2] for xs in classes.values() if len(xs) > 1)
+    return _timed(started, "no", "direct-scan",
+                  _cell_witness(pt, (rows[x], cols[x], rows[y], cols[y])))
 
 
 # ---------------------------------------------------------------------------

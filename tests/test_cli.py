@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,6 +13,12 @@ from bitrades.serialize import read_bitrade, write_bitrade
 
 from conftest import NONSEP_CIRC, NONSEP_STAR, TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR
 from bitrades.core import make_bitrade
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# a prime of 19 digits, and a cube root of unity modulo it
+HUGE_PRIME = 1000000000000000003
+HUGE_PRIME_CUBE_ROOT = 499999999500000001
 
 TABLE_GOLDEN = """\
 k   p3    pq                    alt         published  smallest known
@@ -51,6 +60,23 @@ class TestConstruct:
     def test_resource_cap_exits_3(self, capsys):
         assert main(["construct", "--family", "alt:m=4"]) == 3
         assert "3113510400" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", f"zp2:p={HUGE_PRIME}", "--enum-cap", "10"],
+        ["--family", f"pq:p={HUGE_PRIME},q=3,r=2", "--enum-cap", "10"],
+        ["--family", f"pq:p={HUGE_PRIME},q=3,r={HUGE_PRIME_CUBE_ROOT}", "--enum-cap", "10"],
+        ["--group", f"pq:{HUGE_PRIME},3,2", "--a", "(0,1)", "--b", "(1,0)", "--c", "(2,2)"],
+        ["--family", f"zp2:p={10 ** 25}"],
+    ], ids=["zp2", "pq-bad-r", "pq", "group-pq", "beyond-the-prime-test"])
+    def test_huge_prime_parameter_exits_at_once(self, argv):
+        # a separate process, so that a primality test that hangs fails
+        # the test instead of the run
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "bitrades.cli", "construct", *argv],
+                              capture_output=True, encoding="utf-8", timeout=20, env=env)
+        assert proc.returncode in (2, 3), proc.stderr
 
     @pytest.mark.parametrize("m", [20000, 10 ** 8])
     def test_huge_alt_family_exits_3_at_once(self, capsys, m):

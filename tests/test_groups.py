@@ -16,6 +16,7 @@ from bitrades.groups import (
     PermClosureGroup,
     Subgroup,
     SymmetricGroup,
+    _is_prime,
     group_from_spec,
     parse_permutation,
     perm_mul,
@@ -37,6 +38,31 @@ def power(G, g, k):
     for _ in range(k):
         acc = G.mul(acc, g)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# primality of family parameters
+
+class TestIsPrime:
+    def test_against_trial_division(self):
+        for n in range(-2, 5000):
+            assert _is_prime(n) == (n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1)))
+
+    @pytest.mark.parametrize("n,prime", [
+        (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5 and 7
+        (3825123056546413051, False),  # ... to every prime base up to 23
+        (399165290221 * 798330580441, False),  # ... up to 37; base 41 finds it
+        (1000000000000000003, True),
+        (2 ** 61 - 1, True),
+        (2 ** 61 + 1, False),
+    ])
+    def test_large_values(self, n, prime):
+        assert _is_prime(n) is prime
+
+    def test_beyond_the_exact_range_refused_by_name(self):
+        assert _is_prime(3317044064679887385961981 - 1, "p") is False  # still decided
+        with pytest.raises(GroupError, match=r"^p=3317044064679887385961981 is too large"):
+            _is_prime(3317044064679887385961981, "p")
 
 
 # ---------------------------------------------------------------------------

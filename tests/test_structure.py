@@ -784,7 +784,7 @@ class TestAgainstLabelPath:
 
 
 # ---------------------------------------------------------------------------
-# from_group takes Q1-Q3 on trust from G1-G2; the checker is its oracle
+# every construction proves Q1-Q3 of its structure; the checker is the oracle
 
 TRUSTED_SPECS = ("sym:3", "alt:4", "sym:4", "p3:3", "pq:7,3,2", "prod:cyc:3,cyc:3",
                  "gens:5:(1,2,3,4,5);(2,5)(3,4)")
@@ -819,13 +819,47 @@ def test_trust_stays_inside_the_group_builder(monkeypatch):
     monkeypatch.setattr(core, "_check_permutation_triple", counted)
     triple = group_triples("alt:4")[0]
     bitrade = from_group(triple.group, triple.a, triple.b, triple.c)
+    read = read_bitrade(bitrade_to_json(bitrade))
+    for built in (bitrade, read):  # every construction proved Q1-Q3 of its structure
+        pt = triple_permutations(built)
+        compute_report(built)
     assert len(calls) == 0
-    pt = triple_permutations(bitrade)
+    from_permutations(*pt.perms)  # permutations from outside are checked
     assert len(calls) == 1
-    from_permutations(*pt.perms)
-    assert len(calls) == 2
     validate_permutation_triple(*pt.perms, pt.points)
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the thin and orthogonal scans against the label oracles
+
+THIN_SPECS = ("p3:3", "pq:7,3,2", "prod:cyc:3,cyc:3")  # non-thin triples among these
+ORTHOGONAL_SPECS = ("sym:4", "alt:4", "gens:5:(1,2,3,4,5);(2,5)(3,4)")  # non-orthogonal
+
+
+def group_bitrades(specs):
+    return st.sampled_from(specs).flatmap(
+        lambda spec: st.sampled_from(group_triples(spec))).map(
+        lambda t: from_group(t.group, t.a, t.b, t.c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(group_bitrades(THIN_SPECS + ORTHOGONAL_SPECS), latin_differences(),
+                 latin_differences().map(
+                     lambda bt: from_permutations(*oracle_triple_permutations(bt)[1]))))
+def test_thin_and_orthogonal_against_the_oracles(bitrade):
+    thin = is_thin(bitrade)
+    assert (thin.value, thin.witness) == oracle_thin(bitrade)
+    orthogonal = is_orthogonal(bitrade)
+    assert (orthogonal.value, orthogonal.witness) == oracle_orthogonal(bitrade)
+
+
+@pytest.mark.parametrize("spec,check", [(spec, is_thin) for spec in THIN_SPECS]
+                         + [(spec, is_orthogonal) for spec in ORTHOGONAL_SPECS])
+def test_each_group_reaches_a_no(spec, check):
+    # the oracle test above meets both verdicts of both scans
+    assert any(check(from_group(t.group, t.a, t.b, t.c)).value == "no"
+               for t in group_triples(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -939,8 +973,23 @@ def _group_bitrade():
 ], ids=["make_bitrade", "from_group", "from_permutations", "read_bitrade"])
 def test_no_label_triple_held_until_read(build):
     bitrade = build()
-    compute_report(bitrade)  # Q1-Q3 and every scan
+    compute_report(bitrade)  # the cycle walk and every scan
     bitrade_to_json(bitrade)
     assert held_label_triples(bitrade) == []
     circ = bitrade.t_circ.triples
     assert set(held_label_triples(bitrade)) == circ  # the points, now kept
+
+
+# ---------------------------------------------------------------------------
+# the Q1-Q3 checker against every construction
+
+@settings(max_examples=200, deadline=None)
+@given(bitrades_and_label_squares().map(lambda case: case[0])
+       | group_bitrades(TRUSTED_SPECS))
+def test_every_built_structure_passes_the_full_check(bitrade):
+    # documents (make_bitrade), permutations and groups: the cycle walk a
+    # report runs finds what the full Q1-Q3 check finds, and the check passes
+    pt = bitrade.permutation_triple
+    checked = core._check_permutation_triple(pt.index_perms, pt)  # raises on a failure
+    assert checked == core._walk_cycles(pt.index_perms, pt)
+    assert (pt.index_cycles, pt.cycle_of) == checked
