@@ -63,9 +63,7 @@ def cmd_construct(args) -> int:
         print("construct needs exactly one of --family or --group", file=sys.stderr)
         return 2
     if args.family:
-        instance = family_from_spec(args.family, cap)
-        bitrade = instance.bitrade()
-        orders = instance.triple.orders
+        bitrade = family_from_spec(args.family, cap).bitrade()
     else:
         group = group_from_spec(args.group, cap)
         missing = [name for name in ("a", "b", "c") if getattr(args, name) is None]
@@ -76,12 +74,12 @@ def cmd_construct(args) -> int:
         b = group.parse_element(args.b)
         c = group.parse_element(args.c)
         bitrade = from_group(group, a, b, c)
-        orders = tuple(group.element_order(g) for g in (a, b, c))
     text = render_bitrade(bitrade) if args.format == "text" else bitrade_to_json(bitrade)
     _emit(text, args.output)
-    k = orders[0] if orders[0] == orders[1] == orders[2] else "-"
-    print(f"size={bitrade.size} rows={len(bitrade.rows)} cols={len(bitrade.cols)} "
-          f"syms={len(bitrade.syms)} k={k}", file=sys.stderr)
+    # a coset bitrade has |G:A| rows of |A| entries: equal orders, equal alphabets
+    rows, cols, syms = map(len, bitrade.alphabets)
+    k = bitrade.size // rows if rows == cols == syms else "-"
+    print(f"size={bitrade.size} rows={rows} cols={cols} syms={syms} k={k}", file=sys.stderr)
     return 0
 
 

@@ -28,10 +28,11 @@ Conversely every bitrade has a permutation structure: three permutations
 tau1, tau2, tau3 of its primary triples satisfying Q1-Q3, the i-th fixing
 coordinate i.  With the alphabets it fixes both squares, so a ``Bitrade``
 stores each label once, in its alphabet, and the structure on integer
-indices; both squares are views.  The two constructions take the
-structure straight from their permutations (tau_i is the i-th permutation,
-reindexed), whose Q1-Q3 ``from_permutations`` checks and ``from_group``
-takes from G1-G2.  ``make_bitrade`` validates documents and explicit
+indices; both squares are views.  The two constructions end in one
+builder, which labels the cycles of their permutations from one walk
+(``groups.CosetWalk``) and takes tau_i as the i-th permutation, reindexed;
+``from_permutations`` checks their Q1-Q3 and ``from_group`` takes them
+from G1-G2.  ``make_bitrade`` validates documents and explicit
 triples in one integer pass that checks both squares and builds the
 structure, whose Q1-Q3 follow from P1 and R1-R3; label code (``make_pls``,
 ``check_bitrade_conditions``) runs only to name a rejection.  So every
@@ -49,7 +50,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import ConsistencyError, GroupError, ValidationError
-from .groups import Group
+from .groups import CosetWalk, Group
 
 _COORD_NAMES = ("row", "column", "symbol")
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -418,12 +419,11 @@ class PermutationTriple:
     point x; ``index_cycles[i]`` lists the cycles of the i-th permutation as
     index lists, each starting at its least index and in ascending order of
     it; and ``cycle_of[i][x]`` is the number of the cycle through point x.
-    The cycles are found on first access by one walk, which checks Q2.
-    For a bitrade (``coords`` given) that is all: its construction proved
-    Q1-Q3 (``from_permutations`` on its input, ``from_group`` by the
-    construction theorem from G1-G2, ``make_bitrade`` from P1 and R1-R3,
-    see ``_pair_structure``).  A bare point set
-    (``validate_permutation_triple``) gets the full Q1-Q3 check.
+    The cycles are found on first access by one walk, which checks Q2;
+    that is all, because every builder proved Q1-Q3 (``from_permutations``
+    on its input, ``from_group`` by the construction theorem from G1-G2,
+    ``make_bitrade`` from P1 and R1-R3, see ``_pair_structure``), and
+    ``validate_permutation_triple`` stores the cycles of its full check.
     ``perms`` (dicts over the points) and ``cycles`` (point tuples) are
     the same permutations in terms of the points, built on first access.
 
@@ -453,9 +453,7 @@ class PermutationTriple:
 
     @cached_property
     def _cycles(self):
-        if self.coords is None:  # a bare point set: Q1-Q3 are checked here
-            return _check_permutation_triple(self.index_perms, self.points)
-        return _walk_cycles(self.index_perms, self)  # a bitrade's construction proved Q1-Q3
+        return _walk_cycles(self.index_perms, self)  # its construction proved Q1-Q3
 
     @property
     def index_cycles(self):
@@ -557,40 +555,30 @@ def _check_permutation_triple(perms, points):
 def validate_permutation_triple(p1, p2, p3, points):
     """Check that three dict permutations of ``points`` satisfy Q1-Q3."""
     points = tuple(points)
-    pt = PermutationTriple(tuple(_index_permutations((p1, p2, p3), points)), points=points)
-    pt.index_cycles  # finding the cycles checks Q1-Q3
+    perms = tuple(_index_permutations((p1, p2, p3), points))
+    pt = PermutationTriple(perms, points=points)
+    pt._cycles = _check_permutation_triple(perms, points)
     return pt
 
 
-def _bitrade_of_permutations(perms, cycles, cycle_of, tags, strs, provenance):
-    """The bitrade of three permutations satisfying Q1-Q3, given as index
-    lists into the points in canonical order, and their checked cycles
-    (``_check_permutation_triple``).  ``from_group`` labels the same way
-    from the cosets in the group's memo.
+def _bitrade_of_walks(perms, walks, tags, provenance):
+    """The bitrade of three index permutations satisfying Q1-Q3 and their
+    walks (``CosetWalk``), which both constructions end in.
 
     Rows, columns and symbols are the cycles of the three permutations,
-    labelled ``tag:`` plus the string of the least point of the cycle
-    (``strs`` maps a list of indices to the strings of those points), and
-    declared in cycle order.  Each point x is the primary triple of the
-    cycles through x; the mate triple in its cell is the row and column of
-    x with the symbol of q2(x).  So the permutation structure is q1-q3
+    labelled ``tag:`` plus the name of the cycle's least point and declared
+    in cycle order.  Each point x is the primary triple of the cycles
+    through x; the mate triple in its cell is the row and column of x with
+    the symbol of q2(x).  So the permutation structure is q1-q3
     themselves, reindexed into the canonical order of the primary triples.
     Q1-Q3 and distinct cycle labels are the whole validation: the result
-    has size |X|, and ``make_bitrade`` (which validates documents and
-    explicit triples) is not involved.
+    has size |X|, and ``make_bitrade`` is not involved.
     """
-    _check_nonempty(perms[0])
-    declared, ranked, coords = [], [], []
-    for i, (tag, cyc, of) in enumerate(zip(tags, cycles, cycle_of)):
-        names = [f"{tag}:{name}" for name in strs([c[0] for c in cyc])]
+    declared, ranked = zip(*(w.labels(tag) for w, tag in zip(walks, tags)))
+    for i, names in enumerate(declared):
         _check_distinct(names, i)  # two points may format alike
-        declared.append(tuple(names))
-        ranked.append(tuple(sorted(names)))  # str labels: _sort_key order is plain order
-        rank_of = {name: r for r, name in enumerate(ranked[-1])}
-        rank = [rank_of[name] for name in names]
-        coords.append([rank[k] for k in of])
-    return Bitrade(tuple(declared), _canonical_structure(tuple(ranked), coords, perms),
-                   dict(provenance))
+    return Bitrade(declared, _canonical_structure(ranked, [w.rank for w in walks], perms),
+                   provenance)
 
 
 def mate_bijections(bitrade):
@@ -641,9 +629,14 @@ def from_permutations(p1, p2, p3, points=None):
     """
     points = canonical_sorted(p1.keys() if points is None else points)
     perms = _index_permutations((p1, p2, p3), points)
-    return _bitrade_of_permutations(
-        perms, *_check_permutation_triple(perms, points), _CYCLE_TAGS,
-        lambda idx: [point_str(points[i]) for i in idx], {"kind": "from-perms"})
+    _check_permutation_triple(perms, points)
+    _check_nonempty(points)  # before the walks, which start at point 0
+
+    def strs(indices):
+        return [point_str(points[i]) for i in indices]
+
+    walks = [CosetWalk(q, strs, 0) for q in perms]
+    return _bitrade_of_walks(perms, walks, _CYCLE_TAGS, {"kind": "from-perms"})
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +647,8 @@ _GROUP_TAGS = ("A", "B", "C")
 
 class GroupTriple:
     """Elements a, b, c of a finite group with abc = 1 and pairwise trivially
-    intersecting cyclic subgroups (conditions G1 and G2), plus the optional
-    generation condition G3.
+    intersecting cyclic subgroups (conditions G1 and G2).  The optional
+    generation condition G3 is read off the bitrade (``properties._orbit``).
 
     Both conditions are decided on element indices: abc = 1 by the right
     translations, G2 on the power sets of the three coset walks
@@ -693,24 +686,8 @@ class GroupTriple:
                 raise ValidationError("G2", f"{name}={size}")
 
     @property
-    def A(self):
-        return self.group.generated_subgroup(self.a)
-
-    @property
-    def B(self):
-        return self.group.generated_subgroup(self.b)
-
-    @property
-    def C(self):
-        return self.group.generated_subgroup(self.c)
-
-    @property
     def orders(self):
         return tuple(len(w.powers) for w in self.walks)
-
-    def satisfies_g3(self):
-        """Whether a, b, c generate the whole group."""
-        return len(self.group.closure([self.a, self.b, self.c])) == self.group.order()
 
     def element_strs(self):
         """The strings of a, b and c, from the group's memo."""
@@ -744,18 +721,13 @@ def from_group(group, a, b, c, *, provenance=None):
     cosets once, and a bitrade costs only the reindexing into canonical
     order (``_canonical_structure``).
     """
-    triple = a if isinstance(a, GroupTriple) else GroupTriple(group, a, b, c)
-    group = triple.group
+    triple = GroupTriple(group, a, b, c)
     astr, bstr, cstr = triple.element_strs()
     prov = {"kind": "from-group", "group": group.spec, "a": astr, "b": bstr, "c": cstr}
     if provenance:
         prov.update(provenance)
-    declared, ranked = zip(*(w.labels(tag) for w, tag in zip(triple.walks, _GROUP_TAGS)))
-    for i, names in enumerate(declared):
-        _check_distinct(names, i)  # two elements may format alike
-    perms = group.right_translations((triple.a, triple.b, triple.c))
-    return Bitrade(declared, _canonical_structure(ranked, [w.rank for w in triple.walks],
-                                                  perms), prov)
+    return _bitrade_of_walks(group.right_translations((a, b, c)), triple.walks,
+                             _GROUP_TAGS, prov)
 
 
 # ---------------------------------------------------------------------------

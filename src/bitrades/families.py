@@ -35,6 +35,7 @@ from .groups import (
     parse_permutation,
 )
 from .properties import (
+    _orbit,
     group_orthogonal_criterion,
     group_thin_criterion,
     homogeneity,
@@ -107,14 +108,19 @@ def family_pq(p, q, r, max_elements=None) -> FamilyInstance:
 
 
 def find_r(p, q):
-    """All r in 2..p-1 with r^q = 1 (mod p), ascending."""
+    """All r in 2..p-1 with r^q = 1 (mod p), ascending: the units mod p
+    form a cyclic group, so these are the powers y^1..y^(q-1) of any
+    y = x^((p-1)/q) other than 1."""
     if not _is_prime(p, "p"):
         raise GroupError(f"p={p} must be prime")
     if not _is_prime(q, "q"):
         raise GroupError(f"q={q} must be prime")
     if (p - 1) % q != 0:
         raise GroupError(f"q={q} does not divide p-1={p - 1}")
-    return [r for r in range(2, p) if pow(r, q, p) == 1]
+    x = 2
+    while (y := pow(x, (p - 1) // q, p)) == 1:
+        x += 1
+    return sorted(pow(y, j, p) for j in range(1, q))
 
 
 def alt_generators(m):
@@ -278,8 +284,8 @@ def predicted_table(k_values, recompute=False, max_elements=None):
     the alternating family, and the published reference values (k <= 11).
     With ``recompute``, every cell whose group fits in ``RECOMPUTE_CAP`` is
     rebuilt with enumeration cap ``max_elements`` and verified: measured size
-    and homogeneity must match, and the group criteria must certify thin,
-    orthogonal, and primary.
+    and homogeneity must match, the group criteria must certify thin and
+    orthogonal, and the bitrade's orbit primary (G3, as in ``search``).
     """
     rows = []
     for k in k_values:
@@ -318,4 +324,4 @@ def _verify_instance(instance: FamilyInstance):
             and homogeneity(bitrade).value == spec.k
             and group_thin_criterion(instance.triple).yes == spec.thin
             and group_orthogonal_criterion(instance.triple).yes == spec.orthogonal
-            and instance.triple.satisfies_g3())
+            and len(_orbit(bitrade.permutation_triple)) == bitrade.size)  # G3

@@ -219,15 +219,18 @@ class Coset:
 # groups
 
 class CosetWalk:
-    """The walk of the right translation x -> xg of the element indices,
-    for one element g; its cycles are the left cosets x<g>.
+    """The walk of an index permutation q: its cycles, each named by
+    ``strs`` (of a list of indices) at its least index.  The cycles of a
+    right translation x -> xg (``Group.coset_walk``) are the left cosets
+    x<g>; ``from_permutations`` walks its permutations with point strings.
 
-    * ``powers``: the cycle through the identity, the power list of <g>
-      (identity, g, g^2, ...) as indices; ``members``: the same as a set.
-    * ``names``: each coset named by the string of its least element,
-      cosets in order of their least index (declared order); ``order``:
-      the coset numbers in order of their names.
-    * ``rank``: per index, the position of its coset's name in name order,
+    * ``powers``: the cycle through index ``start``, from it; from the
+      identity, the power list of <g> (identity, g, g^2, ...);
+      ``members``: the same as a set.
+    * ``names``: ``strs`` of each cycle's least index, cycles in order of
+      it (declared order); ``order``: the cycle numbers in order of their
+      names.
+    * ``rank``: per index, the position of its cycle's name in name order,
       as an ``array('i')``.
     * ``labels(tag)`` and ``escaped(tag)``: the names prefixed with
       ``tag:``, and their JSON strings, each made on first use per tag.
@@ -235,26 +238,26 @@ class CosetWalk:
 
     __slots__ = ("powers", "members", "names", "order", "rank", "_labels", "_escaped")
 
-    def __init__(self, group, q, identity):
-        powers = [identity]
-        x = q[identity]
-        while x != identity:
+    def __init__(self, q, strs, start):
+        powers = [start]
+        x = q[start]
+        while x != start:
             powers.append(x)
             x = q[x]
         self.powers = tuple(powers)
         self.members = frozenset(powers)
         coset = [-1] * len(q)
         reps = []
-        for start, k in enumerate(coset):  # reads each entry after the walks before it
+        for least, k in enumerate(coset):  # reads each entry after the walks before it
             if k < 0:
                 k = len(reps)
-                reps.append(start)
-                coset[start] = k
-                x = q[start]
-                while x != start:
+                reps.append(least)
+                coset[least] = k
+                x = q[least]
+                while x != least:
                     coset[x] = k
                     x = q[x]
-        self.names = tuple(group.element_strs(reps))
+        self.names = tuple(strs(reps))
         self.order = array("i", sorted(range(len(reps)), key=self.names.__getitem__))
         rank = [0] * len(reps)
         for r, k in enumerate(self.order):
@@ -416,7 +419,7 @@ class Group:
         walks = self._memo().walks
         out = walks.get(g)
         if out is None:
-            out = walks[g] = CosetWalk(self, self.right_translation(g),
+            out = walks[g] = CosetWalk(self.right_translation(g), self.element_strs,
                                        bisect.bisect_left(self.elements(), self.identity))
         return out
 

@@ -47,6 +47,17 @@ class TestConstruct:
         assert code == 0
         assert read_bitrade(out).size == 6
 
+    @pytest.mark.parametrize("argv, summary", [
+        (["--group", "sym:4", "--a", "(3,4)", "--b", "(2,3)", "--c", "(2,4,3)"],
+         "size=24 rows=12 cols=12 syms=8 k=-"),
+        (["--family", "zp2:p=3"], "size=9 rows=3 cols=3 syms=3 k=3"),
+        (["--family", "pq:p=7,q=3,r=2"], "size=21 rows=7 cols=7 syms=7 k=3"),
+    ])
+    def test_summary_line(self, tmp_path, capsys, argv, summary):
+        # k is the common order of a, b and c, or - when they differ
+        assert main(["construct", *argv, "-o", str(tmp_path / "t.json")]) == 0
+        assert capsys.readouterr().err == summary + "\n"
+
     def test_g1_violation_exits_2(self, capsys):
         code = main(["construct", "--group", "sym:3", "--a", "(1,2,3)",
                      "--b", "(1,2)", "--c", "(1,3)"])

@@ -274,6 +274,12 @@ class TestFromPermutations:
             from_permutations(p, dict(p), dict(p))
         assert err.value.condition == "Q1"
 
+    def test_empty_input_violates_p2(self):
+        # the P2 check comes before the cycle walks, which start at a point
+        with pytest.raises(ValidationError) as err:
+            from_permutations({}, {}, {})
+        assert err.value.condition == "P2"
+
     def test_q2_violation_reported(self):
         points = [1, 2, 3, 4]
         p1 = perm_from_cycles([(1, 2)], points)  # fixes 3 and 4
@@ -357,18 +363,19 @@ def coset_oracle(G, triple):
     """The coset bitrade computed from its definition: the filled cells are
     the coset pairs (xA, yB) meeting in one element g, with symbol gC in
     the primary square and g a^-1 C in the mate."""
+    A, B, C = map(G.generated_subgroup, (triple.a, triple.b, triple.c))
     a_inv = G.inverse(triple.a)
     circ = set()
     star = set()
-    for ca in G.left_cosets(triple.A):
-        for cb in G.left_cosets(triple.B):
+    for ca in G.left_cosets(A):
+        for cb in G.left_cosets(B):
             common = set(ca.elements()) & set(cb.elements())
             if len(common) == 1:
                 g = common.pop()
                 row = f"A:{G.element_str(ca.rep)}"
                 col = f"B:{G.element_str(cb.rep)}"
                 for square, h in ((circ, g), (star, G.mul(g, a_inv))):
-                    rep = min(G.mul(h, x) for x in triple.C.elements)
+                    rep = min(G.mul(h, x) for x in C.elements)
                     square.add((row, col, f"C:{G.element_str(rep)}"))
     return circ, star
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from bitrades.errors import GroupError, ResourceCapError
@@ -13,7 +18,7 @@ from bitrades.families import (
     find_r,
     predicted_table,
 )
-from bitrades.groups import parse_permutation
+from bitrades.groups import _is_prime, parse_permutation
 from bitrades.properties import (
     group_orthogonal_criterion,
     group_thin_criterion,
@@ -111,6 +116,24 @@ class TestFindR:
     def test_all_values_satisfy_congruence(self):
         for r in find_r(67, 11):
             assert pow(r, 11, 67) == 1
+
+    def test_against_brute_force(self):
+        for p in filter(_is_prime, range(3, 400)):
+            for q in filter(_is_prime, range(2, p)):
+                if (p - 1) % q == 0:
+                    assert find_r(p, q) == [r for r in range(2, p) if pow(r, q, p) == 1]
+
+    def test_large_prime_returns_at_once(self):
+        # a separate process, so that a loop over 2..p-1 fails the test
+        # instead of hanging the run
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from bitrades.families import find_r; print(find_r(1000000000000000003, 3))"],
+            capture_output=True, encoding="utf-8", timeout=20, env=env)
+        assert proc.stdout == "[499999999500000001, 500000000500000001]\n", proc.stderr
 
 
 class TestAlt:

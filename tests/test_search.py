@@ -13,9 +13,12 @@ from bitrades.core import (
     make_bitrade,
     triple_permutations,
 )
+from bitrades import families
 from bitrades.errors import ResourceCapError, ValidationError
+from bitrades.families import predicted_table
 from bitrades.groups import Subgroup, group_from_spec, parse_permutation
 from bitrades.properties import (
+    _orbit,
     _sort_key,
     group_orthogonal_criterion,
     group_thin_criterion,
@@ -147,11 +150,30 @@ def test_records_against_the_oracles(spec):
     records = search_triples(G, checks=())
     assert [(r.a, r.b, r.c) for r in records] == [t.element_strs() for t in triples]
     for triple, record in zip(triples, records):
-        assert record.g3 == triple.satisfies_g3()
+        assert record.g3 == (len(G.closure([triple.a, triple.b, triple.c])) == G.order())
         bitrade = from_group(G, triple.a, triple.b, triple.c)
         assert record.signature == oracle_signature(bitrade)
     if spec == "alt:4":
         assert (len(records), sum(not r.g3 for r in records)) == (102, 6)
+
+
+def test_table_instances_g3_against_the_closure(monkeypatch):
+    # table --recompute reads G3 off the orbit of each instance it verifies
+    instances = []
+    verify = families._verify_instance
+
+    def recorded(instance):
+        instances.append(instance)
+        return verify(instance)
+
+    monkeypatch.setattr(families, "_verify_instance", recorded)
+    predicted_table([3, 5, 7, 9, 11], recompute=True)
+    assert len(instances) == 10  # p3 and pq at k = 3, 5, 7, 11; alt at k = 3, 5
+    for instance in instances:
+        t, bitrade = instance.triple, instance.bitrade()
+        closure = len(t.group.closure([t.a, t.b, t.c])) == t.group.order()
+        assert (len(_orbit(bitrade.permutation_triple)) == bitrade.size) == closure
+        assert closure  # every family triple generates its group
 
 
 def relabel(triples, form):

@@ -801,11 +801,8 @@ def test_group_triples_pass_the_full_check(triple):
     checked = core._check_permutation_triple(perms, els)  # raises on a Q1-Q3 failure
     assert checked == core._walk_cycles(perms, els)
     direct = from_group(G, triple.a, triple.b, triple.c)
-    oracle = core._bitrade_of_permutations(perms, *checked, "ABC", G.element_strs,
-                                           direct.provenance)
-    assert direct == oracle
-    mine, ref = direct.permutation_triple, oracle.permutation_triple
-    assert (mine.index_perms, mine.coords) == (ref.index_perms, ref.coords)
+    oracle = label_path_bitrade(perms, els, "ABC", G.element_str, direct.provenance)
+    assert_same_bitrade(direct, oracle)
 
 
 def test_trust_stays_inside_the_group_builder(monkeypatch):
