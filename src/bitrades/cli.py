@@ -11,6 +11,7 @@ enumeration cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,15 +27,15 @@ from .errors import (
 from .families import family_from_spec, predicted_table
 from .groups import group_from_spec
 from .properties import (
+    DEFAULT_CHECKS,
     DEFAULT_MINIMAL_CAP,
     DEFAULT_PRIMARY_CAP,
+    check_names,
     compute_report,
     report_to_json,
 )
 from .search import DEFAULT_SEARCH_CAP, search_triples
 from .serialize import bitrade_to_json, read_bitrade, render_bitrade
-
-DEFAULT_CHECKS = "bitrade,separated,primary,thin,orthogonal,homogeneous"
 
 
 def _enum_cap(args):
@@ -95,6 +96,7 @@ def _render_report(report):
 
 def cmd_verify(args) -> int:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    check_names(checks)
     try:
         bitrade = read_bitrade(args.input)
     except ValidationError as err:
@@ -105,7 +107,7 @@ def cmd_verify(args) -> int:
         _emit(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n", args.output)
         print(f"invalid bitrade: {err}", file=sys.stderr)
         return 1
-    report = compute_report(bitrade, [c for c in checks],
+    report = compute_report(bitrade, checks,
                             minimal_cap=args.oracle_cap, primary_cap=args.primary_cap)
     if args.format == "text":
         _emit(_render_report(report), args.output)
@@ -163,20 +165,8 @@ def render_table(rows, recompute=False) -> str:
 
 
 def _table_json(rows) -> str:
-    payload = []
-    for row in rows:
-        payload.append({
-            "k": row.k,
-            "p3": row.p3,
-            "pq": None if row.pq is None else
-                {"size": row.pq.size, "p": row.pq.p, "q": row.pq.q, "r": row.pq.r},
-            "alt": row.alt,
-            "alt_display": row.alt_display,
-            "published": row.published,
-            "smallest_known": row.smallest_known,
-            "verified": row.verified,
-        })
-    return json.dumps({"rows": payload}, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"rows": [dataclasses.asdict(row) for row in rows]},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def cmd_table(args) -> int:
@@ -195,12 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "decide their properties.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="json"):
+    def common(p, fmt=None, enum_cap=True):
         p.add_argument("-o", "--output", help="write output to this path")
-        p.add_argument("--format", choices=("json", "text"), default=fmt_default)
-        p.add_argument("--enum-cap", type=int, default=None,
-                       help="cap on materialized group size "
-                            "(default 5000000, env BITRADE_MAX_ELEMENTS)")
+        if fmt:
+            p.add_argument("--format", choices=("json", "text"), default=fmt)
+        if enum_cap:
+            p.add_argument("--enum-cap", type=int, default=None,
+                           help="cap on materialized group size "
+                                "(default 5000000, env BITRADE_MAX_ELEMENTS)")
 
     p = sub.add_parser("construct", help="build a bitrade from a family or group triple")
     p.add_argument("--family", help="family spec, e.g. p3:p=5 or alt:m=2")
@@ -208,18 +200,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", help="first element (cycle notation or exponent tuple)")
     p.add_argument("--b", help="second element")
     p.add_argument("--c", help="third element; abc must be the identity")
-    common(p)
+    common(p, fmt="json")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check a bitrade document's properties")
     p.add_argument("input", help="path to a bitrade JSON document")
-    p.add_argument("--checks", default=DEFAULT_CHECKS,
-                   help=f"comma list of checks (default {DEFAULT_CHECKS})")
+    p.add_argument("--checks", default=",".join(DEFAULT_CHECKS),
+                   help="comma list of checks (default %(default)s)")
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_MINIMAL_CAP,
                    help="size cap for the minimality oracle")
     p.add_argument("--primary-cap", type=int, default=DEFAULT_PRIMARY_CAP,
                    help="size cap for the definitional primality search")
-    common(p)
+    common(p, fmt="json", enum_cap=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="enumerate admissible (a, b, c) triples")
@@ -238,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="3,5,7,9,11", help="comma list of odd k values")
     p.add_argument("--recompute", action="store_true",
                    help="rebuild and verify every cell within the cap")
-    common(p, fmt_default="text")
+    common(p, fmt="text")
     p.set_defaults(func=cmd_table)
 
     return parser

@@ -30,7 +30,7 @@ import math
 from array import array
 from json.encoder import encode_basestring_ascii as escape
 
-from .errors import ConsistencyError, GroupError, ParseError, ResourceCapError
+from .errors import GroupError, ParseError, ResourceCapError
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
@@ -286,13 +286,12 @@ class CosetWalk:
 class _ElementMemo:
     """What a group has computed about its elements, each part on first use:
     the index of every element in ``elements()``, the strings of the
-    elements asked for (None elsewhere), and the cyclic subgroup, right
-    translation and coset walk of each element asked for."""
+    elements asked for (None elsewhere), and the right translation and
+    coset walk of each element asked for."""
 
     def __init__(self, n):
         self.index = None
         self.strs = [None] * n
-        self.subgroups = {}
         self.translations = {}
         self.walks = {}
 
@@ -306,14 +305,13 @@ class Group:
 
     A group keeps one memo of what it computes about its own elements,
     each part filled on first use and kept for the group's life: the index
-    of every element in ``elements()``, element strings, the cyclic
-    subgroup of each generator, each right translation x -> xg as an
-    ``array('i')`` over those indices, and the walk of each translation
-    (``CosetWalk``: the powers of g and the left cosets of <g> as indices,
-    their coset ranks and names, and the tagged and escaped names).  Like
-    ``elements()``, every accessor of the memo checks the enumeration cap on
-    every call, so a group whose ``max_elements`` is lowered below its order
-    refuses all of them.
+    of every element in ``elements()``, element strings, each right
+    translation x -> xg as an ``array('i')`` over those indices, and the
+    walk of each translation (``CosetWalk``: the powers of g and the left
+    cosets of <g> as indices, their coset ranks and names, and the tagged
+    and escaped names).  Like ``elements()``, every accessor of the memo
+    checks the enumeration cap on every call, so a group whose
+    ``max_elements`` is lowered below its order refuses all of them.
     """
 
     kind = "abstract"
@@ -394,12 +392,9 @@ class Group:
         return [strs[i] for i in indices]
 
     def generated_subgroup(self, g):
-        """The cyclic subgroup <g>, built once per g."""
-        subgroups = self._memo().subgroups
-        out = subgroups.get(g)
-        if out is None:
-            out = subgroups[g] = Subgroup(self, g)
-        return out
+        """The cyclic subgroup <g>; the enumeration cap is checked first."""
+        self.check_enumerable()
+        return Subgroup(self, g)
 
     def right_translation(self, g):
         """The permutation x -> xg of the element indices, built once per g."""
@@ -477,16 +472,6 @@ class Group:
             reps.append(min(members))
             seen.update(members)
         return [Coset(subgroup, rep) for rep in sorted(reps)]
-
-    def conjugate_subgroup(self, subgroup, a):
-        """The subgroup a^-1 <g> a, generated by the conjugated generator."""
-        a_inv = self.inverse(a)
-        conj_gen = self.mul(self.mul(a_inv, subgroup.generator), a)
-        out = Subgroup(self, conj_gen)
-        if len(out) != len(subgroup):
-            raise ConsistencyError(
-                f"the conjugate of a subgroup of order {len(subgroup)} has order {len(out)}")
-        return out
 
     def center(self):
         """All elements commuting with every element (brute-force scan)."""

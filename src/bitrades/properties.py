@@ -468,15 +468,23 @@ def check_thin_primary_minimal(bitrade: Bitrade, cap=DEFAULT_MINIMAL_CAP):
     thin = is_thin(bitrade)
     primary = is_primary(bitrade)
     report = {"thin": thin, "primary": primary, "applicable": False, "minimal": None}
-    if not (thin.yes and primary.yes) or bitrade.size > cap:
-        return report
-    report["applicable"] = True
-    minimal = is_minimal(bitrade, cap)
-    report["minimal"] = minimal
-    if minimal.value != "yes":
+    if thin.yes and primary.yes and bitrade.size <= cap:
+        report["applicable"] = True
+        report["minimal"] = is_minimal(bitrade, cap)
+        _check_minimal(report)
+    return report
+
+
+def _check_minimal(report):
+    """Thin and primary force minimality: a report holding all three, with
+    minimality decided, must not answer "no" to it."""
+    minimal = report.get("minimal")
+    if minimal is None or minimal.value != "no":
+        return
+    thin, primary = report.get("thin"), report.get("primary")
+    if thin and primary and thin.yes and primary.yes:
         raise ConsistencyError(
             f"thin and primary bitrade judged non-minimal: {minimal.witness}")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -484,17 +492,30 @@ def check_thin_primary_minimal(bitrade: Bitrade, cap=DEFAULT_MINIMAL_CAP):
 
 ALL_CHECKS = ("bitrade", "separated", "primary", "thin", "orthogonal",
               "homogeneous", "minimal")
+DEFAULT_CHECKS = ALL_CHECKS[:-1]
+
+
+def check_names(checks):
+    """Raise ValueError on the first name that is not a check."""
+    for check in checks:
+        if check not in ALL_CHECKS:
+            raise ValueError(f"unknown check {check!r}")
 
 
 def compute_report(bitrade: Bitrade, checks=None, *,
                    minimal_cap=DEFAULT_MINIMAL_CAP,
                    primary_cap=DEFAULT_PRIMARY_CAP):
-    """Run the requested property checks on a validated bitrade.
+    """Run the requested property checks (``DEFAULT_CHECKS`` if none) on a
+    validated bitrade.
 
     The "bitrade" check is implicit (the input is already validated); the
-    report maps check names to PropertyResult values.
+    report maps result keys to PropertyResult values, each check under its
+    name except "homogeneous", which is "homogeneous_k".  Unknown names are
+    refused before any check runs.  A report that decides thin, primary
+    and minimal checks that thin and primary imply minimal.
     """
-    checks = list(checks) if checks else [c for c in ALL_CHECKS if c != "minimal"]
+    checks = list(checks or DEFAULT_CHECKS)
+    check_names(checks)
     report = {}
     for check in checks:
         if check == "bitrade":
@@ -511,9 +532,18 @@ def compute_report(bitrade: Bitrade, checks=None, *,
             report["homogeneous_k"] = homogeneity(bitrade)
         elif check == "minimal":
             report["minimal"] = is_minimal(bitrade, minimal_cap)
-        else:
-            raise ValueError(f"unknown check {check!r}")
+    _check_minimal(report)
     return report
+
+
+def check_group_criteria(triple: GroupTriple, report):
+    """Decide again by its group criterion each of thin and orthogonal that
+    ``report`` (of the bitrade of ``triple``) holds; a verdict that differs
+    from the report's raises ConsistencyError."""
+    for name, criterion in (("thin", group_thin_criterion),
+                            ("orthogonal", group_orthogonal_criterion)):
+        if name in report and report[name].value != criterion(triple).value:
+            raise ConsistencyError(f"{name} criteria disagree on {triple}")
 
 
 def report_to_json(report):

@@ -7,16 +7,14 @@ import json
 from dataclasses import dataclass
 
 from .core import GroupTriple, from_group
-from .errors import ConsistencyError, ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError
 from .properties import (
     DEFAULT_MINIMAL_CAP,
     _orbit,
+    check_group_criteria,
+    check_names,
     compute_report,
-    group_orthogonal_criterion,
-    group_thin_criterion,
     homogeneity,
-    is_orthogonal,
-    is_thin,
 )
 from .serialize import _compact_chunks
 
@@ -89,15 +87,17 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
                    search_cap=DEFAULT_SEARCH_CAP, minimal_cap=DEFAULT_MINIMAL_CAP):
     """Search records for every admissible triple, in canonical order.
 
-    For every surviving triple the bitrade is built and the requested
-    properties computed; thin and orthogonal are decided both by direct
-    scan and by their group criteria, and a disagreement of the two
-    verdicts raises ConsistencyError.  G3 is read off the bitrade: the
-    orbit of an element x under the right multiplications by a, b and c
-    is x<a, b, c>, so a, b and c generate G exactly when the structure is
-    transitive.  The group's enumeration cap bounds every enumeration of
-    it.
+    Unknown check names are refused before the search starts.  For every
+    surviving triple the bitrade is built and the requested checks run as
+    one ``compute_report`` (empty ``checks``, no properties); thin and
+    orthogonal are decided again by their group criteria, and a
+    disagreement of the two verdicts raises ConsistencyError.  G3 is read
+    off the bitrade: the orbit of an element x under the right
+    multiplications by a, b and c is x<a, b, c>, so a, b and c generate G
+    exactly when the structure is transitive.  The group's enumeration cap
+    bounds every enumeration of it.
     """
+    check_names(checks)
     n = group.order()
     if n > search_cap:
         raise ResourceCapError(
@@ -110,31 +110,15 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
         g3 = len(_orbit(bitrade.permutation_triple)) == n
         if require_g3 and not g3:
             continue
-        properties = {}
-        for check in checks:
-            if check == "thin":
-                direct = is_thin(bitrade)
-                criterion = group_thin_criterion(triple)
-                if direct.value != criterion.value:
-                    raise ConsistencyError(f"thin criteria disagree on {triple}")
-                properties["thin"] = direct.value
-            elif check == "orthogonal":
-                direct = is_orthogonal(bitrade)
-                criterion = group_orthogonal_criterion(triple)
-                if direct.value != criterion.value:
-                    raise ConsistencyError(f"orthogonality criteria disagree on {triple}")
-                properties["orthogonal"] = direct.value
-            else:
-                result = compute_report(bitrade, [check], minimal_cap=minimal_cap)
-                for name, res in result.items():
-                    properties[name] = res.value
+        report = compute_report(bitrade, checks, minimal_cap=minimal_cap) if checks else {}
+        check_group_criteria(triple, report)
         astr, bstr, cstr = triple.element_strs()
         hom = homogeneity(bitrade)
         records.append(SearchRecord(
             group=group.spec, a=astr, b=bstr, c=cstr,
             size=bitrade.size, orders=triple.orders, g3=g3,
             k=hom.value if hom.value != "no" else None,
-            properties=properties,
+            properties={name: res.value for name, res in report.items()},
             signature=bitrade_signature(bitrade, triple.escaped_alphabets()),
         ))
     return records

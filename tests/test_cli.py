@@ -231,6 +231,20 @@ class TestVerify:
         assert main(["verify", sample_path, "--checks", "nonsense"]) == 2
         assert "nonsense" in capsys.readouterr().err
 
+    def test_unknown_check_exits_2_before_the_document_is_read(self, tmp_path, capsys):
+        path = tmp_path / "r1.json"
+        path.write_text(json.dumps({"t_circ": [["r", "c", "s"]], "t_star": [["r", "c", "s"]]}))
+        assert main(["verify", str(path), "--checks", "nonsense"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nonsense" in captured.err
+
+    def test_enum_cap_is_not_an_option(self, sample_path, capsys):
+        # verify builds no group, so it takes no enumeration cap
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", sample_path, "--enum-cap", "5"])
+        assert exc.value.code == 2
+        assert "--enum-cap" in capsys.readouterr().err
+
     def test_property_failure_exits_1(self, tmp_path, capsys):
         out = tmp_path / "z.json"
         main(["construct", "--family", "zp2:p=3", "-o", str(out)])
@@ -293,6 +307,24 @@ class TestSearch:
 
     def test_search_cap_exits_3(self, capsys):
         assert main(["search", "--group", "sym:5", "--search-cap", "100"]) == 3
+
+    def test_unknown_check_exits_2_before_any_record(self, capsys):
+        # cyc:2 admits no triple, so only an up-front check sees the name
+        assert main(["search", "--group", "cyc:2", "--checks", "bogus"]) == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_empty_checks_list_records_without_properties(self, capsys):
+        assert main(["search", "--group", "sym:3", "--checks", ""]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == 18
+        assert all(record["properties"] == {} for record in records)
+
+    def test_format_is_not_an_option(self, capsys):
+        # search writes JSON lines only
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--group", "sym:3", "--format", "text"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_enum_cap_above_default(self, monkeypatch, capsys):
         # the library default is what an unpassed cap falls back to

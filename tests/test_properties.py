@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from bitrades import properties
 from bitrades.core import GroupTriple, from_group, make_bitrade
+from bitrades.errors import ConsistencyError
 from bitrades.groups import group_from_spec, parse_permutation
 from bitrades.properties import (
+    PropertyResult,
     check_thin_primary_minimal,
     compute_report,
     group_orthogonal_criterion,
@@ -327,6 +330,29 @@ class TestReports:
         with pytest.raises(ValueError):
             compute_report(two_by_three, ["no-such-check"])
 
+    def test_unknown_check_rejected_before_any_check_runs(self, two_by_three, monkeypatch):
+        ran = []
+        monkeypatch.setattr(properties, "is_thin", lambda bt: ran.append("thin"))
+        with pytest.raises(ValueError, match="no-such-check"):
+            compute_report(two_by_three, ["thin", "no-such-check"])
+        assert ran == []
+
+    @pytest.mark.parametrize("minimal, raised", [("no", True), ("unknown", False),
+                                                 ("yes", False)])
+    def test_thin_primary_minimal_cross_checked(self, intercalate, monkeypatch,
+                                                minimal, raised):
+        # the intercalate is thin and primary; an undecided oracle is no answer
+        monkeypatch.setattr(properties, "is_minimal",
+                            lambda bt, cap: PropertyResult(minimal, "patched"))
+        for checks in (["thin", "primary", "minimal"], ["minimal", "primary", "thin"]):
+            if raised:
+                with pytest.raises(ConsistencyError, match="non-minimal"):
+                    compute_report(intercalate, checks)
+            else:
+                assert compute_report(intercalate, checks)["minimal"].value == minimal
+        # without thin or primary in the report there is nothing to check
+        assert compute_report(intercalate, ["thin", "minimal"])["minimal"].value == minimal
+
     def test_direct_scan_agrees_with_criteria(self):
         # both decision routes on the same instances
         for tr in (p3_triple(3), pq_triple(7, 3, 2), pq_triple(23, 11, 4)):
@@ -370,23 +396,33 @@ CONSISTENCY_SCRIPT = textwrap.dedent("""
 
     properties.is_minimal = no
     raises("minimal", lambda: properties.check_thin_primary_minimal(make_bitrade(CIRC, STAR)))
+    # every report that decides thin, primary and minimal cross-checks them
+    print("minimal-exit", cli.main(["verify", sys.argv[1], "--checks", "thin,primary,minimal"]))
+    raises("search-minimal", lambda: search.search_triples(
+        group_from_spec("alt:4"), checks=("thin", "primary", "minimal")))
 
-    search.group_thin_criterion = no
+    thin_criterion = properties.group_thin_criterion
+    orthogonal_criterion = properties.group_orthogonal_criterion
+    properties.group_thin_criterion = no
     raises("thin", lambda: search.search_triples(group_from_spec("sym:3")))
-    search.group_orthogonal_criterion = no
+    properties.group_orthogonal_criterion = no
     raises("orthogonal", lambda: search.search_triples(group_from_spec("sym:3"),
                                                        checks=("orthogonal",)))
+    properties.group_thin_criterion = thin_criterion
+    properties.group_orthogonal_criterion = orthogonal_criterion
 
     # the integer pass rejects squares that share a triple; a label check
     # that finds nothing there contradicts it
     core.check_bitrade_conditions = lambda circ, star: []
     raises("mates", lambda: make_bitrade(CIRC, CIRC))
 
-    # a conjugate must have the order of the subgroup it conjugates
+    # a conjugate of C must have the order of C: a triple whose walk of c
+    # is the walk of an element of order 2 while c has order 3 breaks it
     G = group_from_spec("sym:3")
     a, b = G.parse_element("(1,2,3)"), G.parse_element("(1,2)")
-    order_two = type("OrderTwo", (), {"generator": a, "__len__": lambda self: 2})()
-    raises("conjugate", lambda: G.conjugate_subgroup(order_two, b))
+    walks = (G.coset_walk(a), G.coset_walk(b), G.coset_walk(b))
+    torn = type("Torn", (), {"group": G, "a": a, "c": a, "walks": walks})()
+    raises("conjugate", lambda: properties.group_orthogonal_criterion(torn))
 
     # (0,0,0) and (1,1,1) solve a^i b^j c^k = 1 whenever abc = 1; an
     # identity that matches no product hides both
@@ -407,7 +443,8 @@ def test_consistency_checks_raise_under_optimisation(tmp_path):
     assert lines[0] == "debug False"  # asserts are stripped in the child
     verdicts = dict(line.split(" ", 2)[:2] for line in lines[1:])
     assert verdicts == {"primary": "ConsistencyError", "exit": "4",
-                        "minimal": "ConsistencyError", "thin": "ConsistencyError",
+                        "minimal": "ConsistencyError", "minimal-exit": "4",
+                        "search-minimal": "ConsistencyError", "thin": "ConsistencyError",
                         "orthogonal": "ConsistencyError", "mates": "ConsistencyError",
                         "conjugate": "ConsistencyError", "trivial": "ConsistencyError"}
     assert "internal consistency check failed" in proc.stderr

@@ -85,6 +85,11 @@ class TestSearch:
     def test_cyc2_is_empty(self):
         assert search_triples(group_from_spec("cyc:2")) == []
 
+    def test_unknown_check_refused_before_the_search(self):
+        # cyc:2 admits no triple, so a name checked per record is never checked
+        with pytest.raises(ValueError, match="bogus"):
+            search_triples(group_from_spec("cyc:2"), checks=("bogus",))
+
     def test_a4_with_k3_filter_contains_reference_triple(self):
         G = group_from_spec("alt:4")
         records = search_triples(G, k=3)
@@ -203,7 +208,7 @@ def test_signature_of_relabelled_bitrades(bitrade):
 # ---------------------------------------------------------------------------
 # the index-space group code against the element-space code it replaced:
 # G2 on frozensets of elements, the thin criterion by a mul loop, and the
-# orthogonality criterion by conjugate_subgroup
+# orthogonality criterion on the subgroup generated by a^-1 c a
 
 ORACLE_SPECS = CORPUS + ["gens:5:(1,2,3,4,5);(2,5)(3,4)"]
 
@@ -234,7 +239,8 @@ def oracle_thin(group, a, b, c):
 def oracle_orthogonal(group, a, c):
     """(value, witness) of |C ∩ a^-1 C a| = 1, on element sets."""
     C = Subgroup(group, c)
-    common = C.members & group.conjugate_subgroup(C, a).members
+    conj = Subgroup(group, group.mul(group.mul(group.inverse(a), c), a))
+    common = C.members & conj.members
     if len(common) == 1:
         return "yes", None
     return "no", min((g for g in common if g != group.identity), key=_sort_key)
