@@ -34,11 +34,12 @@ builder, which labels the cycles of their permutations from one walk
 ``from_permutations`` checks their Q1-Q3 and ``from_group`` takes them
 from G1-G2.  ``make_bitrade`` validates documents and explicit
 triples in one integer pass that checks both squares and builds the
-structure, whose Q1-Q3 follow from P1 and R1-R3; label code (``make_pls``,
-``check_bitrade_conditions``) runs only to name a rejection.  So every
-construction proves Q1-Q3, and a report only walks the cycles.  The property
-scans read the structure; labels are looked up from it only for output and
-witnesses.
+structure, whose Q1-Q3 follow from P1 and R1-R3; the reader of the
+writer's own layout enters that pass on label ranks directly.  Label code
+(``make_pls``, ``check_bitrade_conditions``) runs only to name a
+rejection.  So every construction proves Q1-Q3, and a report only walks
+the cycles.  The property scans read the structure; labels are looked up
+from it only for output and witnesses.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 
 from .errors import ConsistencyError, GroupError, ValidationError
@@ -324,22 +326,69 @@ def _pair_structure(circ, star, declared):
     """The declared alphabets and the permutation structure of the pair
     (circ, star) of tuple lists, or None when the pair is not a bitrade.
 
-    The primary square is checked on the distinct labels of each
-    coordinate (P2: a declared alphabet has no repeat and is exactly the
-    labels used; the three alphabets are disjoint).  Of hash-equal labels,
-    an inferred alphabet keeps the first in document order.  Labels are then
-    replaced by their positions in the alphabets sorted by ``_sort_key``,
-    and three int-keyed pair maps index the primary triples by (row,
-    column), (row, symbol) and (column, symbol).
+    This is the label half: repeated triples and hash-equal labels merge,
+    and of hash-equal labels an inferred alphabet keeps the first in
+    document order.  Each label is replaced by its position in its alphabet
+    sorted by ``_sort_key`` (``_ranked_alphabets``), and the integer half
+    (``_rank_structure``) checks the pair on those ranks.
+    """
+    circ = list(dict.fromkeys(circ))
+    star = list(dict.fromkeys(star))
+    if set(map(len, circ)) != {3} or set(map(len, star)) != {3}:
+        return None
+    # labels in document order: the label objects lie in memory in that order
+    labels = [list(map(itemgetter(i), circ)) for i in range(3)]
+    alphabets = tuple(tuple(canonical_sorted(set(col))) if given is None else tuple(given)
+                      for given, col in zip(declared, labels))
+    ranked = _ranked_alphabets(alphabets)
+    if ranked is None:
+        return None
+    ranks = [dict(zip(alphabet, range(len(alphabet)))) for alphabet in ranked]
+    try:  # a KeyError is a label missing from its alphabet
+        coords = [list(map(rank.__getitem__, col)) for rank, col in zip(ranks, labels)]
+        del circ, labels
+        mates = [list(map(rank.__getitem__, map(itemgetter(i), star)))
+                 for i, rank in enumerate(ranks)]
+    except KeyError:
+        return None
+    del star
+    structure = _rank_structure(ranked, coords, mates)
+    return None if structure is None else (alphabets, structure)
+
+
+def _ranked_alphabets(alphabets):
+    """Each alphabet sorted by ``_sort_key``, or None when a label repeats
+    within one alphabet or appears in two (P2)."""
+    if len(set().union(*alphabets)) != sum(map(len, alphabets)):
+        return None
+    # str labels alone sort by _sort_key as they sort plainly
+    return tuple(tuple(sorted(alphabet) if set(map(type, alphabet)) <= {str}
+                       else sorted(alphabet, key=_sort_key)) for alphabet in alphabets)
+
+
+def _rank_structure(ranked, coords, mates):
+    """The permutation structure of a pair of squares given on label ranks,
+    or None when the pair is not a bitrade.
+
+    ``ranked`` holds the alphabets in ``_sort_key`` order, and ``coords``
+    and ``mates`` the row, column and symbol ranks of the primary and mate
+    triples, in document order.  The primary square is checked on its
+    distinct ranks (P2: every label is used), and three int-keyed pair maps
+    index the primary triples by (row, column), (row, symbol) and (column,
+    symbol).  When the primary triples are in strictly increasing cell
+    order, so no two share a cell, and the mate triples lie in the same
+    cells in the same order, as in the writer's documents, each mate
+    triple's cell holds the primary triple of its own index, and the (row,
+    column) map is not built.
 
     The maps drive the mate pass.  Each mate triple m meets three primary
     triples: x in its cell (same row and column), y with its row and symbol
     and z with its column and symbol.  These are the images of m under the
     three mate bijections, and m contributes tau1(y) = x, tau2(x) = z and
-    tau3(z) = y.  A foreign label, an unmatched pair or x = y (R1) fails
-    the pass; else the n mate triples fill every slot exactly when the
-    three maps are bijections.  A P1 clash of the primary square leaves a
-    pair map with fewer than n points, so its slots cannot all be filled.
+    tau3(z) = y.  An unmatched pair or x = y (R1) fails the pass; else the
+    n mate triples fill every slot exactly when the three maps are
+    bijections.  A P1 clash or a repeat of the primary square leaves a pair
+    map with fewer than n points, so its slots cannot all be filled.
     Passing is thus P1/P2 of both squares and R1-R3.
 
     A passing pair's structure satisfies Q1-Q3, so nothing checks them
@@ -351,54 +400,57 @@ def _pair_structure(circ, star, declared):
     each mate triple tau3(tau2(tau1(y))) = y, and the mate triples cover
     every y (Q3).
     """
-    circ = list(dict.fromkeys(circ))  # repeats and hash-equal labels merge
-    star = list(dict.fromkeys(star))
-    n = len(circ)
-    if len(star) != n or set(map(len, circ)) != {3} or set(map(len, star)) != {3}:
+    n = len(coords[0])
+    if not n or len(mates[0]) != n:
         return None
-    # labels in document order: the label objects lie in memory in that order
-    labels = [list(map(itemgetter(i), circ)) for i in range(3)]
-    alphabets = tuple(tuple(canonical_sorted(set(col))) if given is None else tuple(given)
-                      for given, col in zip(declared, labels))
-    if len(set().union(*alphabets)) != sum(map(len, alphabets)):
-        return None  # a declared label repeated, or one in two alphabets
-    ranked = tuple(tuple(sorted(alphabet, key=_sort_key)) for alphabet in alphabets)
-    ranks = [dict(zip(alphabet, range(len(alphabet)))) for alphabet in ranked]
-    try:  # a KeyError is a label missing from its declared alphabet
-        coords = [list(map(rank.__getitem__, col)) for rank, col in zip(ranks, labels)]
-    except KeyError:
-        return None
-    if any(len(set(coord)) != len(rank) for coord, rank in zip(coords, ranks)):
-        return None  # a declared label used by no triple
+    if any(len(set(coord)) != len(alphabet) for coord, alphabet in zip(coords, ranked)):
+        return None  # a label used by no primary triple
     rows, cols, syms = coords
     nc, ns = len(ranked[1]), len(ranked[2])
     index = list(range(n))  # one int object per point, shared by the three maps
-    at_rc = dict(zip([r * nc + c for r, c in zip(rows, cols)], index))
     at_rs = dict(zip([r * ns + s for r, s in zip(rows, syms)], index))
     at_cs = dict(zip([c * ns + s for c, s in zip(cols, syms)], index))
-    try:  # KeyError: a foreign label, an unmatched pair, two mate triples on one point
-        rows, cols, syms = (list(map(rank.__getitem__, map(itemgetter(i), star)))
-                            for i, rank in enumerate(ranks))
-        xs = list(map(at_rc.__getitem__, [r * nc + c for r, c in zip(rows, cols)]))
+    cell = [r * nc + c for r, c in zip(rows, cols)]
+    rows, cols, syms = mates
+    try:  # KeyError: an unmatched pair, two mate triples on one point
+        if rows == coords[0] and cols == coords[1] and _increasing(cell):
+            xs = index  # the writer's order: mate triple x lies in the cell of point x
+        else:
+            at_rc = dict(zip(cell, index))
+            xs = list(map(at_rc.__getitem__, [r * nc + c for r, c in zip(rows, cols)]))
+            del at_rc
+        del cell
         ys = list(map(at_rs.__getitem__, [r * ns + s for r, s in zip(rows, syms)]))
         zs = list(map(at_cs.__getitem__, [c * ns + s for c, s in zip(cols, syms)]))
-        del circ, labels, rows, cols, syms, at_rc, at_rs, at_cs  # not held beside tau1-tau3
+        del at_rs, at_cs  # not held beside tau1-tau3
         if any(map(int.__eq__, xs, ys)):
             return None  # a mate triple equal to the primary triple in its cell (R1)
         # tau1, tau2, tau3, one dict at a time: a point missing from one is a KeyError
-        return alphabets, _canonical_structure(ranked, coords, (
+        return _canonical_structure(ranked, coords, (
             dict(zip(keys, images)) for keys, images in ((ys, xs), (xs, zs), (zs, ys))))
     except KeyError:
         return None
+
+
+def _increasing(cell):
+    """Whether the cell numbers strictly increase: no two points share a
+    cell, and the points come in cell order."""
+    return all(map(int.__lt__, cell, islice(cell, 1, None)))
 
 
 def _canonical_structure(ranked, coords, perms):
     """The permutation structure from the alphabets in ``_sort_key`` order
     and each point's label ranks and tau1-tau3 in builder order, reindexed
     by row and column rank: a cell holds one point (P1), so this is the order
-    of ``sorted_triples``, in which the JSON writer emits both squares."""
+    of ``sorted_triples``, in which the JSON writer emits both squares.
+    Points that already arrive in strictly increasing cell order, as a
+    writer document's do, are taken as they are."""
     nc = len(ranked[1])
     cell = [r * nc + c for r, c in zip(coords[0], coords[1])]
+    if _increasing(cell):
+        points = range(len(cell))
+        return PermutationTriple(tuple(array("i", map(q.__getitem__, points)) for q in perms),
+                                 ranked, tuple(array("i", coord) for coord in coords))
     order = sorted(range(len(cell)), key=cell.__getitem__)
     position = [0] * len(order)
     for i, x in enumerate(order):

@@ -113,7 +113,7 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
         report = compute_report(bitrade, checks, minimal_cap=minimal_cap) if checks else {}
         check_group_criteria(triple, report)
         astr, bstr, cstr = triple.element_strs()
-        hom = homogeneity(bitrade)
+        hom = report["homogeneous_k"] if "homogeneous_k" in report else homogeneity(bitrade)
         records.append(SearchRecord(
             group=group.spec, a=astr, b=bstr, c=cstr,
             size=bitrade.size, orders=triple.orders, g3=g3,

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
+from array import array
 from collections import Counter
 from json.encoder import encode_basestring_ascii as escape
 
-from .core import Bitrade, make_bitrade
+from .core import Bitrade, _rank_structure, _ranked_alphabets, make_bitrade
 from .errors import ParseError, ValidationError
 
 
@@ -193,8 +195,98 @@ def doc_to_bitrade(doc) -> Bitrade:
         raise
 
 
+# the writer's layout around the two squares (``_json_chunks``)
+_HEAD = b'{\n  "cols": [\n'
+_CIRC = b'\n  "t_circ": [\n'
+_STAR = b'\n  ],\n  "t_star": [\n'
+_TAIL = b'\n  ]\n}\n'
+_HEADER_KEYS = {"cols", "provenance", "rows", "syms"}
+_CHUNK_BYTES = 1 << 24
+
+
+def _square_ranks(data, start, end, lines):
+    """The row, column and symbol ranks of the triples written in
+    ``data[start:end]``, or None unless every triple is the writer's five
+    lines.  ``lines`` maps each coordinate's written label line to its
+    rank.  The text is split in chunks of about ``_CHUNK_BYTES`` cut after
+    a triple's closing line."""
+    coords = (array("i"), array("i"), array("i"))
+    while start < end:
+        stop = data.find(b"\n    ],\n", start + _CHUNK_BYTES, end)
+        last = stop < 0
+        stop = end if last else stop + len(b"\n    ],")
+        chunk = data[start:stop].split(b"\n")
+        start = stop + 1
+        k, extra = divmod(len(chunk), 5)
+        if (extra or chunk[0::5].count(b"    [") != k
+                or chunk[4::5].count(b"    ],") != k - last
+                or chunk[-1] != (b"    ]" if last else b"    ],")):
+            return None
+        try:
+            for coord, ranks, i in zip(coords, lines, (1, 2, 3)):
+                coord.extend(map(ranks.__getitem__, chunk[i::5]))
+        except KeyError:  # a line that is no label line of its coordinate
+            return None
+    return coords
+
+
+def _read_writer_layout(path):
+    """The bitrade of the document at ``path`` when it is in exactly the
+    layout ``_json_chunks`` writes, read from bytes straight to label ranks;
+    None otherwise, and for every document the label path must name or
+    merge.
+
+    Only the header before ``"t_circ"`` goes through ``json``.  It must hold
+    exactly the three alphabets, as lists of str with no label repeated or
+    shared, and an object provenance.  Each written label line maps to the
+    label's ``_sort_key`` rank, one dict per coordinate, so a label spelled
+    otherwise (a ``\\u`` escape, another indent) or missing from its
+    alphabet declines, as does any other line, a CRLF or anything after
+    the ``t_star`` block.  The ranks go to the integer half of
+    ``make_bitrade`` (``core._rank_structure``), whose None (a repeated
+    triple, which the label path merges, or a rejected pair) declines too.
+    An accepted document is thus equal to its ``json.loads`` reading, and
+    ``make_bitrade`` would build the same bitrade from it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    circ_at = data.find(_CIRC)
+    star_at = data.find(_STAR, circ_at)
+    if (not data.startswith(_HEAD) or not data.endswith(_TAIL) or circ_at < 0
+            or star_at < 0 or data[circ_at - 1:circ_at] != b","):
+        return None
+    try:
+        header = json.loads(data[:circ_at - 1] + b"}")
+    except (ValueError, RecursionError):
+        return None
+    if header.keys() != _HEADER_KEYS or not isinstance(header["provenance"], dict):
+        return None
+    alphabets = tuple(header[key] for key in ("rows", "cols", "syms"))
+    if not all(isinstance(a, list) and all(type(lab) is str for lab in a) for a in alphabets):
+        return None
+    ranked = _ranked_alphabets(alphabets)
+    if ranked is None:
+        return None
+    lines = [{f"      {escape(lab)}{end}".encode(): rank for rank, lab in enumerate(alphabet)}
+             for alphabet, end in zip(ranked, (",", ",", ""))]
+    circ = _square_ranks(data, circ_at + len(_CIRC), star_at, lines)
+    star = None if circ is None else _square_ranks(
+        data, star_at + len(_STAR), len(data) - len(_TAIL), lines)
+    del data, lines  # not held beside the integer half
+    if star is None:
+        return None
+    structure = _rank_structure(ranked, circ, star)
+    if structure is None:
+        return None
+    return Bitrade(tuple(map(tuple, alphabets)), structure, header["provenance"])
+
+
 def read_bitrade(source) -> Bitrade:
-    """Load a bitrade from a path, file object, JSON string, or dict."""
+    """Load a bitrade from a path, file object, JSON string, or dict.
+
+    A path to a regular file in the writer's own layout is read straight
+    into label ranks (``_read_writer_layout``); every other document goes
+    through ``json.loads`` and ``doc_to_bitrade``, with the same result."""
     if isinstance(source, dict):
         return doc_to_bitrade(source)
     if isinstance(source, io.IOBase):
@@ -202,6 +294,10 @@ def read_bitrade(source) -> Bitrade:
     elif isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
     else:
+        # a document that declines is read a second time, so not from a pipe
+        bitrade = _read_writer_layout(source) if os.path.isfile(source) else None
+        if bitrade is not None:
+            return bitrade
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:

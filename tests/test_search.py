@@ -22,6 +22,7 @@ from bitrades.properties import (
     _sort_key,
     group_orthogonal_criterion,
     group_thin_criterion,
+    homogeneity,
     is_primary,
     primary_exhaustive,
 )
@@ -108,6 +109,19 @@ class TestSearch:
         records = search_triples(group_from_spec("alt:4", 100))
         assert len(records) == 102
         assert sum(r.g3 for r in records) == 96
+
+    @pytest.mark.parametrize("checks", [("homogeneous",), ()], ids=["in the report", "none"])
+    def test_homogeneity_once_per_record(self, monkeypatch, checks):
+        calls = []
+
+        def counted(bitrade):
+            calls.append(bitrade)
+            return homogeneity(bitrade)
+
+        for module in ("bitrades.properties", "bitrades.search"):
+            monkeypatch.setattr(f"{module}.homogeneity", counted)
+        records = search_triples(group_from_spec("alt:4"), checks=checks)
+        assert len(records) == len(calls) == 102
 
     def test_records_are_deterministic(self):
         G = group_from_spec("sym:3")

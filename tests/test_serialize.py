@@ -1,13 +1,19 @@
+import functools
 import json
+import os
+import threading
+from json.encoder import encode_basestring_ascii as escape
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bitrades.core import from_group, make_bitrade
+from bitrades.core import from_group, from_permutations, make_bitrade
 from bitrades.errors import ParseError, ValidationError
 from bitrades.groups import group_from_spec, parse_permutation
+from bitrades.search import iter_triples
 from bitrades.serialize import (
+    _read_writer_layout,
     bitrade_to_doc,
     bitrade_to_json,
     read_bitrade,
@@ -16,7 +22,7 @@ from bitrades.serialize import (
 )
 
 from conftest import TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR
-from test_structure import latin_difference_pairs
+from test_structure import latin_difference_pairs, latin_differences
 
 
 class TestDocuments:
@@ -149,6 +155,186 @@ class TestWriter:
             path = tmp_path / "bt.json"
             write_bitrade(bitrade, path)
             assert path.read_text(encoding="utf-8") == bitrade_to_json(bitrade)
+
+
+# ---------------------------------------------------------------------------
+# the byte reader of the writer's layout against the json.loads path
+
+GROUPS = ["sym:3", "alt:4", "prod:cyc:3,cyc:3", "pq:7,3,2", "gens:5:(1,2,3,4,5);(2,5)(3,4)"]
+# point names whose labels need escaping: a quote, a backslash, non-ASCII
+POINT_NAMES = ['p"{}', "q\\{}", "é{}", "☃{}x"]
+
+
+@functools.lru_cache(maxsize=None)
+def _group_triples(spec):
+    group = group_from_spec(spec)
+    return group, [(t.a, t.b, t.c) for t in iter_triples(group)]
+
+
+@st.composite
+def writer_bitrades(draw):
+    """A coset bitrade of a small group, or the bitrade of the structure of
+    a random small bitrade with its points renamed by names to escape."""
+    if draw(st.booleans()):
+        group, triples = _group_triples(draw(st.sampled_from(GROUPS)))
+        return from_group(group, *draw(st.sampled_from(triples)))
+    pt = draw(latin_differences()).permutation_triple
+    name = draw(st.sampled_from(POINT_NAMES))
+    names = [name.format(x) for x in range(len(pt.index_perms[0]))]
+    return from_permutations(*({p: names[q[x]] for x, p in enumerate(names)}
+                               for q in pt.index_perms))
+
+
+def _label_line(lines, key, triple, i):
+    """The index of the i-th label line of a triple of square ``key``."""
+    return lines.index(f'  "{key}": [') + 1 + 5 * triple + 1 + i
+
+
+def _alphabet_lines(lines):
+    """The indices of the label lines of the three declared alphabets."""
+    out = []
+    for key in ("cols", "rows", "syms"):
+        start = lines.index(f'  "{key}": [') + 1
+        out += range(start, lines.index("  ],", start))
+    return out
+
+
+def _escape_one_char(line):
+    """The line with its label's first ASCII letter or digit written as a
+    \\u escape, or None if it has none."""
+    body = line.lstrip()
+    indent = line[:len(line) - len(body)]
+    comma = "," if body.endswith(",") else ""
+    label = json.loads(body.rstrip(","))
+    for k, ch in enumerate(label):
+        if ch.isascii() and ch.isalnum():
+            return (indent + escape(label[:k])[:-1] + f"\\u{ord(ch):04x}"
+                    + escape(label[k + 1:])[1:] + comma)
+    return None
+
+
+@st.composite
+def perturbed(draw, text, size):
+    """The writer's text with one perturbation at the byte level."""
+    kind = draw(st.sampled_from([
+        "none", "foreign label", "duplicate triple", "swap triples", "crlf",
+        "u escape", "second t_circ", "key after t_star", "trailing text",
+        "truncate", "int label", "no provenance", "null provenance", "reindent",
+        "drop comma", "brace"]))
+    lines = text.split("\n")
+    key = draw(st.sampled_from(["t_circ", "t_star"]))
+    k = draw(st.integers(0, size - 1))
+    i = draw(st.integers(0, 2))
+    at = _label_line(lines, key, k, i)
+    if kind == "foreign label":
+        j = draw(st.sampled_from([j for j in range(3) if j != i]))
+        other = lines[_label_line(lines, key, draw(st.integers(0, size - 1)), j)]
+        lines[at] = other.rstrip(",") + ("" if i == 2 else ",")
+    elif kind == "duplicate triple":
+        first = at - 1 - i
+        lines[first:first] = lines[first:first + 4] + ["    ],"]
+    elif kind == "swap triples":
+        other = draw(st.integers(0, size - 1))
+        first, second = (_label_line(lines, key, t, -1) for t in (k, other))
+        lines[first:first + 4], lines[second:second + 4] = (lines[second:second + 4],
+                                                            lines[first:first + 4])
+    elif kind == "u escape":
+        at = draw(st.sampled_from([at, draw(st.sampled_from(_alphabet_lines(lines)))]))
+        lines[at] = _escape_one_char(lines[at]) or lines[at]
+    elif kind == "second t_circ":
+        if draw(st.booleans()):
+            lines[1:1] = ['  "t_circ": [["x", "y", "z"]],']
+        else:
+            lines[-3:-2] = ["  ],", '  "t_circ": []']
+    elif kind == "key after t_star":
+        lines[-3:-2] = ["  ],", '  "zzz": ' + draw(st.sampled_from(["1", "null", "[]"]))]
+    elif kind == "int label":
+        at = draw(st.sampled_from([at, draw(st.sampled_from(_alphabet_lines(lines)))]))
+        indent = lines[at][:len(lines[at]) - len(lines[at].lstrip())]
+        lines[at] = indent + "7" + ("," if lines[at].endswith(",") else "")
+    elif kind in ("reindent", "drop comma"):
+        at = draw(st.integers(at - 1 - i, at + 3 - i))  # a line of the triple
+        lines[at] = (draw(st.sampled_from(["", " ", "     "])) + lines[at].lstrip()
+                     if kind == "reindent" else lines[at].rstrip(","))
+    elif kind == "brace":
+        at = draw(st.sampled_from([at - 1 - i, at + 3 - i]))  # the triple's bracket lines
+        lines[at] = lines[at].replace("[", "{").replace("]", "}")
+    elif kind in ("no provenance", "null provenance"):
+        start = lines.index('  "provenance": {}') if '  "provenance": {}' in lines else \
+            lines.index('  "provenance": {')
+        end = start if lines[start].endswith("{}") else lines.index("  },", start)
+        lines[start:end + 1] = [] if kind == "no provenance" else ['  "provenance": null,']
+    text = "\n".join(lines)
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "trailing text":
+        text = text[:len(text) - draw(st.integers(0, 2))] + draw(st.sampled_from(
+            ["x", "\n", " {}", "\n\n", "]"]))
+    elif kind == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return kind, text
+
+
+def _outcome(read):
+    try:
+        bt = read()
+    except Exception as err:  # the error is the outcome compared
+        return type(err), str(err), getattr(err, "violations", None)
+    pt = bt.permutation_triple
+    return bt.alphabets, pt.coords, pt.index_perms, bt.provenance
+
+
+def _dict_path(path):
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        return ParseError, f"not valid JSON: {exc}", None
+    return _outcome(lambda: read_bitrade(doc))
+
+
+class TestByteReader:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(data=st.data(), chunk=st.sampled_from([1, 100, 1 << 24]))
+    def test_same_outcome_as_the_dict_path(self, tmp_path, monkeypatch, data, chunk):
+        # cut the squares after every triple, after a few, or not at all
+        monkeypatch.setattr("bitrades.serialize._CHUNK_BYTES", chunk)
+        bitrade = data.draw(writer_bitrades())
+        kind, text = data.draw(perturbed(bitrade_to_json(bitrade), bitrade.size))
+        path = tmp_path / "doc.json"
+        path.write_bytes(text.encode("utf-8"))
+        if kind == "none":
+            assert _read_writer_layout(path) is not None
+        assert _outcome(lambda: read_bitrade(path)) == _dict_path(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("layout", ["writer", "compact"])
+    def test_named_pipe_read_once(self, tmp_path, two_by_three, layout):
+        # a pipe cannot be read a second time after a decline
+        fifo = tmp_path / "doc.json"
+        os.mkfifo(fifo)
+        text = (bitrade_to_json(two_by_three) if layout == "writer"
+                else json.dumps(bitrade_to_doc(two_by_three)))
+        read = []
+        threads = [threading.Thread(target=fifo.write_text, args=(text,), daemon=True),
+                   threading.Thread(target=lambda: read.append(read_bitrade(fifo)), daemon=True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert read == [two_by_three]
+
+    def test_empty_squares_decline(self, tmp_path):
+        # the writer's layout with nothing in it: the integer half alone
+        # would build a bitrade of size 0
+        path = tmp_path / "doc.json"
+        path.write_text('{\n  "cols": [\n  ],\n  "provenance": {},\n  "rows": [\n  ],\n'
+                        '  "syms": [\n  ],\n  "t_circ": [\n  ],\n  "t_star": [\n  ]\n}\n',
+                        encoding="utf-8")
+        assert _read_writer_layout(path) is None
+        with pytest.raises(ValidationError, match="at least one triple"):
+            read_bitrade(path)
 
 
 class TestRender:

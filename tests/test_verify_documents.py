@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bitrades.cli import main
+from bitrades.serialize import _read_writer_layout
 
 GOLDEN = Path(__file__).with_name("golden") / "verify_rejections.jsonl"
 
@@ -37,6 +38,15 @@ STAR = [["a", "c", "g"], ["a", "d", "h"], ["a", "e", "f"],
 
 def _doc(circ=CIRC, star=STAR, **extra):
     return {"t_circ": circ, "t_star": star, **extra}
+
+
+def _writer_text(circ=CIRC, star=STAR):
+    """The document in the writer's own layout (``json.dumps`` with indent 2
+    and sorted keys, a newline at the end), which ``verify`` reads straight
+    into label ranks."""
+    doc = _doc(circ, star, rows=["a", "b"], cols=["c", "d", "e"], syms=["f", "g", "h"],
+               provenance={})
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 DOCUMENTS = {
@@ -84,7 +94,14 @@ DOCUMENTS = {
     "repeated_triples": _doc(circ=CIRC + CIRC[:2], star=STAR + STAR[3:]),
     "int_labels": _doc(circ=[[10, 20, 30], [10, 21, 31], [11, 20, 31], [11, 21, 30]],
                        star=[[10, 20, 31], [10, 21, 30], [11, 20, 30], [11, 21, 31]]),
+    # the writer's layout, which the byte reader declines to the label path
+    "writer_layout_r1_mate_is_primary": _writer_text(star=CIRC),
+    "writer_layout_foreign_mate_label": _writer_text(star=STAR[:5] + [["b", "e", "q"]]),
+    "writer_layout_repeated_triple": _writer_text(circ=CIRC + CIRC[:1]),
+    "writer_layout_misindented_label": _writer_text().replace(
+        '    [\n      "a"', '    [\n        "a"', 1),
 }
+WRITER_LAYOUT = [name for name in DOCUMENTS if name.startswith("writer_layout_")]
 
 FORMATS = {"json": [], "text": ["--format", "text"]}
 
@@ -119,6 +136,15 @@ def test_golden_verify_output(tmp_path, record):
     path.write_text(_document_text(DOCUMENTS[record["name"]]), encoding="utf-8")
     code, out, err = run_verify(path, FORMATS[record["format"]])
     assert (code, out, err) == (record["exit"], record["stdout"], record["stderr"])
+
+
+def test_writer_layout_documents_decline(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(_writer_text(), encoding="utf-8")
+    assert _read_writer_layout(path) is not None
+    for name in WRITER_LAYOUT:
+        path.write_text(DOCUMENTS[name], encoding="utf-8")
+        assert _read_writer_layout(path) is None, name
 
 
 # ---------------------------------------------------------------------------
