@@ -45,7 +45,6 @@ from it only for output and witnesses.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -411,9 +410,10 @@ def _rank_structure(ranked, coords, mates):
     at_rs = dict(zip([r * ns + s for r, s in zip(rows, syms)], index))
     at_cs = dict(zip([c * ns + s for c, s in zip(cols, syms)], index))
     cell = [r * nc + c for r, c in zip(rows, cols)]
+    increasing = _increasing(cell)
     rows, cols, syms = mates
     try:  # KeyError: an unmatched pair, two mate triples on one point
-        if rows == coords[0] and cols == coords[1] and _increasing(cell):
+        if increasing and rows == coords[0] and cols == coords[1]:
             xs = index  # the writer's order: mate triple x lies in the cell of point x
         else:
             at_rc = dict(zip(cell, index))
@@ -427,7 +427,8 @@ def _rank_structure(ranked, coords, mates):
             return None  # a mate triple equal to the primary triple in its cell (R1)
         # tau1, tau2, tau3, one dict at a time: a point missing from one is a KeyError
         return _canonical_structure(ranked, coords, (
-            dict(zip(keys, images)) for keys, images in ((ys, xs), (xs, zs), (zs, ys))))
+            dict(zip(keys, images)) for keys, images in ((ys, xs), (xs, zs), (zs, ys))),
+            increasing)
     except KeyError:
         return None
 
@@ -438,17 +439,20 @@ def _increasing(cell):
     return all(map(int.__lt__, cell, islice(cell, 1, None)))
 
 
-def _canonical_structure(ranked, coords, perms):
+def _canonical_structure(ranked, coords, perms, increasing=None):
     """The permutation structure from the alphabets in ``_sort_key`` order
     and each point's label ranks and tau1-tau3 in builder order, reindexed
     by row and column rank: a cell holds one point (P1), so this is the order
     of ``sorted_triples``, in which the JSON writer emits both squares.
     Points that already arrive in strictly increasing cell order, as a
-    writer document's do, are taken as they are."""
-    nc = len(ranked[1])
-    cell = [r * nc + c for r, c in zip(coords[0], coords[1])]
-    if _increasing(cell):
-        points = range(len(cell))
+    writer document's do, are taken as they are; ``increasing`` is the
+    caller's ``_increasing`` verdict on them, if it has one."""
+    if not increasing:
+        nc = len(ranked[1])
+        cell = [r * nc + c for r, c in zip(coords[0], coords[1])]
+        increasing = increasing is None and _increasing(cell)
+    if increasing:
+        points = range(len(coords[0]))
         return PermutationTriple(tuple(array("i", map(q.__getitem__, points)) for q in perms),
                                  ranked, tuple(array("i", coord) for coord in coords))
     order = sorted(range(len(cell)), key=cell.__getitem__)
@@ -711,17 +715,13 @@ class GroupTriple:
         self.a = a
         self.b = b
         self.c = c
-        els = group.elements()  # sorted, and checks the cap
         self._indices = []
         for x in (a, b, c):
-            try:
-                i = bisect_left(els, x)
-            except TypeError:  # x does not compare with the elements
-                i = len(els)
-            if i == len(els) or els[i] != x:
+            i = group.index_of(x)  # checks the cap
+            if i is None:
                 raise GroupError(f"{x!r} is not an element of {group.spec}")
             self._indices.append(i)
-        identity = bisect_left(els, group.identity)
+        identity = group.index_of(group.identity)
         for name, i in zip("abc", self._indices):
             if i == identity:
                 raise ValidationError(

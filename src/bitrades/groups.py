@@ -19,7 +19,9 @@ Permutation groups of degree at most 255 enumerate closures and build right
 translations on ``bytes`` internally: an image tuple ``x`` is coded as
 ``bytes(x)``, codes of one length sort exactly like the tuples they encode,
 and ``x -> xg`` is ``code.translate(table)`` for one 256-byte table per g.
-Every element a caller sees or passes stays an image tuple.
+A group generated by such permutations keeps the sorted codes of its
+closure as its element store.  Every element a caller sees or passes stays
+an image tuple.
 """
 
 from __future__ import annotations
@@ -80,32 +82,28 @@ def perm_parity(g):
     return parity
 
 
-def perm_cycles(g):
-    """Nontrivial cycles of an image tuple, each starting at its least point."""
-    n = len(g)
-    seen = [False] * n
-    out = []
-    for s in range(1, n + 1):
-        if seen[s - 1] or g[s - 1] == s:
-            seen[s - 1] = True
-            continue
-        cyc = [s]
-        seen[s - 1] = True
-        x = g[s - 1]
-        while x != s:
-            cyc.append(x)
-            seen[x - 1] = True
-            x = g[x - 1]
-        out.append(tuple(cyc))
-    return out
+# the strings of the points a bytes code can hold (0 unused)
+_POINT_STRS = tuple(map(str, range(MAX_BYTES_DEGREE + 1)))
 
 
 def perm_str(g):
-    """Cycle notation, e.g. ``(1,2,3)(4,5)``; the identity prints as ``()``."""
-    cycles = perm_cycles(g)
-    if not cycles:
-        return "()"
-    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+    """Cycle notation of an image tuple or its ``bytes`` code, e.g.
+    ``(1,2,3)(4,5)``: each nontrivial cycle from its least point, in order
+    of it; the identity prints as ``()``."""
+    n = len(g)
+    strs = _POINT_STRS if n <= MAX_BYTES_DEGREE else tuple(map(str, range(n + 1)))
+    seen = set()
+    out = []
+    for s, x in enumerate(g, 1):
+        if x == s or s in seen:
+            continue
+        cycle = [strs[s]]  # s is the cycle's least point: those before it are done
+        while x != s:
+            seen.add(x)
+            cycle.append(strs[x])
+            x = g[x - 1]
+        out.append("(" + ",".join(cycle) + ")")
+    return "".join(out) or "()"
 
 
 def parse_permutation(text, degree):
@@ -301,7 +299,9 @@ class Group:
 
     ``closure`` and ``_build_translations`` here are the generic paths, on
     ``mul``; permutation groups of degree at most 255 replace both with
-    ``bytes`` paths and use these above that degree.
+    ``bytes`` paths and use these above that degree.  ``index_of``
+    bisects ``elements()``, and a group that stores its elements in
+    another form (``_element_store``) bisects that instead.
 
     A group keeps one memo of what it computes about its own elements,
     each part filled on first use and kept for the group's life: the index
@@ -382,10 +382,20 @@ class Group:
             memo.index = {g: i for i, g in enumerate(self.elements())}
         return memo.index
 
+    def _element_store(self):
+        """The elements as the group keeps them, in ``elements()`` order;
+        ``element_str`` reads every form it holds."""
+        return self.elements()
+
+    def index_of(self, g):
+        """The index of g in ``elements()``, or None when g is no element
+        (one of another type included); the cap is checked."""
+        return _sorted_index(self.elements(), g)
+
     def element_strs(self, indices):
         """``element_str`` of the elements at the given indices."""
         strs = self._memo().strs
-        els = self.elements()
+        els = self._element_store()
         for i in indices:
             if strs[i] is None:
                 strs[i] = self.element_str(els[i])
@@ -415,7 +425,7 @@ class Group:
         out = walks.get(g)
         if out is None:
             out = walks[g] = CosetWalk(self.right_translation(g), self.element_strs,
-                                       bisect.bisect_left(self.elements(), self.identity))
+                                       self.index_of(self.identity))
         return out
 
     def _build_translations(self, gs):
@@ -486,6 +496,16 @@ class Group:
         return f"{type(self).__name__}({self.spec})"
 
 
+def _sorted_index(items, x):
+    """The position of x in the sorted list ``items``, or None when x is
+    not in it or does not compare with its items."""
+    try:
+        i = bisect.bisect_left(items, x)
+    except TypeError:
+        return None
+    return i if i < len(items) and items[i] == x else None
+
+
 class _PermGroupBase(Group):
     """Common behaviour for groups of image-tuple permutations.
 
@@ -540,12 +560,16 @@ class _PermGroupBase(Group):
             return super().closure(generators)
         return {tuple(x) for x in self._closure_codes(list(generators))}
 
+    def _codes(self):
+        """The codes of ``elements()``, made for the caller."""
+        return [bytes(x) for x in self.elements()]
+
     def _build_translations(self, gs):
         if self.degree > MAX_BYTES_DEGREE:
             return super()._build_translations(gs)
         tables = [self._table(g) for g in gs]
+        codes = self._codes()
         # transient and shared by the translations, which alone outlive the call
-        codes = [bytes(x) for x in self.elements()]
         index = {x: i for i, x in enumerate(codes)}
         return [array("i", [index[x.translate(table)] for x in codes]) for table in tables]
 
@@ -614,8 +638,11 @@ class AlternatingGroup(_PermGroupBase):
 
 
 class PermClosureGroup(_PermGroupBase):
-    """Group generated by explicit degree-n permutations (table kind); it
-    keeps the sorted element list of the closure and nothing else."""
+    """Group generated by explicit degree-n permutations (table kind).  It
+    keeps the sorted elements of the closure and nothing else: up to degree
+    ``MAX_BYTES_DEGREE`` their codes, so image tuples are made only for a
+    caller of ``elements()`` or ``iter_elements()``; above it, the tuples.
+    """
 
     kind = "gens"
 
@@ -631,21 +658,43 @@ class PermClosureGroup(_PermGroupBase):
         self.generators = tuple(gens)
         self.spec = "gens:%d:%s" % (n, ";".join(perm_str(g) for g in gens))
         self.max_elements = max_elements
-        if n > MAX_BYTES_DEGREE:
-            self._elements = sorted(self.closure(gens))
+        self._coded = n <= MAX_BYTES_DEGREE
+        if self._coded:
+            # cut from one joined string, the sorted codes lie in memory in
+            # their order, which every later pass over all of them reads
+            # faster; the closure's codes are freed first, for the cut to reuse
+            codes = sorted(self._closure_codes(gens))
+            joined = b"".join(codes)
+            del codes
+            self._store = [joined[i:i + n] for i in range(0, len(joined), n)]
         else:
-            self._elements = [tuple(x) for x in sorted(self._closure_codes(gens))]
+            self._store = sorted(self.closure(gens))
 
     def order(self):
-        return len(self._elements)
+        return len(self._store)
 
     def iter_elements(self):
-        return iter(self._elements)
+        return map(tuple, self._store) if self._coded else iter(self._store)
+
+    def _element_store(self):
+        self.check_enumerable()
+        return self._store
+
+    _codes = _element_store  # read only up to MAX_BYTES_DEGREE
+
+    def index_of(self, g):
+        store = self._element_store()  # checks the cap
+        if self._coded:
+            if not isinstance(g, tuple) or len(g) != self.degree:
+                return None
+            try:
+                g = bytes(g)
+            except (TypeError, ValueError):  # a point that is no int, or no byte
+                return None
+        return _sorted_index(store, g)
 
     def contains(self, g):
-        els = self._elements
-        i = bisect.bisect_left(els, g)
-        return i < len(els) and els[i] == g
+        return self.index_of(g) is not None
 
 
 class CyclicGroup(Group):

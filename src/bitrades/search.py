@@ -49,13 +49,11 @@ def bitrade_signature(bitrade, escaped=None) -> str:
     """Stable content hash of the bitrade's document without its provenance
     (alphabets and triples only, so that equal bitrades from different
     triples collide): the first 16 hex digits of the SHA-256 of its
-    compact JSON text, fed to the hash chunk by chunk.  ``escaped`` gives
-    each label's JSON string per alphabet, as a coset bitrade's
-    ``GroupTriple.escaped_alphabets`` has them; else they are made here."""
-    digest = hashlib.sha256()
-    for chunk in _compact_chunks(bitrade, escaped):
-        digest.update(chunk.encode("ascii"))
-    return digest.hexdigest()[:16]
+    compact JSON text.  ``escaped`` gives each label's JSON string per
+    alphabet, as a coset bitrade's ``GroupTriple.escaped_alphabets`` has
+    them; else they are made here."""
+    text = "".join(_compact_chunks(bitrade, escaped))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
 def iter_triples(group):
@@ -65,7 +63,7 @@ def iter_triples(group):
     on indices: ab from the right translation by b, the inverse as the last
     power in the coset walk of ab."""
     els = group.elements()
-    identity = group.element_index()[group.identity]
+    identity = group.index_of(group.identity)
     others = [i for i in range(len(els)) if i != identity]
     rhos = group.right_translations([els[i] for i in others])
     inverse = [identity] * len(els)

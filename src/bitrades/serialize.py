@@ -6,7 +6,8 @@ import io
 import json
 import os
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
+from itertools import chain
 from json.encoder import encode_basestring_ascii as escape
 
 from .core import Bitrade, _rank_structure, _ranked_alphabets, make_bitrade
@@ -37,6 +38,22 @@ def bitrade_to_doc(bitrade: Bitrade) -> dict:
 _TRIPLES_PER_CHUNK = 4096
 
 
+# How a writer spells a document: per list depth (the alphabets and the
+# squares at 1, their triples at 2), the text that opens a list, separates
+# its items and closes it; the text before the t_circ list, formatted with
+# the row, column and symbol lists and the provenance; the text between the
+# squares; and the text after them.  The first is json.dumps(doc, indent=2,
+# sort_keys=True) plus a newline, the second json.dumps(doc, sort_keys=True)
+# of a document without its provenance.
+_Layout = namedtuple("_Layout", "lists head star tail")
+_INDENTED = _Layout(
+    (("[\n    ", ",\n    ", "\n  ]"), ("[\n      ", ",\n      ", "\n    ]")),
+    '{{\n  "cols": {1},\n  "provenance": {3},\n  "rows": {0},\n  "syms": {2},\n  "t_circ": ',
+    ',\n  "t_star": ', "\n}\n")
+_COMPACT = _Layout((("[", ", ", "]"), ("[", ", ", "]")),
+                   '{{"cols": {1}, "rows": {0}, "syms": {2}, "t_circ": ', ', "t_star": ', "}")
+
+
 def _square_columns(bitrade, escaped):
     """For each square, the escaped row, column and symbol of its triples in
     document order (the string triples sorted).
@@ -47,9 +64,9 @@ def _square_columns(bitrade, escaped):
     tau2(x), so both squares come from the structure with no sort.  Other
     labels are taken from ``bitrade_to_doc``, which sorts them as strings.
     """
-    if all(isinstance(lab, str) for esc in escaped for lab in esc):
+    if set(map(type, chain.from_iterable(escaped))) == {str}:
         pt = bitrade.permutation_triple
-        circ = [list(map([esc[lab] for lab in labels].__getitem__, coord))
+        circ = [list(map(list(map(esc.__getitem__, labels)).__getitem__, coord))
                 for esc, labels, coord in zip(escaped, pt.alphabets, pt.coords)]
         star = circ[:2] + [list(map(circ[2].__getitem__, pt.index_perms[1]))]
         return circ, star
@@ -59,16 +76,28 @@ def _square_columns(bitrade, escaped):
             for key in ("t_circ", "t_star")]
 
 
-def _square_json(columns):
-    rows, cols, syms = columns
-    sep = "[\n"
-    for start in range(0, len(rows), _TRIPLES_PER_CHUNK):
-        end = start + _TRIPLES_PER_CHUNK
-        yield sep + ",\n".join([
-            f"    [\n      {r},\n      {c},\n      {s}\n    ]"
-            for r, c, s in zip(rows[start:end], cols[start:end], syms[start:end])])
-        sep = ",\n"
-    yield "\n  ]"
+def _document_chunks(bitrade, escaped, layout, provenance=""):
+    """The bitrade's document in ``layout``, in chunks; ``escaped`` holds
+    each label's JSON string, per alphabet.
+
+    A chunk holds up to ``_TRIPLES_PER_CHUNK`` triples: one list repeats
+    the text around a triple's three labels, and the labels are put in
+    its slots by slice assignment."""
+    (open_, sep, close), (t_open, t_sep, t_close) = layout.lists
+    yield layout.head.format(*(open_ + sep.join(esc.values()) + close for esc in escaped),
+                             provenance)
+    circ, star = _square_columns(bitrade, escaped)
+    for columns, after in ((circ, layout.star), (star, layout.tail)):
+        n = len(columns[0])
+        for start in range(0, n, _TRIPLES_PER_CHUNK):
+            end = min(start + _TRIPLES_PER_CHUNK, n)
+            text = [t_close + sep + t_open, None, t_sep, None, t_sep, None] * (end - start)
+            for i, column in enumerate(columns):
+                text[2 * i + 1::6] = column[start:end]
+            if not start:
+                text[0] = open_ + t_open
+            yield "".join(text)
+        yield t_close + close + after
 
 
 def _escaped_alphabets(bitrade):
@@ -87,31 +116,17 @@ def _json_chunks(bitrade):
     shared = [e for e, count in written.items() if count > 1]
     if shared:
         raise ValidationError("P2", f"two labels are both written as {min(shared)}")
-    circ, star = _square_columns(bitrade, escaped)
-    rows, cols, syms = ("[\n    " + ",\n    ".join(esc.values()) + "\n  ]" for esc in escaped)
     # nested one level deep: every line after the first moves two spaces in
     provenance = json.dumps(bitrade.provenance, indent=2, sort_keys=True).replace(
         "\n", "\n  ")
-    yield (f'{{\n  "cols": {cols},\n  "provenance": {provenance},\n'
-           f'  "rows": {rows},\n  "syms": {syms},\n  "t_circ": ')
-    yield from _square_json(circ)
-    yield ',\n  "t_star": '
-    yield from _square_json(star)
-    yield "\n}\n"
+    yield from _document_chunks(bitrade, escaped, _INDENTED, provenance)
 
 
 def _compact_chunks(bitrade, escaped=None):
     """The text of ``json.dumps(doc, sort_keys=True)`` for the bitrade's
-    document without its provenance, in chunks (one per square after the
-    alphabets); ``escaped`` is ``_escaped_alphabets(bitrade)`` if given."""
-    if escaped is None:
-        escaped = _escaped_alphabets(bitrade)
-    rows, cols, syms = ("[" + ", ".join(esc.values()) + "]" for esc in escaped)
-    yield f'{{"cols": {cols}, "rows": {rows}, "syms": {syms}, "t_circ": '
-    circ, star = _square_columns(bitrade, escaped)
-    for sep, (r, c, s) in (("", circ), (', "t_star": ', star)):
-        yield sep + "[" + ", ".join([f"[{x}, {y}, {z}]" for x, y, z in zip(r, c, s)]) + "]"
-    yield "}"
+    document without its provenance, in chunks; ``escaped`` is
+    ``_escaped_alphabets(bitrade)`` if given."""
+    return _document_chunks(bitrade, escaped or _escaped_alphabets(bitrade), _COMPACT)
 
 
 def bitrade_to_json(bitrade: Bitrade) -> str:

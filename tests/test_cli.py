@@ -64,6 +64,23 @@ class TestConstruct:
         assert code == 2
         assert "G1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, shown", [
+        ("alt:4", "alt:4"), ("gens:4:(1,2,3);(2,1,4)", "gens:4:(1,2,3);(1,4,2)")])
+    @pytest.mark.parametrize("elements, message", [
+        (("(1,2)", "(1,3)", "(1,2,3)"), "permutation (1,2) is not in {}"),
+        (("()", "(1,2,3)", "(1,3,2)"), "nontrivial: element a must not be the identity"),
+        (("(1,2,3)", "(1,2,3)", "(1,2,4)"),
+         "G1: abc != identity (a=(1,2,3), b=(1,2,3), c=(1,2,4))"),
+    ], ids=["non-member", "identity", "G1"])
+    def test_a4_refusals_alike_for_tuples_and_codes(self, capsys, spec, shown,
+                                                    elements, message):
+        # alt:4 keeps image tuples, the gens: closure bytes codes
+        argv = ["construct", "--group", spec]
+        for name, element in zip("abc", elements):
+            argv += [f"--{name}", element]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message.format(shown)}\n"
+
     def test_bad_family_parameter_exits_2(self, capsys):
         assert main(["construct", "--family", "p3:p=2"]) == 2
         assert "odd prime" in capsys.readouterr().err

@@ -468,6 +468,30 @@ class TestFromGroup:
         assert str(at_triple.value) == str(at_construction.value) \
             == "group alt:4 has order 12, above the enumeration cap (cap: 11)"
 
+    # A4 as a closure of generators keeps its elements as bytes codes; its
+    # triples refuse what alt:4's refuse, with the same messages
+    @pytest.mark.parametrize("a", [5, [1, 2, 3, 4], (2, 3, 1), (2, 3, 1, 4, 5), (2, 1, 3, 4)],
+                             ids=["int", "list", "degree 3", "degree 5", "non-member"])
+    def test_code_store_refuses_like_the_tuple_group(self, a):
+        b = parse_permutation("(1,2,3)", 4)
+        for spec in ("alt:4", "gens:4:(1,2,3);(2,1,4)"):
+            G = group_from_spec(spec)
+            with pytest.raises(GroupError) as err:
+                GroupTriple(G, a, b, b)
+            assert str(err.value) == f"{a!r} is not an element of {G.spec}"
+
+    def test_code_store_over_its_cap_refused_at_the_triple(self):
+        G = group_from_spec("gens:4:(1,2,3);(2,1,4)")
+        a, b = parse_permutation("(1,2,3)", 4), parse_permutation("(2,1,4)", 4)
+        c = G.inverse(G.mul(a, b))
+        G.max_elements = 11
+        with pytest.raises(ResourceCapError) as at_triple:
+            GroupTriple(G, a, b, c)
+        with pytest.raises(ResourceCapError) as at_construction:
+            from_group(G, a, b, c)
+        assert str(at_triple.value) == str(at_construction.value) \
+            == "group gens:4:(1,2,3);(1,4,2) has order 12, above the enumeration cap (cap: 11)"
+
     def test_identity_operand_rejected(self):
         G = group_from_spec("sym:3")
         e = G.identity

@@ -246,6 +246,36 @@ class TestSubgroupsCosets:
             assert all(G.contains(g) == (g in closed)
                        for g in itertools.permutations(range(1, n + 1)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=3))))
+    def test_code_store_matches_the_generic_closure(self, case):
+        # the group keeps its closure as bytes codes; every view of its
+        # elements matches the tuples of the generic closure
+        n, gens = case
+        els = sorted(Group.closure(SymmetricGroup(n), gens))
+        G = PermClosureGroup(n, gens)
+        assert all(type(x) is bytes for x in G._element_store())
+        assert G.order() == len(els)
+        assert list(G.iter_elements()) == els
+        assert G.element_strs(range(len(els))) == [perm_str(x) for x in els]
+        assert [G.index_of(x) for x in els] == list(range(len(els)))
+        assert G.elements() == els
+        assert G.index_of(G.identity) == 0
+        members = set(els)
+        others = [g for g in itertools.islice(itertools.permutations(range(1, n + 1)), 200)
+                  if g not in members]
+        assert [G.index_of(g) for g in others] == [None] * len(others)
+
+    def test_code_store_index_of_foreign_values(self):
+        G = PermClosureGroup(4, [(2, 3, 1, 4), (2, 1, 4, 3)])
+        assert G.index_of((1, 2, 3, 4)) == 0
+        for value in (5, [1, 2, 3, 4], (1, 2, 3), (1, 2, 3, 4, 5), (1, 2, 3, 300),
+                      (1, 2, 3, "4"), (1, 2, 3, -4), b"\x01\x02\x03\x04", None):
+            assert G.index_of(value) is None
+            assert not G.contains(value)
+
     def test_s3_coset_counts(self):
         G = s3()
         s = parse_permutation("(1,2,3)", 3)
@@ -334,6 +364,52 @@ class TestParsePermutation:
         G = a4()
         for g in G.elements():
             assert parse_permutation(perm_str(g), 4) == g
+
+
+def reference_cycle_notation(g):
+    """Cycle notation by its definition: the nontrivial cycles of the
+    image tuple g, each written from its least point, in order of it."""
+    points = range(1, len(g) + 1)
+    cycles = []
+    for s in points:
+        cycle = [s]
+        while g[cycle[-1] - 1] != s:
+            cycle.append(g[cycle[-1] - 1])
+        if len(cycle) > 1 and min(cycle) == s:
+            cycles.append("(" + ",".join(str(x) for x in cycle) + ")")
+    return "".join(cycles) or "()"
+
+
+permutations_to_12 = st.integers(1, 12).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(tuple))
+
+
+class TestPermStr:
+    @settings(max_examples=300, deadline=None)
+    @given(permutations_to_12)
+    def test_matches_the_reference_on_tuples_and_codes(self, g):
+        assert perm_str(g) == perm_str(bytes(g)) == reference_cycle_notation(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(permutations_to_12)
+    def test_parses_back(self, g):
+        assert parse_permutation(perm_str(g), len(g)) == g
+
+    def test_degree_above_255(self):
+        # one 300-cycle through points past 255, a 2-cycle and fixed points
+        g = list(range(1, 401))
+        cycle = list(range(100, 400))
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            g[x - 1] = y
+        g[0], g[1] = 2, 1
+        g = tuple(g)
+        text = perm_str(g)
+        assert text == reference_cycle_notation(g)
+        assert text == "(1,2)(" + ",".join(map(str, cycle)) + ")"
+        assert parse_permutation(text, 400) == g
+
+    def test_identity(self):
+        assert perm_str((1, 2, 3)) == perm_str(b"\x01\x02\x03") == perm_str(()) == "()"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from bitrades.errors import ParseError, ValidationError
 from bitrades.groups import group_from_spec, parse_permutation
 from bitrades.search import iter_triples
 from bitrades.serialize import (
+    _compact_chunks,
     _read_writer_layout,
     bitrade_to_doc,
     bitrade_to_json,
@@ -145,6 +146,26 @@ class TestWriter:
     def test_bytes_of_the_document(self, bitrade):
         expected = json.dumps(bitrade_to_doc(bitrade), indent=2, sort_keys=True) + "\n"
         assert bitrade_to_json(bitrade) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(relabelled_bitrades())
+    def test_compact_text_of_the_document(self, bitrade):
+        # the text the search signature hashes
+        doc = bitrade_to_doc(bitrade)
+        del doc["provenance"]
+        assert "".join(_compact_chunks(bitrade)) == json.dumps(doc, sort_keys=True)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 5, 12])
+    def test_chunk_boundaries(self, monkeypatch, two_by_three, per_chunk):
+        # a square of 12 triples cut every per_chunk triples, in both layouts
+        G = group_from_spec("alt:4")
+        bt = from_group(G, *(parse_permutation(t, 4) for t in ("(1,2,3)", "(2,1,4)", "(2,4,3)")))
+        monkeypatch.setattr("bitrades.serialize._TRIPLES_PER_CHUNK", per_chunk)
+        for bitrade in (bt, two_by_three):
+            doc = bitrade_to_doc(bitrade)
+            assert bitrade_to_json(bitrade) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            del doc["provenance"]
+            assert "".join(_compact_chunks(bitrade)) == json.dumps(doc, sort_keys=True)
 
     def test_write_bitrade_writes_the_same_bytes(self, tmp_path, two_by_three):
         bt = make_bitrade([(1, "c", ("s",)), (2, "d", ("s",)), (1, "d", ("t",)),
