@@ -141,8 +141,8 @@ def _check_nonempty(items):
         raise ValidationError("P2", "a partial latin square needs at least one triple")
 
 
-def _check_distinct(labels, i):
-    if len(set(labels)) != len(labels):
+def _check_distinct(distinct, i):
+    if not distinct:
         raise ValidationError(
             "P2", f"duplicate label in the declared {_COORD_NAMES[i]} alphabet")
 
@@ -167,7 +167,7 @@ def make_pls(triples, rows=None, cols=None, syms=None):
             alphabets.append(tuple(canonical_sorted(used[i])))
         else:
             given = tuple(given)
-            _check_distinct(given, i)
+            _check_distinct(len(set(given)) == len(given), i)
             extra = used[i] - set(given)
             if extra:
                 raise ValidationError(
@@ -628,11 +628,12 @@ def _bitrade_of_walks(perms, walks, tags, provenance):
     the symbol of q2(x).  So the permutation structure is q1-q3
     themselves, reindexed into the canonical order of the primary triples.
     Q1-Q3 and distinct cycle labels are the whole validation: the result
-    has size |X|, and ``make_bitrade`` is not involved.
+    has size |X|, and ``make_bitrade`` is not involved.  Each walk decided
+    once whether its labels are distinct (``CosetWalk.distinct``).
     """
+    for i, walk in enumerate(walks):
+        _check_distinct(walk.distinct, i)  # two points may format alike
     declared, ranked = zip(*(w.labels(tag) for w, tag in zip(walks, tags)))
-    for i, names in enumerate(declared):
-        _check_distinct(names, i)  # two points may format alike
     return Bitrade(declared, _canonical_structure(ranked, [w.rank for w in walks], perms),
                    provenance)
 
@@ -706,36 +707,48 @@ class GroupTriple:
     intersecting cyclic subgroups (conditions G1 and G2).  The optional
     generation condition G3 is read off the bitrade (``properties._orbit``).
 
-    Both conditions are decided on element indices: abc = 1 by the right
-    translations, G2 on the power sets of the three coset walks
-    (``Group.coset_walk``), which ``walks`` keeps."""
+    Both conditions are decided on element indices from the group's memo,
+    under one check of the enumeration cap: abc = 1 by the right
+    translations (``translations``), G2 on the power sets of the three coset
+    walks (``Group.coset_walk``), which ``walks`` keeps.  The memo keeps
+    the last triple admitted, and a triple of the very same a, b and c
+    objects (as ``from_group`` makes of a triple ``search.iter_triples``
+    has just admitted) takes its verdict, translations and walks from it.
+    """
 
     def __init__(self, group: Group, a, b, c):
         self.group = group
         self.a = a
         self.b = b
         self.c = c
+        memo = group._memo()  # checks the cap
+        last = memo.triple
+        if last is not None and last[0] is a and last[1] is b and last[2] is c:
+            self._indices, self.translations, self.walks = last[3:]
+            return
         self._indices = []
         for x in (a, b, c):
-            i = group.index_of(x)  # checks the cap
+            i = memo.index_of(x)
             if i is None:
                 raise GroupError(f"{x!r} is not an element of {group.spec}")
             self._indices.append(i)
-        identity = group.index_of(group.identity)
         for name, i in zip("abc", self._indices):
-            if i == identity:
+            if i == memo.identity:
                 raise ValidationError(
                     "nontrivial", f"element {name} must not be the identity")
-        _, rho_b, rho_c = group.right_translations((a, b, c))  # one build for the walks too
-        if rho_c[rho_b[self._indices[0]]] != identity:
+        self.translations = memo.right_translations((a, b, c))  # one build for the walks too
+        _, rho_b, rho_c = self.translations
+        if rho_c[rho_b[self._indices[0]]] != memo.identity:
             raise ValidationError(
-                "G1", "abc != identity (a=%s, b=%s, c=%s)" % self.element_strs())
-        self.walks = tuple(map(group.coset_walk, (a, b, c)))
+                "G1", "abc != identity (a=%s, b=%s, c=%s)" % tuple(
+                    memo.element_strs(self._indices)))
+        self.walks = tuple(map(memo.coset_walk, (a, b, c)))
         wa, wb, wc = self.walks
         for name, x, y in (("|A∩B|", wa, wb), ("|A∩C|", wa, wc), ("|B∩C|", wb, wc)):
             size = len(x.members & y.members)
             if size != 1:
                 raise ValidationError("G2", f"{name}={size}")
+        memo.triple = (a, b, c, self._indices, self.translations, self.walks)
 
     @property
     def orders(self):
@@ -745,10 +758,10 @@ class GroupTriple:
         """The strings of a, b and c, from the group's memo."""
         return tuple(self.group.element_strs(self._indices))
 
-    def escaped_alphabets(self):
-        """Per alphabet of the coset bitrade, each label mapped to its JSON
-        string in declared order, from the group's memo."""
-        return [w.escaped(tag) for w, tag in zip(self.walks, _GROUP_TAGS)]
+    def written(self, spelling):
+        """Per alphabet of the coset bitrade, the text a writer reads of its
+        labels as their walk keeps it (``CosetWalk.written``)."""
+        return [w.written(tag, spelling) for w, tag in zip(self.walks, _GROUP_TAGS)]
 
     def __repr__(self):
         a, b, c = self.element_strs()
@@ -771,15 +784,15 @@ def from_group(group, a, b, c, *, provenance=None):
     multiplications, their coset walks (ranks and labels) and the element
     strings come from the group's memo, so a group walks each element's
     cosets once, and a bitrade costs only the reindexing into canonical
-    order (``_canonical_structure``).
+    order (``_canonical_structure``).  The ``GroupTriple`` made here takes
+    the verdict of one just made on the same a, b and c.
     """
     triple = GroupTriple(group, a, b, c)
     astr, bstr, cstr = triple.element_strs()
     prov = {"kind": "from-group", "group": group.spec, "a": astr, "b": bstr, "c": cstr}
     if provenance:
         prov.update(provenance)
-    return _bitrade_of_walks(group.right_translations((a, b, c)), triple.walks,
-                             _GROUP_TAGS, prov)
+    return _bitrade_of_walks(triple.translations, triple.walks, _GROUP_TAGS, prov)
 
 
 # ---------------------------------------------------------------------------

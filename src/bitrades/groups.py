@@ -29,6 +29,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import weakref
 from array import array
 from json.encoder import encode_basestring_ascii as escape
 
@@ -230,11 +231,15 @@ class CosetWalk:
       names.
     * ``rank``: per index, the position of its cycle's name in name order,
       as an ``array('i')``.
-    * ``labels(tag)`` and ``escaped(tag)``: the names prefixed with
-      ``tag:``, and their JSON strings, each made on first use per tag.
+    * ``distinct``: whether no two cycles have one name (two points may
+      format alike), decided once for every bitrade built on the walk.
+    * ``labels(tag)`` and ``written(tag, spelling)``: the names prefixed
+      with ``tag:``, and the JSON text a writer reads of them, each made on
+      first use per tag and spelling.
     """
 
-    __slots__ = ("powers", "members", "names", "order", "rank", "_labels", "_escaped")
+    __slots__ = ("powers", "members", "names", "order", "rank", "distinct", "_labels",
+                 "_written")
 
     def __init__(self, q, strs, start):
         powers = [start]
@@ -261,8 +266,9 @@ class CosetWalk:
         for r, k in enumerate(self.order):
             rank[k] = r
         self.rank = array("i", [rank[k] for k in coset])
+        self.distinct = len(set(self.names)) == len(reps)
         self._labels = {}
-        self._escaped = {}
+        self._written = {}
 
     def labels(self, tag):
         """The names prefixed with ``tag:``, in declared and in name order."""
@@ -272,26 +278,67 @@ class CosetWalk:
             out = self._labels[tag] = (declared, tuple(map(declared.__getitem__, self.order)))
         return out
 
-    def escaped(self, tag):
-        """Each label of ``labels(tag)`` mapped to its JSON string, in
-        declared order."""
-        out = self._escaped.get(tag)
+    def written(self, tag, spelling):
+        """The JSON strings of ``labels(tag)`` in name order, and the JSON
+        list of them in declared order as ``spelling`` spells it (the text
+        that opens a list, separates its items and closes it)."""
+        key = (tag, spelling)
+        out = self._written.get(key)
         if out is None:
-            out = self._escaped[tag] = {lab: escape(lab) for lab in self.labels(tag)[0]}
+            escaped = list(map(escape, self.labels(tag)[0]))
+            open_, sep, close = spelling
+            out = self._written[key] = (list(map(escaped.__getitem__, self.order)),
+                                        open_ + sep.join(escaped) + close)
         return out
 
 
 class _ElementMemo:
     """What a group has computed about its elements, each part on first use:
-    the index of every element in ``elements()``, the strings of the
-    elements asked for (None elsewhere), and the right translation and
-    coset walk of each element asked for."""
+    the element store (``Group._element_store``) and the identity's index
+    in it, the index of every element in ``elements()``, the strings of the
+    elements asked for (None elsewhere), the right translation and coset
+    walk of each element asked for, and what ``core.GroupTriple`` found of
+    the last triple it admitted (``triple``).
 
-    def __init__(self, n):
+    Its methods do not check the enumeration cap: ``Group._memo`` checks
+    it whenever it hands the memo out, so a caller that holds the memo for
+    one call checks the cap once.  The memo refers to its group weakly, so
+    that a group no longer used is freed at once, not by the cycle
+    collector."""
+
+    def __init__(self, group, n):
+        self.group = weakref.proxy(group)
+        self.store = group._element_store()
+        self.identity = group._locate(self.store, group.identity)
         self.index = None
         self.strs = [None] * n
         self.translations = {}
         self.walks = {}
+        self.triple = None
+
+    def index_of(self, g):
+        return self.group._locate(self.store, g)
+
+    def element_strs(self, indices):
+        strs, store, element_str = self.strs, self.store, self.group.element_str
+        for i in indices:
+            if strs[i] is None:
+                strs[i] = element_str(store[i])
+        return [strs[i] for i in indices]
+
+    def right_translations(self, gs):
+        translations = self.translations
+        missing = list(dict.fromkeys(g for g in gs if g not in translations))
+        if missing:
+            translations.update(zip(missing, self.group._build_translations(missing)))
+        return [translations[g] for g in gs]
+
+    def coset_walk(self, g):
+        out = self.walks.get(g)
+        if out is None:
+            out = self.walks[g] = CosetWalk(self.right_translations((g,))[0],
+                                            self.element_strs, self.identity)
+        return out
 
 
 class Group:
@@ -300,18 +347,20 @@ class Group:
     ``closure`` and ``_build_translations`` here are the generic paths, on
     ``mul``; permutation groups of degree at most 255 replace both with
     ``bytes`` paths and use these above that degree.  ``index_of``
-    bisects ``elements()``, and a group that stores its elements in
-    another form (``_element_store``) bisects that instead.
+    bisects ``elements()`` (``_locate``), and a group that stores its
+    elements in another form (``_element_store``) bisects that instead and
+    makes single elements from it (``elements_at``).
 
     A group keeps one memo of what it computes about its own elements,
     each part filled on first use and kept for the group's life: the index
     of every element in ``elements()``, element strings, each right
     translation x -> xg as an ``array('i')`` over those indices, and the
     walk of each translation (``CosetWalk``: the powers of g and the left
-    cosets of <g> as indices, their coset ranks and names, and the tagged
-    and escaped names).  Like ``elements()``, every accessor of the memo
-    checks the enumeration cap on every call, so a group whose
-    ``max_elements`` is lowered below its order refuses all of them.
+    cosets of <g> as indices, their coset ranks and names, the tagged
+    names and their JSON text).  Like ``elements()``, every accessor of the
+    memo checks the enumeration cap on every call, so a group whose
+    ``max_elements`` is lowered below its order refuses all of them
+    (``_ElementMemo``).
     """
 
     kind = "abstract"
@@ -372,7 +421,7 @@ class Group:
         n = self.check_enumerable()
         memo = self.__dict__.get("_element_memo")
         if memo is None:
-            memo = self._element_memo = _ElementMemo(n)
+            memo = self._element_memo = _ElementMemo(self, n)
         return memo
 
     def element_index(self):
@@ -384,22 +433,28 @@ class Group:
 
     def _element_store(self):
         """The elements as the group keeps them, in ``elements()`` order;
-        ``element_str`` reads every form it holds."""
+        ``element_str`` reads every form it holds.  The cap is checked."""
         return self.elements()
 
+    def _locate(self, store, g):
+        """The index of g in ``store`` (``_element_store()``), or None when
+        g is no element (one of another type included)."""
+        return _sorted_index(store, g)
+
     def index_of(self, g):
-        """The index of g in ``elements()``, or None when g is no element
-        (one of another type included); the cap is checked."""
-        return _sorted_index(self.elements(), g)
+        """The index of g in ``elements()``, or None when g is no element;
+        the cap is checked."""
+        return self._locate(self._element_store(), g)
+
+    def elements_at(self, indices):
+        """The elements at the given indices of ``elements()``, made from
+        the store alone; the cap is checked."""
+        store = self._element_store()
+        return [store[i] for i in indices]
 
     def element_strs(self, indices):
         """``element_str`` of the elements at the given indices."""
-        strs = self._memo().strs
-        els = self._element_store()
-        for i in indices:
-            if strs[i] is None:
-                strs[i] = self.element_str(els[i])
-        return [strs[i] for i in indices]
+        return self._memo().element_strs(indices)
 
     def generated_subgroup(self, g):
         """The cyclic subgroup <g>; the enumeration cap is checked first."""
@@ -413,20 +468,11 @@ class Group:
     def right_translations(self, gs):
         """``right_translation`` of each g in gs; those not built yet are
         built in one ``_build_translations`` call."""
-        translations = self._memo().translations
-        missing = list(dict.fromkeys(g for g in gs if g not in translations))
-        if missing:
-            translations.update(zip(missing, self._build_translations(missing)))
-        return [translations[g] for g in gs]
+        return self._memo().right_translations(gs)
 
     def coset_walk(self, g):
         """The walk of the right translation x -> xg, made once per g."""
-        walks = self._memo().walks
-        out = walks.get(g)
-        if out is None:
-            out = walks[g] = CosetWalk(self.right_translation(g), self.element_strs,
-                                       self.index_of(self.identity))
-        return out
+        return self._memo().coset_walk(g)
 
     def _build_translations(self, gs):
         index = self.element_index()
@@ -682,8 +728,7 @@ class PermClosureGroup(_PermGroupBase):
 
     _codes = _element_store  # read only up to MAX_BYTES_DEGREE
 
-    def index_of(self, g):
-        store = self._element_store()  # checks the cap
+    def _locate(self, store, g):
         if self._coded:
             if not isinstance(g, tuple) or len(g) != self.degree:
                 return None
@@ -692,6 +737,10 @@ class PermClosureGroup(_PermGroupBase):
             except (TypeError, ValueError):  # a point that is no int, or no byte
                 return None
         return _sorted_index(store, g)
+
+    def elements_at(self, indices):
+        store = self._element_store()
+        return [tuple(store[i]) if self._coded else store[i] for i in indices]
 
     def contains(self, g):
         return self.index_of(g) is not None

@@ -294,7 +294,8 @@ def group_thin_criterion(triple: GroupTriple) -> PropertyResult:
     On element indices: from each power a^i the right translation by b
     walks a^i b^j, and the only candidate k is the exponent of (a^i b^j)^-1
     among the powers of c, looked up as a^i b^j = c^-k.  One product in the
-    group confirms each solution found."""
+    group confirms each solution found, on elements read from the group's
+    store (``Group.elements_at``)."""
     started = time.monotonic()
     G = triple.group
     wa, wb, wc = triple.walks
@@ -308,10 +309,11 @@ def group_thin_criterion(triple: GroupTriple) -> PropertyResult:
             if k is not None:
                 found.append((i, j, k, x))
             x = rho_b[x]
-    els = G.elements()
+    # a^i b^j and c^k of each solution found, read in one call
+    ends = G.elements_at([y for _, _, k, x in found for y in (x, wc.powers[k])])
     identity = G.identity
-    solutions = [(i, j, k) for i, j, k, x in found
-                 if G.mul(els[x], els[wc.powers[k]]) == identity]
+    solutions = [(i, j, k) for (i, j, k, _), x, y in zip(found, ends[::2], ends[1::2])
+                 if G.mul(x, y) == identity]
     extra = [s for s in solutions if s not in ((0, 0, 0), (1, 1, 1))]
     if not extra:
         if solutions != [(0, 0, 0), (1, 1, 1)]:
@@ -325,13 +327,13 @@ def group_orthogonal_criterion(triple: GroupTriple) -> PropertyResult:
     """Orthogonal iff the symbol subgroup meets its conjugate by a trivially:
     |C ∩ a^-1 C a| = 1.  On element indices: a^-1 is the last power of a,
     a^-1 c a is read off the right translations by c and by a, and C meets
-    the powers of a^-1 c a."""
+    the powers of a^-1 c a.  The elements it names are read from the
+    group's store (``Group.elements_at``)."""
     started = time.monotonic()
     G = triple.group
-    els = G.elements()
     wa, _, wc = triple.walks
     rho_a, rho_c = G.right_translations((triple.a, triple.c))
-    conj = G.coset_walk(els[rho_a[rho_c[wa.powers[-1]]]])
+    conj = G.coset_walk(*G.elements_at((rho_a[rho_c[wa.powers[-1]]],)))
     if len(conj.powers) != len(wc.powers):
         raise ConsistencyError(
             f"the conjugate of a subgroup of order {len(wc.powers)} "
@@ -340,7 +342,7 @@ def group_orthogonal_criterion(triple: GroupTriple) -> PropertyResult:
     if len(common) == 1:
         return _timed(started, "yes", "group-criterion")
     identity = wa.powers[0]
-    witness = min((els[g] for g in common if g != identity), key=_sort_key)
+    witness = min(G.elements_at(g for g in common if g != identity), key=_sort_key)
     return _timed(started, "no", "group-criterion", witness)
 
 

@@ -16,7 +16,7 @@ from .properties import (
     compute_report,
     homogeneity,
 )
-from .serialize import _compact_chunks
+from .serialize import _COMPACT, _compact_chunks
 
 DEFAULT_SEARCH_CAP = 200
 
@@ -45,14 +45,15 @@ class SearchRecord:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def bitrade_signature(bitrade, escaped=None) -> str:
+def bitrade_signature(bitrade, triple=None) -> str:
     """Stable content hash of the bitrade's document without its provenance
     (alphabets and triples only, so that equal bitrades from different
     triples collide): the first 16 hex digits of the SHA-256 of its
-    compact JSON text.  ``escaped`` gives each label's JSON string per
-    alphabet, as a coset bitrade's ``GroupTriple.escaped_alphabets`` has
-    them; else they are made here."""
-    text = "".join(_compact_chunks(bitrade, escaped))
+    compact JSON text.  The label text is read off the coset walks of
+    ``triple`` (``GroupTriple.written``), the group triple whose coset
+    bitrade this is, if given; else it is made here."""
+    written = None if triple is None else triple.written(_COMPACT.lists[0])
+    text = "".join(_compact_chunks(bitrade, written))
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
@@ -92,8 +93,10 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
     disagreement of the two verdicts raises ConsistencyError.  G3 is read
     off the bitrade: the orbit of an element x under the right
     multiplications by a, b and c is x<a, b, c>, so a, b and c generate G
-    exactly when the structure is transitive.  The group's enumeration cap
-    bounds every enumeration of it.
+    exactly when the structure is transitive.  As c = (ab)^-1, <a, b, c> is
+    <a, b>, which <a> and <b> fix, so the orbit is taken once per pair of
+    walk member sets.  The group's enumeration cap bounds every
+    enumeration of it.
     """
     check_names(checks)
     n = group.order()
@@ -101,11 +104,15 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
         raise ResourceCapError(
             f"group {group.spec} has order {n}, above the search cap", search_cap)
     records = []
+    generates = {}  # (<a>, <b>) as walk member sets -> G3
     for triple in iter_triples(group):
         if k is not None and triple.orders != (k, k, k):
             continue
         bitrade = from_group(group, triple.a, triple.b, triple.c)
-        g3 = len(_orbit(bitrade.permutation_triple)) == n
+        pair = (triple.walks[0].members, triple.walks[1].members)
+        g3 = generates.get(pair)
+        if g3 is None:
+            g3 = generates[pair] = len(_orbit(bitrade.permutation_triple)) == n
         if require_g3 and not g3:
             continue
         report = compute_report(bitrade, checks, minimal_cap=minimal_cap) if checks else {}
@@ -117,6 +124,6 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
             size=bitrade.size, orders=triple.orders, g3=g3,
             k=hom.value if hom.value != "no" else None,
             properties={name: res.value for name, res in report.items()},
-            signature=bitrade_signature(bitrade, triple.escaped_alphabets()),
+            signature=bitrade_signature(bitrade, triple),
         ))
     return records

@@ -54,9 +54,10 @@ _COMPACT = _Layout((("[", ", ", "]"), ("[", ", ", "]")),
                    '{{"cols": {1}, "rows": {0}, "syms": {2}, "t_circ": ', ', "t_star": ', "}")
 
 
-def _square_columns(bitrade, escaped):
+def _square_columns(bitrade, ranked):
     """For each square, the escaped row, column and symbol of its triples in
-    document order (the string triples sorted).
+    document order (the string triples sorted); ``ranked`` holds each
+    alphabet's JSON strings in ``_sort_key`` order.
 
     When every label is a str, that order is the structure's point order
     (``core._canonical_structure``; for str, ``_sort_key`` order is plain
@@ -64,29 +65,29 @@ def _square_columns(bitrade, escaped):
     tau2(x), so both squares come from the structure with no sort.  Other
     labels are taken from ``bitrade_to_doc``, which sorts them as strings.
     """
-    if set(map(type, chain.from_iterable(escaped))) == {str}:
-        pt = bitrade.permutation_triple
-        circ = [list(map(list(map(esc.__getitem__, labels)).__getitem__, coord))
-                for esc, labels, coord in zip(escaped, pt.alphabets, pt.coords)]
+    pt = bitrade.permutation_triple
+    if set(map(type, chain.from_iterable(pt.alphabets))) == {str}:
+        circ = [list(map(esc.__getitem__, coord)) for esc, coord in zip(ranked, pt.coords)]
         star = circ[:2] + [list(map(circ[2].__getitem__, pt.index_perms[1]))]
         return circ, star
     doc = bitrade_to_doc(bitrade)
-    by_str = [{_label_str(lab): e for lab, e in esc.items()} for esc in escaped]
+    by_str = [dict(zip(map(_label_str, labels), esc))
+              for labels, esc in zip(pt.alphabets, ranked)]
     return [[[esc[t[i]] for t in doc[key]] for i, esc in enumerate(by_str)]
             for key in ("t_circ", "t_star")]
 
 
-def _document_chunks(bitrade, escaped, layout, provenance=""):
-    """The bitrade's document in ``layout``, in chunks; ``escaped`` holds
-    each label's JSON string, per alphabet.
+def _document_chunks(bitrade, written, layout, provenance=""):
+    """The bitrade's document in ``layout``, in chunks; ``written`` holds
+    per alphabet its JSON strings in ``_sort_key`` order and its JSON list
+    in ``layout`` (``_written``).
 
     A chunk holds up to ``_TRIPLES_PER_CHUNK`` triples: one list repeats
     the text around a triple's three labels, and the labels are put in
     its slots by slice assignment."""
     (open_, sep, close), (t_open, t_sep, t_close) = layout.lists
-    yield layout.head.format(*(open_ + sep.join(esc.values()) + close for esc in escaped),
-                             provenance)
-    circ, star = _square_columns(bitrade, escaped)
+    yield layout.head.format(*(text for _, text in written), provenance)
+    circ, star = _square_columns(bitrade, [ranked for ranked, _ in written])
     for columns, after in ((circ, layout.star), (star, layout.tail)):
         n = len(columns[0])
         for start in range(0, n, _TRIPLES_PER_CHUNK):
@@ -106,27 +107,39 @@ def _escaped_alphabets(bitrade):
             for labels in bitrade.alphabets]
 
 
+def _written(bitrade, escaped, layout):
+    """Per alphabet, the JSON strings of ``escaped`` (as
+    ``_escaped_alphabets`` makes them) in ``_sort_key`` order, and their
+    JSON list in declared order as ``layout`` spells it.  A coset walk
+    keeps the same pair for its alphabet (``CosetWalk.written``)."""
+    open_, sep, close = layout.lists[0]
+    return [(list(map(esc.__getitem__, labels)), open_ + sep.join(esc.values()) + close)
+            for esc, labels in zip(escaped, bitrade.permutation_triple.alphabets)]
+
+
 def _json_chunks(bitrade):
     """The text of ``json.dumps(bitrade_to_doc(bitrade), indent=2,
     sort_keys=True)`` plus a newline, in chunks, with each label escaped
     once per alphabet.  Two labels written as one string are refused: the
     document would not read back."""
     escaped = _escaped_alphabets(bitrade)
-    written = Counter(e for esc in escaped for e in esc.values())
-    shared = [e for e, count in written.items() if count > 1]
+    counts = Counter(e for esc in escaped for e in esc.values())
+    shared = [e for e, count in counts.items() if count > 1]
     if shared:
         raise ValidationError("P2", f"two labels are both written as {min(shared)}")
     # nested one level deep: every line after the first moves two spaces in
     provenance = json.dumps(bitrade.provenance, indent=2, sort_keys=True).replace(
         "\n", "\n  ")
-    yield from _document_chunks(bitrade, escaped, _INDENTED, provenance)
+    yield from _document_chunks(bitrade, _written(bitrade, escaped, _INDENTED), _INDENTED,
+                                provenance)
 
 
-def _compact_chunks(bitrade, escaped=None):
+def _compact_chunks(bitrade, written=None):
     """The text of ``json.dumps(doc, sort_keys=True)`` for the bitrade's
-    document without its provenance, in chunks; ``escaped`` is
-    ``_escaped_alphabets(bitrade)`` if given."""
-    return _document_chunks(bitrade, escaped or _escaped_alphabets(bitrade), _COMPACT)
+    document without its provenance, in chunks; ``written`` is its
+    ``_written`` text in ``_COMPACT`` if given."""
+    return _document_chunks(
+        bitrade, written or _written(bitrade, _escaped_alphabets(bitrade), _COMPACT), _COMPACT)
 
 
 def bitrade_to_json(bitrade: Bitrade) -> str:

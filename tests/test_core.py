@@ -299,6 +299,25 @@ class TestFromPermutations:
             from_permutations(p1, p2, p3)
         assert err.value.condition == "Q3"
 
+    def test_cycle_minima_that_format_alike_violate_p2(self):
+        # the intercalate's structure on the points 1, "1", "y" and "z": the
+        # cycles {1, "z"} and {"1", "y"} of p1 are both named by "1", so the
+        # walk of p1 has two rows labelled R:1
+        points = [1, "1", "y", "z"]
+        p1 = perm_from_cycles([(1, "z"), ("1", "y")], points)
+        p2 = perm_from_cycles([(1, "1"), ("z", "y")], points)
+        p3 = perm_from_cycles([(1, "y"), ("z", "1")], points)
+        validate_permutation_triple(p1, p2, p3, points)  # Q1-Q3 hold
+        with pytest.raises(ValidationError) as err:
+            from_permutations(p1, p2, p3)
+        assert err.value.condition == "P2"
+        assert str(err.value) == "P2: duplicate label in the declared row alphabet"
+        # with the point 1 named 0, the same structure is a bitrade
+        def renamed(p):
+            return {(0 if x == 1 else x): (0 if y == 1 else y) for x, y in p.items()}
+
+        assert from_permutations(*map(renamed, (p1, p2, p3))).rows == ("R:0", "R:1")
+
     @pytest.mark.parametrize("p1,points", [
         ({1: 2, 2: 3, 3: 4}, [1, 2, 3]),   # image 4 outside the point set
         ({1: 2, 2: 2, 3: 1}, [1, 2, 3]),   # 1 and 2 share an image
@@ -601,6 +620,102 @@ class TestFromGroup:
         for mine, theirs in zip((via_perms.rows, via_perms.cols, via_perms.syms),
                                 (bt.rows, bt.cols, bt.syms)):
             assert [rename[lab] for lab in mine] == list(theirs)
+
+
+# the group's memo keeps the last triple admitted, and a triple of the very
+# same a, b and c objects takes its verdict from it
+REUSE_SPECS = ["alt:4", "gens:4:(1,2,3);(2,1,4)"]
+
+
+def _reuse_triple(spec):
+    G = group_from_spec(spec)
+    a, b = parse_permutation("(1,2,3)", 4), parse_permutation("(2,1,4)", 4)
+    return G, a, b, G.inverse(G.mul(a, b))
+
+
+def _spy_locate(G, monkeypatch):
+    """The elements the group's memo looks up from now on."""
+    located = []
+    locate = G._locate
+    monkeypatch.setattr(G, "_locate", lambda store, g: located.append(g) or locate(store, g))
+    return located
+
+
+class TestGroupTripleReuse:
+    @pytest.mark.parametrize("spec", REUSE_SPECS)
+    def test_same_objects_take_the_verdict(self, spec, monkeypatch):
+        G, a, b, c = _reuse_triple(spec)
+        first = GroupTriple(G, a, b, c)
+        located = _spy_locate(G, monkeypatch)
+        again = GroupTriple(G, a, b, c)
+        bt = from_group(G, a, b, c)
+        assert located == []
+        assert again.walks is first.walks and again.translations is first.translations
+        assert again.element_strs() == first.element_strs()
+        assert bt == from_group(group_from_spec(spec), a, b, c)
+
+    @pytest.mark.parametrize("spec", REUSE_SPECS)
+    def test_equal_but_distinct_objects_are_validated(self, spec, monkeypatch):
+        G, a, b, c = _reuse_triple(spec)
+        first = GroupTriple(G, a, b, c)
+        copies = [tuple(list(x)) for x in (a, b, c)]
+        assert copies == [a, b, c]
+        assert not any(x is y for x, y in zip(copies, (a, b, c)))
+        located = _spy_locate(G, monkeypatch)
+        again = GroupTriple(G, *copies)
+        assert located == copies and all(x is y for x, y in zip(located, copies))
+        assert again.walks == first.walks
+        located.clear()
+        GroupTriple(G, a, b, c)  # the copies are the last triple now
+        assert located == [a, b, c]
+
+    @pytest.mark.parametrize("spec", REUSE_SPECS)
+    def test_lowered_cap_refused_after_a_valid_triple(self, spec):
+        G, a, b, c = _reuse_triple(spec)
+        GroupTriple(G, a, b, c)
+        G.max_elements = 11
+        with pytest.raises(ResourceCapError) as at_triple:
+            GroupTriple(G, a, b, c)
+        with pytest.raises(ResourceCapError) as at_construction:
+            from_group(G, a, b, c)
+        assert str(at_triple.value) == str(at_construction.value) \
+            == f"group {G.spec} has order 12, above the enumeration cap (cap: 11)"
+        G.max_elements = 12
+        assert from_group(G, a, b, c).size == 12
+
+    @pytest.mark.parametrize("spec", REUSE_SPECS)
+    def test_refusals_after_a_valid_triple_keep_their_messages(self, spec):
+        G, a, b, c = _reuse_triple(spec)
+        e = parse_permutation("()", 4)
+        odd, odd2 = parse_permutation("(1,2)", 4), parse_permutation("(1,3)", 4)
+        cases = {
+            "nontrivial": (e, a, parse_permutation("(1,3,2)", 4)),
+            "G1": (a, b, b),  # a and b of the valid triple
+            "G1 with c": (a, b, a),
+            "G2": (a, a, a),  # a^3 = 1; |A∩B| = 3
+            "non-member": (odd, odd2, (3, 1, 2, 4)),  # abc = 1 in S4
+            "foreign": (a, b, 7),
+        }
+
+        def refusal(G, case):
+            with pytest.raises((ValidationError, GroupError)) as err:
+                GroupTriple(G, *case)
+            with pytest.raises(type(err.value)) as again:
+                from_group(G, *case)
+            assert str(again.value) == str(err.value)
+            return type(err.value), str(err.value)
+
+        fresh = {name: refusal(group_from_spec(spec), case) for name, case in cases.items()}
+        assert [message for _, message in fresh.values()] == [
+            "nontrivial: element a must not be the identity",
+            "G1: abc != identity (a=(1,2,3), b=(1,4,2), c=(1,4,2))",
+            "G1: abc != identity (a=(1,2,3), b=(1,4,2), c=(1,2,3))",
+            "G2: |A∩B|=3",
+            f"(2, 1, 3, 4) is not an element of {G.spec}",
+            f"7 is not an element of {G.spec}"]
+        for name, case in cases.items():
+            GroupTriple(G, a, b, c)
+            assert refusal(G, case) == fresh[name], name
 
 
 def _parse_point(G, label):

@@ -9,6 +9,7 @@ from bitrades import properties
 from bitrades.core import GroupTriple, from_group, make_bitrade
 from bitrades.errors import ConsistencyError
 from bitrades.groups import group_from_spec, parse_permutation
+from bitrades.search import iter_triples
 from bitrades.properties import (
     PropertyResult,
     check_thin_primary_minimal,
@@ -198,6 +199,27 @@ class TestGroupOrthogonalCriterion:
 
     def test_pq_7_3_2_triple(self):
         assert group_orthogonal_criterion(pq_triple(7, 3, 2)).yes
+
+
+def test_group_criteria_leave_a_code_store_unbuilt():
+    # a gens: group keeps its elements as bytes codes: both criteria read
+    # the few elements they name from that store and never build elements(),
+    # with each verdict and witness as on a group whose elements are built
+    spec = "gens:5:(1,2,3,4,5);(1,2)"  # S5
+    expected = {}
+    for t in iter_triples(group_from_spec(spec)):
+        thin, orthogonal = group_thin_criterion(t), group_orthogonal_criterion(t)
+        expected.setdefault((thin.value, orthogonal.value),
+                            (t, thin.witness, orthogonal.witness))
+        if len(expected) == 4:  # each pair of verdicts
+            break
+    assert len(expected) == 4
+    for t, thin_witness, orthogonal_witness in expected.values():
+        G = group_from_spec(spec)
+        triple = GroupTriple(G, t.a, t.b, t.c)
+        thin, orthogonal = group_thin_criterion(triple), group_orthogonal_criterion(triple)
+        assert (thin.witness, orthogonal.witness) == (thin_witness, orthogonal_witness)
+        assert "_elements" not in vars(G)
 
 
 class TestPqThinPredicate:

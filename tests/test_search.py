@@ -13,7 +13,8 @@ from bitrades.core import (
     make_bitrade,
     triple_permutations,
 )
-from bitrades import families
+from bitrades import families, search
+from bitrades.cli import main
 from bitrades.errors import ResourceCapError, ValidationError
 from bitrades.families import predicted_table
 from bitrades.groups import Subgroup, group_from_spec, parse_permutation
@@ -176,6 +177,30 @@ def test_records_against_the_oracles(spec):
         assert (len(records), sum(not r.g3 for r in records)) == (102, 6)
 
 
+G3_SPECS = ["sym:4", "alt:5", "p3:3", "gens:5:(1,2,3,4,5);(2,5)(3,4)"]
+
+
+@pytest.mark.parametrize("spec", G3_SPECS)
+def test_g3_per_subgroup_pair_against_each_orbit(spec, monkeypatch):
+    # search takes the orbit once per pair (<a>, <b>), as <a, b, c> = <a, b>;
+    # every record's G3 is still the transitivity of its own structure
+    orbits = []
+    monkeypatch.setattr(search, "_orbit", lambda pt: orbits.append(pt) or _orbit(pt))
+    G = group_from_spec(spec)
+    records = search_triples(G, checks=())
+    triples = list(iter_triples(group_from_spec(spec)))
+    assert [(r.a, r.b, r.c) for r in records] == [t.element_strs() for t in triples]
+    for triple, record in zip(triples, records):
+        bitrade = from_group(triple.group, triple.a, triple.b, triple.c)
+        assert record.g3 == (len(_orbit(bitrade.permutation_triple)) == G.order())
+    pairs = {(Subgroup(G, t.a).members, Subgroup(G, t.b).members) for t in triples}
+    assert len(orbits) == len(pairs) < len(records)
+    if spec == "gens:5:(1,2,3,4,5);(2,5)(3,4)":
+        assert {r.g3 for r in records} == {True}  # every pair generates D5
+    else:
+        assert {r.g3 for r in records} == {True, False}
+
+
 def test_table_instances_g3_against_the_closure(monkeypatch):
     # table --recompute reads G3 off the orbit of each instance it verifies
     instances = []
@@ -193,6 +218,25 @@ def test_table_instances_g3_against_the_closure(monkeypatch):
         closure = len(t.group.closure([t.a, t.b, t.c])) == t.group.order()
         assert (len(_orbit(bitrade.permutation_triple)) == bitrade.size) == closure
         assert closure  # every family triple generates its group
+
+
+# the SHA-256 of the full stdout of `bitrade search --group <spec>` for the
+# order-120 and order-125 groups, beyond the golden files (which stop at
+# sym:4); CI also runs this with asserts stripped
+LISTING_SHA256 = {
+    "sym:5": "894d4e3177508cbac818b6757b6564181dfdf770cd8a6b737029bff36c5099d8",
+    "p3:5": "1da1d3f97c1f2a55dc86a2be2b07b78a68ff5bb4a4a3cbe45d2e63be48a7e32d",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec,count", [("sym:5", 13680), ("p3:5", 14880)])
+def test_full_search_listing(spec, count, capsys):
+    assert main(["search", "--group", spec]) == 0
+    out, err = capsys.readouterr()
+    assert err == f"{count} triples found in {spec}\n"
+    assert out.count("\n") == count
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LISTING_SHA256[spec]
 
 
 def relabel(triples, form):
@@ -306,8 +350,12 @@ def test_coset_walks_against_the_cosets():
             declared, in_order = walk.labels("B")
             assert declared == tuple("B:" + name for name in walk.names)
             assert in_order == tuple(sorted(declared))
-            assert list(walk.escaped("B").items()) == [
-                (label, json.dumps(label)) for label in declared]
+            # the JSON text the writers read: the labels' strings in name
+            # order and their JSON list in declared order, per spelling
+            text = walk.written("B", ("[", ", ", "]"))
+            assert text == ([json.dumps(label) for label in in_order], json.dumps(list(declared)))
+            assert walk.written("B", ("[", ", ", "]")) is text
+            assert walk.distinct
 
 
 # ---------------------------------------------------------------------------
