@@ -35,7 +35,6 @@ from .families import (
 )
 from .groups import (
     AlternatingGroup,
-    Coset,
     CyclicGroup,
     DirectProductGroup,
     Group,

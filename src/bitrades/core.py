@@ -468,36 +468,33 @@ def _canonical_structure(ranked, coords, perms, increasing=None):
 # the permutation structure of a bitrade
 
 class PermutationTriple:
-    """Three fixed-point-free permutations of a point set, one per coordinate.
+    """The permutation structure of a bitrade: three fixed-point-free
+    permutations of its primary triples (the points), one per coordinate.
 
-    The permutations are held on integer indices into ``points`` (arrays
-    for a bitrade): ``index_perms[i][x]`` is the index of the image of
+    The permutations are held as arrays of integer indices into
+    ``points``: ``index_perms[i][x]`` is the index of the image of
     point x; ``index_cycles[i]`` lists the cycles of the i-th permutation as
     index lists, each starting at its least index and in ascending order of
     it; and ``cycle_of[i][x]`` is the number of the cycle through point x.
     The cycles are found on first access by one walk, which checks Q2;
     that is all, because every builder proved Q1-Q3 (``from_permutations``
     on its input, ``from_group`` by the construction theorem from G1-G2,
-    ``make_bitrade`` from P1 and R1-R3, see ``_pair_structure``), and
-    ``validate_permutation_triple`` stores the cycles of its full check.
+    ``make_bitrade`` from P1 and R1-R3, see ``_pair_structure``).
     ``perms`` (dicts over the points) and ``cycles`` (point tuples) are
     the same permutations in terms of the points, built on first access.
 
-    For a bitrade the points are the primary triples in canonical order,
-    the i-th permutation fixes coordinate i, and its cycles partition the
+    The points are the primary triples in canonical order, the i-th
+    permutation fixes coordinate i, and its cycles partition the
     points by their i-th label.  ``alphabets`` holds the row, column and
     symbol labels in canonical order, and ``coords[i][x]`` is the position
     of the i-th label of point x in ``alphabets[i]``.  ``points`` is built
-    from them on first access and kept; ``pt[x]`` reads point x alone.  A
-    bare point set passes its ``points`` in instead.
+    from them on first access and kept; ``pt[x]`` reads point x alone.
     """
 
-    def __init__(self, index_perms, alphabets=None, coords=None, points=None):
+    def __init__(self, index_perms, alphabets, coords):
         self.index_perms = index_perms
         self.alphabets = alphabets
         self.coords = coords
-        if points is not None:
-            self.points = points
 
     @cached_property
     def points(self):
@@ -606,15 +603,6 @@ def _check_permutation_triple(perms, points):
                 "Q3", f"the product moves the point {point_str(points[x])}",
                 witness=points[x])
     return cycles, cycle_of
-
-
-def validate_permutation_triple(p1, p2, p3, points):
-    """Check that three dict permutations of ``points`` satisfy Q1-Q3."""
-    points = tuple(points)
-    perms = tuple(_index_permutations((p1, p2, p3), points))
-    pt = PermutationTriple(perms, points=points)
-    pt._cycles = _check_permutation_triple(perms, points)
-    return pt
 
 
 def _bitrade_of_walks(perms, walks, tags, provenance):

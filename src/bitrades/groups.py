@@ -1,4 +1,5 @@
-"""Finite-group arithmetic: elements, subgroups, cosets, and group families.
+"""Finite-group arithmetic: elements, right translations and their cosets,
+and group families.
 
 Elements are plain hashable encodings owned by their group:
 
@@ -19,9 +20,12 @@ Permutation groups of degree at most 255 enumerate closures and build right
 translations on ``bytes`` internally: an image tuple ``x`` is coded as
 ``bytes(x)``, codes of one length sort exactly like the tuples they encode,
 and ``x -> xg`` is ``code.translate(table)`` for one 256-byte table per g.
-A group generated by such permutations keeps the sorted codes of its
-closure as its element store.  Every element a caller sees or passes stays
-an image tuple.
+Every such group (``sym:n``, ``alt:n`` and ``gens:`` alike) keeps the
+sorted codes of its elements as its one element store.  Every element a
+caller sees or passes stays an image tuple.
+
+The left cosets x<g> that a bitrade is made of are the cycles of the
+right translation x -> xg, walked once per g (``CosetWalk``).
 """
 
 from __future__ import annotations
@@ -162,8 +166,11 @@ def parse_permutation(text, degree):
 
 
 # ---------------------------------------------------------------------------
-# subgroups and cosets
+# cyclic subgroups
 
+# The package reads <g> from ``Group.coset_walk(g).powers``.  This class is
+# kept for the benchmark's tracer, which wraps ``Subgroup.__init__`` as its
+# ``groups.subgroup`` span, and for tests; it goes when that span does.
 class Subgroup:
     """Cyclic subgroup <g> of a parent group, kept as the ordered power list."""
 
@@ -197,21 +204,6 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup(<{self.group.element_str(self.generator)}>, order={self.order})"
-
-
-class Coset:
-    """Left coset gH, identified by its canonical (minimum) representative."""
-
-    def __init__(self, subgroup, rep):
-        self.subgroup = subgroup
-        self.rep = rep
-
-    def elements(self):
-        group = self.subgroup.group
-        return tuple(sorted(group.mul(self.rep, h) for h in self.subgroup.elements))
-
-    def __repr__(self):
-        return f"Coset({self.subgroup.group.element_str(self.rep)}·H, |H|={len(self.subgroup)})"
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +448,6 @@ class Group:
         """``element_str`` of the elements at the given indices."""
         return self._memo().element_strs(indices)
 
-    def generated_subgroup(self, g):
-        """The cyclic subgroup <g>; the enumeration cap is checked first."""
-        self.check_enumerable()
-        return Subgroup(self, g)
-
     def right_translation(self, g):
         """The permutation x -> xg of the element indices, built once per g."""
         return self.right_translations([g])[0]
@@ -479,15 +466,6 @@ class Group:
         els = self.elements()
         mul = self.mul
         return [array("i", [index[mul(x, g)] for x in els]) for g in gs]
-
-    def element_order(self, g):
-        """Least n > 0 with g**n = identity."""
-        n = 1
-        x = g
-        while x != self.identity:
-            x = self.mul(x, g)
-            n += 1
-        return n
 
     def closure(self, generators):
         """Smallest multiplication-closed set containing the generators.
@@ -517,27 +495,6 @@ class Group:
             frontier = new
         return els
 
-    def left_cosets(self, subgroup):
-        """Partition of the group into left cosets, sorted by representative."""
-        reps = []
-        seen = set()
-        for g in self.elements():
-            if g in seen:
-                continue
-            members = [self.mul(g, h) for h in subgroup.elements]
-            reps.append(min(members))
-            seen.update(members)
-        return [Coset(subgroup, rep) for rep in sorted(reps)]
-
-    def center(self):
-        """All elements commuting with every element (brute-force scan)."""
-        els = self.elements()
-        out = []
-        for g in els:
-            if all(self.mul(g, h) == self.mul(h, g) for h in els):
-                out.append(g)
-        return tuple(out)
-
     def __repr__(self):
         return f"{type(self).__name__}({self.spec})"
 
@@ -555,14 +512,20 @@ def _sorted_index(items, x):
 class _PermGroupBase(Group):
     """Common behaviour for groups of image-tuple permutations.
 
-    Up to degree ``MAX_BYTES_DEGREE``, ``closure`` and the right translations
-    run on the ``bytes`` codes of the elements (see the module docstring);
-    above it they are the generic ``Group`` paths.  Either way they take and
-    return image tuples.
+    Every such group keeps its sorted elements as its one element store
+    (``_store``): up to degree ``MAX_BYTES_DEGREE`` their codes, so image
+    tuples are made only for a caller of ``elements()`` or
+    ``iter_elements()``; above it, the tuples.  A group of generators
+    fills it from their closure when it is built, the others on first use
+    once the cap allows (``_make_store``).  Up to that degree ``closure``
+    and the right translations run on the codes (see the module
+    docstring); above it they are the generic ``Group`` paths.  Either way
+    they take and return image tuples.
     """
 
     def __init__(self, degree):
         self.degree = degree
+        self._coded = degree <= MAX_BYTES_DEGREE
 
     @property
     def identity(self):
@@ -602,19 +565,55 @@ class _PermGroupBase(Group):
         return codes
 
     def closure(self, generators):
-        if self.degree > MAX_BYTES_DEGREE:
+        if not self._coded:
             return super().closure(generators)
         return {tuple(x) for x in self._closure_codes(list(generators))}
 
-    def _codes(self):
-        """The codes of ``elements()``, made for the caller."""
-        return [bytes(x) for x in self.elements()]
+    def _sorted_closure(self, generators):
+        """The store of the group ``generators`` generate: their sorted
+        closure, as codes or (above ``MAX_BYTES_DEGREE``) tuples."""
+        if not self._coded:
+            return sorted(self.closure(generators))
+        # cut from one joined string, the sorted codes lie in memory in their
+        # order, which every later pass over all of them reads faster; the
+        # closure's codes are freed first, for the cut to reuse
+        n = self.degree
+        codes = sorted(self._closure_codes(generators))
+        joined = b"".join(codes)
+        del codes
+        return [joined[i:i + n] for i in range(0, len(joined), n)]
+
+    def _element_store(self):
+        """The store, made on first use once the cap allows it."""
+        self.check_enumerable()
+        store = self.__dict__.get("_store")
+        if store is None:
+            store = self._store = self._make_store()
+        return store
+
+    def iter_elements(self):
+        store = self._element_store()
+        return map(tuple, store) if self._coded else iter(store)
+
+    def _locate(self, store, g):
+        if self._coded:
+            if not isinstance(g, tuple) or len(g) != self.degree:
+                return None
+            try:
+                g = bytes(g)
+            except (TypeError, ValueError):  # a point that is no int, or no byte
+                return None
+        return _sorted_index(store, g)
+
+    def elements_at(self, indices):
+        store = self._element_store()
+        return [tuple(store[i]) if self._coded else store[i] for i in indices]
 
     def _build_translations(self, gs):
-        if self.degree > MAX_BYTES_DEGREE:
+        if not self._coded:
             return super()._build_translations(gs)
         tables = [self._table(g) for g in gs]
-        codes = self._codes()
+        codes = self._element_store()
         # transient and shared by the translations, which alone outlive the call
         index = {x: i for i, x in enumerate(codes)}
         return [array("i", [index[x.translate(table)] for x in codes]) for table in tables]
@@ -656,8 +655,10 @@ class SymmetricGroup(_PermGroupBase):
     def order(self):
         return math.factorial(self.degree)
 
-    def iter_elements(self):
-        return (tuple(p) for p in itertools.permutations(range(1, self.degree + 1)))
+    def _make_store(self):
+        # the permutations of an ascending sequence come in ascending order
+        perms = itertools.permutations(range(1, self.degree + 1))
+        return list(map(bytes, perms)) if self._coded else list(perms)
 
 
 class AlternatingGroup(_PermGroupBase):
@@ -673,22 +674,23 @@ class AlternatingGroup(_PermGroupBase):
         n = self.degree
         return 1 if n < 2 else math.factorial(n) // 2
 
-    def iter_elements(self):
-        for p in itertools.permutations(range(1, self.degree + 1)):
-            g = tuple(p)
-            if perm_parity(g) == 0:
-                yield g
+    def _make_store(self):
+        # A_n is generated by (1,2,3) and the n-cycle for odd n, and by
+        # (1,2,3) and the cycle (2,...,n) for even n
+        n = self.degree
+        if n < 3:
+            return self._sorted_closure([self.identity])
+        cycle = "(" + ",".join(map(str, range(2 - n % 2, n + 1))) + ")"
+        return self._sorted_closure([parse_permutation(c, n) for c in ("(1,2,3)", cycle)])
 
     def contains(self, g):
+        # decided without the store, so a refusal never waits on enumeration
         return perm_is_valid(g, self.degree) and perm_parity(g) == 0
 
 
 class PermClosureGroup(_PermGroupBase):
-    """Group generated by explicit degree-n permutations (table kind).  It
-    keeps the sorted elements of the closure and nothing else: up to degree
-    ``MAX_BYTES_DEGREE`` their codes, so image tuples are made only for a
-    caller of ``elements()`` or ``iter_elements()``; above it, the tuples.
-    """
+    """Group generated by explicit degree-n permutations (table kind); its
+    store is made from the closure when the group is built."""
 
     kind = "gens"
 
@@ -704,43 +706,10 @@ class PermClosureGroup(_PermGroupBase):
         self.generators = tuple(gens)
         self.spec = "gens:%d:%s" % (n, ";".join(perm_str(g) for g in gens))
         self.max_elements = max_elements
-        self._coded = n <= MAX_BYTES_DEGREE
-        if self._coded:
-            # cut from one joined string, the sorted codes lie in memory in
-            # their order, which every later pass over all of them reads
-            # faster; the closure's codes are freed first, for the cut to reuse
-            codes = sorted(self._closure_codes(gens))
-            joined = b"".join(codes)
-            del codes
-            self._store = [joined[i:i + n] for i in range(0, len(joined), n)]
-        else:
-            self._store = sorted(self.closure(gens))
+        self._store = self._sorted_closure(gens)
 
     def order(self):
         return len(self._store)
-
-    def iter_elements(self):
-        return map(tuple, self._store) if self._coded else iter(self._store)
-
-    def _element_store(self):
-        self.check_enumerable()
-        return self._store
-
-    _codes = _element_store  # read only up to MAX_BYTES_DEGREE
-
-    def _locate(self, store, g):
-        if self._coded:
-            if not isinstance(g, tuple) or len(g) != self.degree:
-                return None
-            try:
-                g = bytes(g)
-            except (TypeError, ValueError):  # a point that is no int, or no byte
-                return None
-        return _sorted_index(store, g)
-
-    def elements_at(self, indices):
-        store = self._element_store()
-        return [tuple(store[i]) if self._coded else store[i] for i in indices]
 
     def contains(self, g):
         return self.index_of(g) is not None

@@ -1,4 +1,7 @@
-"""Shared fixtures: small bitrades with hand-checked structure."""
+"""Shared fixtures and oracles: small bitrades with hand-checked structure,
+and group facts computed from their definitions by brute force."""
+
+import itertools
 
 import pytest
 
@@ -63,3 +66,68 @@ def two_intercalates():
 @pytest.fixture
 def nonseparated():
     return make_bitrade(NONSEP_CIRC, NONSEP_STAR)
+
+
+# ---------------------------------------------------------------------------
+# group oracles, on the group's multiplication alone
+
+def reference_permutations(n, even=False):
+    """The permutations of 1..n as image tuples in ascending order, or only
+    the even ones: all n! of them, filtered by the parity of their
+    inversion count."""
+    for p in itertools.permutations(range(1, n + 1)):
+        if not even or sum(x > y for x, y in itertools.combinations(p, 2)) % 2 == 0:
+            yield p
+
+
+def cyclic_subgroup(G, g):
+    """The powers of g from the identity, by repeated multiplication."""
+    powers = [G.identity]
+    x = g
+    while x != G.identity:
+        powers.append(x)
+        x = G.mul(x, g)
+    return powers
+
+
+def element_order(G, g):
+    """The least n > 0 with g**n = 1."""
+    return len(cyclic_subgroup(G, g))
+
+
+def left_cosets(G, g):
+    """The left cosets x<g>, each as its sorted elements, in order of their
+    least elements."""
+    H = cyclic_subgroup(G, g)
+    cosets = {}
+    for x in G.elements():
+        coset = tuple(sorted(G.mul(x, h) for h in H))
+        cosets[coset[0]] = coset
+    return [cosets[rep] for rep in sorted(cosets)]
+
+
+def center(G):
+    """The elements commuting with every element (a brute-force scan)."""
+    els = G.elements()
+    return [g for g in els if all(G.mul(g, h) == G.mul(h, g) for h in els)]
+
+
+def coset_oracle(G, triple):
+    """The coset bitrade computed from its definition: the filled cells are
+    the coset pairs (xA, yB) meeting in one element g, with symbol gC in
+    the primary square and g a^-1 C in the mate."""
+    C = cyclic_subgroup(G, triple.c)
+    a_inv = G.inverse(triple.a)
+    circ = set()
+    star = set()
+    for ca in left_cosets(G, triple.a):
+        for cb in left_cosets(G, triple.b):
+            common = set(ca) & set(cb)
+            if len(common) == 1:
+                g = common.pop()
+                row = f"A:{G.element_str(ca[0])}"
+                col = f"B:{G.element_str(cb[0])}"
+                for square, h in ((circ, g), (star, G.mul(g, a_inv))):
+                    rep = min(G.mul(h, x) for x in C)
+                    square.add((row, col, f"C:{G.element_str(rep)}"))
+    return circ, star

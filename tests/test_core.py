@@ -18,13 +18,12 @@ from bitrades.core import (
     roundtrip_check,
     separation_witness,
     triple_permutations,
-    validate_permutation_triple,
 )
 from bitrades.errors import GroupError, ResourceCapError, ValidationError
 from bitrades.groups import group_from_spec, parse_permutation
 from bitrades.search import iter_triples
 
-from conftest import TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR
+from conftest import TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR, coset_oracle
 
 
 def perm_from_cycles(cycles, points):
@@ -307,7 +306,8 @@ class TestFromPermutations:
         p1 = perm_from_cycles([(1, "z"), ("1", "y")], points)
         p2 = perm_from_cycles([(1, "1"), ("z", "y")], points)
         p3 = perm_from_cycles([(1, "y"), ("z", "1")], points)
-        validate_permutation_triple(p1, p2, p3, points)  # Q1-Q3 hold
+        perms = core._index_permutations((p1, p2, p3), points)
+        core._check_permutation_triple(perms, points)  # Q1-Q3 hold
         with pytest.raises(ValidationError) as err:
             from_permutations(p1, p2, p3)
         assert err.value.condition == "P2"
@@ -326,7 +326,7 @@ class TestFromPermutations:
     def test_input_violation_reported(self, p1, points):
         p = {1: 2, 2: 3, 3: 1}
         with pytest.raises(ValidationError) as err:
-            validate_permutation_triple(p1, p, p, points)
+            from_permutations(p1, p, p, points)
         assert err.value.condition == "input"
 
     def test_size_always_equals_point_count(self, two_by_three, intercalate):
@@ -376,27 +376,6 @@ def frobenius21_triple():
     # the Frobenius group of order 21 as permutations of 7 points
     return _spec_triple("gens:7:(1,2,3,4,5,6,7);(2,3,5)(4,7,6)",
                         "(1,2,3,4,5,6,7)", "(2,3,5)(4,7,6)")
-
-
-def coset_oracle(G, triple):
-    """The coset bitrade computed from its definition: the filled cells are
-    the coset pairs (xA, yB) meeting in one element g, with symbol gC in
-    the primary square and g a^-1 C in the mate."""
-    A, B, C = map(G.generated_subgroup, (triple.a, triple.b, triple.c))
-    a_inv = G.inverse(triple.a)
-    circ = set()
-    star = set()
-    for ca in G.left_cosets(A):
-        for cb in G.left_cosets(B):
-            common = set(ca.elements()) & set(cb.elements())
-            if len(common) == 1:
-                g = common.pop()
-                row = f"A:{G.element_str(ca.rep)}"
-                col = f"B:{G.element_str(cb.rep)}"
-                for square, h in ((circ, g), (star, G.mul(g, a_inv))):
-                    rep = min(G.mul(h, x) for x in C.elements)
-                    square.add((row, col, f"C:{G.element_str(rep)}"))
-    return circ, star
 
 
 @functools.lru_cache(maxsize=None)

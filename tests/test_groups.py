@@ -14,7 +14,6 @@ from bitrades.groups import (
     HeisenbergGroup,
     MetacyclicGroup,
     PermClosureGroup,
-    Subgroup,
     SymmetricGroup,
     _is_prime,
     group_from_spec,
@@ -23,6 +22,8 @@ from bitrades.groups import (
     perm_str,
 )
 
+from conftest import center, cyclic_subgroup, element_order, left_cosets, reference_permutations
+
 
 def s3():
     return SymmetricGroup(3)
@@ -30,6 +31,20 @@ def s3():
 
 def a4():
     return AlternatingGroup(4)
+
+
+def walk_order(G, g):
+    """The order of g as the package reads it: the length of its power list."""
+    return len(G.coset_walk(g).powers)
+
+
+def walk_cosets(G, g):
+    """The cycles of x -> xg (``coset_walk(g)``), each as its sorted
+    elements, in order of their least elements."""
+    cosets = {}
+    for x, k in zip(G.elements(), G.coset_walk(g).rank):
+        cosets.setdefault(k, []).append(x)
+    return [tuple(c) for c in cosets.values()]
 
 
 def power(G, g, k):
@@ -125,16 +140,18 @@ class TestMul:
 
 class TestOrderInverse:
     def test_identity_order(self):
-        assert s3().element_order(s3().identity) == 1
+        G = s3()
+        assert walk_order(G, G.identity) == element_order(G, G.identity) == 1
 
     def test_gamma_order_p5(self):
         G = HeisenbergGroup(5)
         gamma = G.mul(G.inverse(G.gen_b), G.inverse(G.gen_a))
-        assert G.element_order(gamma) == 5
+        assert walk_order(G, gamma) == element_order(G, gamma) == 5
 
     def test_three_cycle_order_in_a4(self):
+        G = a4()
         g = parse_permutation("(1,2,3)", 4)
-        assert a4().element_order(g) == 3
+        assert walk_order(G, g) == element_order(G, g) == 3
 
     def test_inverse_axiom_sampled(self):
         for G in (s3(), HeisenbergGroup(3), MetacyclicGroup(7, 3, 2), CyclicGroup(6)):
@@ -181,20 +198,19 @@ class TestPower:
 
 class TestSubgroupsCosets:
     def test_generated_subgroup_in_a4(self):
+        # <g> is the cycle of x -> xg through the identity
         G = a4()
         g = parse_permutation("(1,2,3)", 4)
-        H = G.generated_subgroup(g)
-        assert set(H.elements) == {G.identity, g, G.mul(g, g)}
+        H = G.elements_at(G.coset_walk(g).powers)
+        assert H == cyclic_subgroup(G, g) == [G.identity, g, G.mul(g, g)]
 
     def test_trivial_subgroup(self):
         G = s3()
-        H = G.generated_subgroup(G.identity)
-        assert H.elements == (G.identity,)
+        assert G.elements_at(G.coset_walk(G.identity).powers) == [G.identity]
 
     def test_cyclic_component_order(self):
         G = DirectProductGroup([CyclicGroup(3), CyclicGroup(3)])
-        H = G.generated_subgroup((0, 1))
-        assert len(H) == 3
+        assert walk_order(G, (0, 1)) == 3
 
     def test_closure_of_a4_generators(self):
         G = SymmetricGroup(4)
@@ -280,51 +296,97 @@ class TestSubgroupsCosets:
         G = s3()
         s = parse_permutation("(1,2,3)", 3)
         t = parse_permutation("(1,2)", 3)
-        assert len(G.left_cosets(G.generated_subgroup(s))) == 2
-        assert len(G.left_cosets(G.generated_subgroup(t))) == 3
+        assert len(G.coset_walk(s).names) == 2
+        assert len(G.coset_walk(t).names) == 3
 
     def test_whole_group_single_coset(self):
         G = CyclicGroup(6)
-        H = G.generated_subgroup(1)
-        assert len(G.left_cosets(H)) == 1
+        assert len(G.coset_walk(1).names) == 1
 
     @pytest.mark.parametrize("spec", ["sym:3", "alt:4", "cyc:12", "p3:3", "pq:7,3,2"])
     def test_lagrange(self, spec):
         G = group_from_spec(spec)
         for g in G.elements():
-            H = G.generated_subgroup(g)
-            cosets = G.left_cosets(H)
-            assert G.order() == len(H) * len(cosets)
+            order = walk_order(G, g)
+            cosets = walk_cosets(G, g)
+            assert len(G.coset_walk(g).names) == len(cosets)
+            assert G.order() == order * len(cosets)
             # cosets partition the group
             union = set()
             for c in cosets:
-                members = set(c.elements())
-                assert len(members) == len(H)
+                members = set(c)
+                assert len(members) == order
                 assert not (union & members)
                 union |= members
             assert len(union) == G.order()
+            # and are the left cosets x<g>
+            assert cosets == left_cosets(G, g)
+
+
+# ---------------------------------------------------------------------------
+# the element stores of sym:n and alt:n
+
+class TestPermutationStores:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("kind", ["sym", "alt"])
+    def test_store_matches_the_reference(self, kind, n):
+        # sym:n and alt:n keep bytes codes, like gens:; every view of their
+        # elements matches the n! enumeration with a parity filter, and the
+        # right translations match the generic Group path
+        G, oracle = group_from_spec(f"{kind}:{n}"), group_from_spec(f"{kind}:{n}")
+        ref = list(reference_permutations(n, even=kind == "alt"))
+        assert "_store" not in G.__dict__  # filled on first use
+        assert all(type(x) is bytes for x in G._element_store())
+        assert G.order() == len(ref)
+        assert G.elements() == ref
+        assert list(G.iter_elements()) == ref
+        assert G.element_strs(range(len(ref))) == [reference_cycle_notation(x) for x in ref]
+        assert [G.index_of(x) for x in ref] == list(range(len(ref)))
+        members = set(ref)
+        everything = list(reference_permutations(n))
+        assert [G.contains(g) for g in everything] == [g in members for g in everything]
+        assert [G.index_of(g) for g in everything if g not in members] \
+            == [None] * (len(everything) - len(ref))
+        for value in (n, list(ref[0]), ref[0][:-1], ref[0] + (n + 1,), b"\x01" * n, None):
+            assert G.index_of(value) is None
+            assert not G.contains(value)
+        for g in dict.fromkeys([ref[0], ref[-1], ref[len(ref) // 2]]):
+            assert G.right_translation(g) == Group._build_translations(oracle, [g])[0]
+
+    @pytest.mark.parametrize("spec", ["alt:12", "sym:11"])
+    def test_a_capped_group_builds_no_store(self, spec):
+        G = group_from_spec(spec)
+        for access in (G.elements, G.iter_elements, G._element_store,
+                       lambda: G.index_of(G.identity), lambda: G.coset_walk(G.identity)):
+            with pytest.raises(ResourceCapError) as err:
+                access()
+            assert str(err.value).startswith(
+                f"group {spec} has order {G.order()}, above the enumeration cap")
+        # membership is decided without enumerating
+        assert G.contains(G.identity)
+        assert G.contains(parse_permutation("(1,2)", G.degree)) == (spec == "sym:11")
+        assert "_store" not in G.__dict__
 
 
 # ---------------------------------------------------------------------------
 # center
 
 class TestConjugationCenter:
+    # the center by a brute-force commutation scan (conftest.center)
+
     def test_center_of_heisenberg_is_generated_by_c(self):
         G = HeisenbergGroup(3)
-        centre = set(G.center())
-        assert centre == set(G.generated_subgroup((0, 0, 2)).elements)
+        centre = set(center(G))
+        assert centre == set(G.elements_at(G.coset_walk((0, 0, 2)).powers))
         assert len(centre) == 3
 
     def test_center_of_abelian_group_is_everything(self):
         G = CyclicGroup(5)
-        assert set(G.center()) == set(G.elements())
+        assert center(G) == G.elements()
 
     def test_center_of_s3_is_trivial(self):
-        # oracle: brute-force commutation scan
         G = s3()
-        els = G.elements()
-        brute = {g for g in els if all(G.mul(g, h) == G.mul(h, g) for h in els)}
-        assert set(G.center()) == brute == {G.identity}
+        assert center(G) == [G.identity]
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +557,6 @@ class TestGroupSpec:
         accessors = {
             "element_index": lambda: G.element_index(),
             "element_strs": lambda: G.element_strs([0, 5]),
-            "generated_subgroup": lambda: G.generated_subgroup(g),
             "right_translation": lambda: G.right_translation(g),
             "right_translations": lambda: G.right_translations([g, g]),
             "coset_walk": lambda: G.coset_walk(g),
@@ -520,7 +581,6 @@ class TestGroupSpec:
                 rho = G.right_translation(g)
                 assert [els[y] for y in rho] == [G.mul(x, g) for x in els]
                 assert G.right_translation(g) is rho
-                assert G.generated_subgroup(g).elements == Subgroup(G, g).elements
 
     @pytest.mark.parametrize("spec", ["alt:5", "gens:5:(1,2,3,4,5);(1,2,3)", "p3:3"])
     def test_translations_asked_together_are_built_together(self, spec, monkeypatch):

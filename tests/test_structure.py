@@ -35,7 +35,6 @@ from bitrades.core import (
     point_str,
     separation_witness,
     triple_permutations,
-    validate_permutation_triple,
 )
 from bitrades.errors import BitradesError, ParseError, ValidationError
 from bitrades.groups import group_from_spec
@@ -86,7 +85,10 @@ def oracle_triple_permutations(bitrade):
     tau1 = {x: b3[inv[1][x]] for x in points}
     tau2 = {x: b1[inv[2][x]] for x in points}
     tau3 = {x: b2[inv[0][x]] for x in points}
-    pt = validate_permutation_triple(tau1, tau2, tau3, points)
+    index_perms = core._index_permutations((tau1, tau2, tau3), points)
+    cycles, _ = core._check_permutation_triple(index_perms, points)  # Q1-Q3
+    pt = SimpleNamespace(points=tuple(points), cycles=tuple(
+        tuple(tuple(points[x] for x in c) for c in cyc) for cyc in cycles))
     return pt, (tau1, tau2, tau3)
 
 
@@ -823,8 +825,6 @@ def test_trust_stays_inside_the_group_builder(monkeypatch):
     assert len(calls) == 0
     from_permutations(*pt.perms)  # permutations from outside are checked
     assert len(calls) == 1
-    validate_permutation_triple(*pt.perms, pt.points)
-    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
