@@ -16,12 +16,14 @@ Elements are plain hashable encodings owned by their group:
 Encodings sort naturally (ints and nested int tuples), which fixes the
 canonical element order used for coset representatives and all output.
 
-Permutation groups of degree at most 255 enumerate closures and build right
-translations on ``bytes`` internally: an image tuple ``x`` is coded as
+Every group keeps its sorted elements as its one element store, and three
+hooks alone know the form they are stored in (``Group._encode``,
+``_decode`` and ``_right_images``).  Most groups store the elements
+themselves.  Permutation groups of degree at most 255 (``sym:n``, ``alt:n``
+and ``gens:`` alike) store codes: an image tuple ``x`` is coded as
 ``bytes(x)``, codes of one length sort exactly like the tuples they encode,
 and ``x -> xg`` is ``code.translate(table)`` for one 256-byte table per g.
-Every such group (``sym:n``, ``alt:n`` and ``gens:`` alike) keeps the
-sorted codes of its elements as its one element store.  Every element a
+So closures and right translations run on ``bytes``, and every element a
 caller sees or passes stays an image tuple.
 
 The left cosets x<g> that a bitrade is made of are the cycles of the
@@ -287,10 +289,11 @@ class CosetWalk:
 class _ElementMemo:
     """What a group has computed about its elements, each part on first use:
     the element store (``Group._element_store``) and the identity's index
-    in it, the index of every element in ``elements()``, the strings of the
-    elements asked for (None elsewhere), the right translation and coset
-    walk of each element asked for, and what ``core.GroupTriple`` found of
-    the last triple it admitted (``triple``).
+    in it, the strings of the elements asked for (None elsewhere), the
+    right translation and coset walk of each element asked for, and what
+    ``core.GroupTriple`` found of the last triple it admitted
+    (``triple``).  It keeps no index of the elements: ``index_of`` bisects
+    the store, and each ``_build_translations`` call makes its own.
 
     Its methods do not check the enumeration cap: ``Group._memo`` checks
     it whenever it hands the memo out, so a caller that holds the memo for
@@ -302,7 +305,6 @@ class _ElementMemo:
         self.group = weakref.proxy(group)
         self.store = group._element_store()
         self.identity = group._locate(self.store, group.identity)
-        self.index = None
         self.strs = [None] * n
         self.translations = {}
         self.walks = {}
@@ -336,23 +338,27 @@ class _ElementMemo:
 class Group:
     """Base class for finite groups with plain hashable element encodings.
 
-    ``closure`` and ``_build_translations`` here are the generic paths, on
-    ``mul``; permutation groups of degree at most 255 replace both with
-    ``bytes`` paths and use these above that degree.  ``index_of``
-    bisects ``elements()`` (``_locate``), and a group that stores its
-    elements in another form (``_element_store``) bisects that instead and
-    makes single elements from it (``elements_at``).
+    Every group keeps its elements, sorted, as its one element store
+    (``_element_store``), made on first use once the cap allows it
+    (``_make_store``; here ``sorted(iter_elements())``).  Everything that
+    reads the elements reads the store: ``elements()``, ``index_of``
+    (which bisects it, ``_locate``), ``elements_at``, ``closure`` and the
+    right translations (``_build_translations``).  The store may hold the
+    elements in another form than callers see; three hooks are all that
+    know the form: ``_encode`` (an element to its stored form),
+    ``_decode`` (back) and ``_right_images`` (xg of each stored x).  Here
+    all three are the identity or ``mul``; permutation groups of degree at
+    most 255 store ``bytes`` codes (``_PermGroupBase``).
 
     A group keeps one memo of what it computes about its own elements,
-    each part filled on first use and kept for the group's life: the index
-    of every element in ``elements()``, element strings, each right
-    translation x -> xg as an ``array('i')`` over those indices, and the
-    walk of each translation (``CosetWalk``: the powers of g and the left
-    cosets of <g> as indices, their coset ranks and names, the tagged
-    names and their JSON text).  Like ``elements()``, every accessor of the
-    memo checks the enumeration cap on every call, so a group whose
-    ``max_elements`` is lowered below its order refuses all of them
-    (``_ElementMemo``).
+    each part filled on first use and kept for the group's life: element
+    strings, each right translation x -> xg as an ``array('i')`` over the
+    element indices, and the walk of each translation (``CosetWalk``: the
+    powers of g and the left cosets of <g> as indices, their coset ranks
+    and names, the tagged names and their JSON text).  Like
+    ``elements()``, every accessor of the memo checks the enumeration cap
+    on every call, so a group whose ``max_elements`` is lowered below its
+    order refuses all of them (``_ElementMemo``).
     """
 
     kind = "abstract"
@@ -386,17 +392,26 @@ class Group:
     def parse_element(self, text):
         raise NotImplementedError
 
+    # ---- the store's form of an element -----------------------------------
+
+    def _encode(self, g):
+        """The stored form of g, or None when g cannot be an element."""
+        return g
+
+    def _decode(self, x):
+        """The element whose stored form is x."""
+        return x
+
+    def _right_images(self, items, g):
+        """The stored form of xg for each stored x in ``items``, in order."""
+        return map(self.mul, items, itertools.repeat(g))
+
     # ---- generic machinery ------------------------------------------------
 
     def elements(self):
         """Materialize the element universe in canonical ascending order;
-        the cap is checked on every call, cached or not."""
-        self.check_enumerable()
-        cached = getattr(self, "_elements", None)
-        if cached is None:
-            cached = sorted(self.iter_elements())
-            self._elements = cached
-        return cached
+        the cap is checked on every call."""
+        return list(map(self._decode, self._element_store()))
 
     def _enumeration_cap(self):
         return DEFAULT_MAX_ELEMENTS if self.max_elements is None else self.max_elements
@@ -416,22 +431,24 @@ class Group:
             memo = self._element_memo = _ElementMemo(self, n)
         return memo
 
-    def element_index(self):
-        """Each element's position in ``elements()``."""
-        memo = self._memo()
-        if memo.index is None:
-            memo.index = {g: i for i, g in enumerate(self.elements())}
-        return memo.index
-
     def _element_store(self):
-        """The elements as the group keeps them, in ``elements()`` order;
-        ``element_str`` reads every form it holds.  The cap is checked."""
-        return self.elements()
+        """The stored forms of the elements, in ``elements()`` order, made
+        on first use; the cap is checked on every call.  ``element_str``
+        reads every form it holds."""
+        self.check_enumerable()
+        store = self.__dict__.get("_store")
+        if store is None:
+            store = self._store = self._make_store()
+        return store
+
+    def _make_store(self):
+        return sorted(self.iter_elements())
 
     def _locate(self, store, g):
         """The index of g in ``store`` (``_element_store()``), or None when
         g is no element (one of another type included)."""
-        return _sorted_index(store, g)
+        x = self._encode(g)
+        return None if x is None else _sorted_index(store, x)
 
     def index_of(self, g):
         """The index of g in ``elements()``, or None when g is no element;
@@ -441,8 +458,8 @@ class Group:
     def elements_at(self, indices):
         """The elements at the given indices of ``elements()``, made from
         the store alone; the cap is checked."""
-        store = self._element_store()
-        return [store[i] for i in indices]
+        store, decode = self._element_store(), self._decode
+        return [decode(store[i]) for i in indices]
 
     def element_strs(self, indices):
         """``element_str`` of the elements at the given indices."""
@@ -462,38 +479,39 @@ class Group:
         return self._memo().coset_walk(g)
 
     def _build_translations(self, gs):
-        index = self.element_index()
-        els = self.elements()
-        mul = self.mul
-        return [array("i", [index[mul(x, g)] for x in els]) for g in gs]
+        store = self._element_store()
+        # transient and shared by the translations, which alone outlive the call
+        index = dict(zip(store, range(len(store))))
+        return [array("i", [index[y] for y in self._right_images(store, g)]) for g in gs]
 
     def closure(self, generators):
-        """Smallest multiplication-closed set containing the generators.
+        """Smallest multiplication-closed set containing the generators;
+        always contains the identity.  Raises ResourceCapError if the
+        materialized set would exceed the group's enumeration cap."""
+        return set(map(self._decode, self._stored_closure(generators)))
 
-        BFS over right-multiplication by the generators; always contains the
-        identity.  Raises ResourceCapError if the materialized set would
-        exceed the group's enumeration cap.
-        """
-        if not generators:
+    def _stored_closure(self, generators):
+        """The stored forms of ``closure(generators)``: a BFS from the
+        identity, each frontier translated by each generator in one
+        ``_right_images`` call; the cap is checked on every addition."""
+        gens = list(generators)
+        if not gens:
             raise GroupError("closure requires at least one generator")
         cap = self._enumeration_cap()
-        gens = list(generators)
-        els = {self.identity}
-        els.update(gens)
-        frontier = list(els)
+        frontier = [self._encode(self.identity)]
+        seen = set(frontier)
         while frontier:
             new = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in els:
-                        els.add(y)
+            for g in gens:
+                for y in self._right_images(frontier, g):
+                    if y not in seen:
+                        seen.add(y)
                         new.append(y)
-                        if len(els) > cap:
+                        if len(seen) > cap:
                             raise ResourceCapError(
                                 "closure exceeded the enumeration cap", cap)
             frontier = new
-        return els
+        return seen
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec})"
@@ -512,15 +530,15 @@ def _sorted_index(items, x):
 class _PermGroupBase(Group):
     """Common behaviour for groups of image-tuple permutations.
 
-    Every such group keeps its sorted elements as its one element store
-    (``_store``): up to degree ``MAX_BYTES_DEGREE`` their codes, so image
-    tuples are made only for a caller of ``elements()`` or
-    ``iter_elements()``; above it, the tuples.  A group of generators
-    fills it from their closure when it is built, the others on first use
-    once the cap allows (``_make_store``).  Up to that degree ``closure``
-    and the right translations run on the codes (see the module
-    docstring); above it they are the generic ``Group`` paths.  Either way
-    they take and return image tuples.
+    Up to degree ``MAX_BYTES_DEGREE`` the store holds each element as the
+    ``bytes`` of its image tuple (see the module docstring): ``_encode``
+    checks the type and degree and takes the bytes, ``_decode`` is
+    ``tuple``, and ``_right_images`` is one ``bytes.translate`` per item
+    with g's table, so image tuples are made only for a caller of
+    ``elements()``, ``iter_elements()`` or ``elements_at``.  Above that
+    degree the store holds the tuples and the images are ``mul``.  A
+    group of generators fills its store from their closure when it is
+    built, the others on first use once the cap allows (``_make_store``).
     """
 
     def __init__(self, degree):
@@ -543,80 +561,39 @@ class _PermGroupBase(Group):
             raise GroupError(f"{g!r} is not a permutation of degree {self.degree}")
         return b"\0" + bytes(g) + bytes(range(self.degree + 1, 256))
 
-    def _closure_codes(self, generators):
-        """The codes of ``closure(generators)``, in BFS order; degree at
-        most ``MAX_BYTES_DEGREE``."""
-        if not generators:
-            raise GroupError("closure requires at least one generator")
-        cap = self._enumeration_cap()
-        tables = [self._table(g) for g in generators]
-        seen = {bytes(self.identity)}
-        seen.update(bytes(g) for g in generators)
-        codes = list(seen)
-        for x in codes:  # codes grows while it is walked: the BFS queue
-            for table in tables:
-                y = x.translate(table)
-                if y not in seen:
-                    seen.add(y)
-                    codes.append(y)
-                    if len(codes) > cap:
-                        raise ResourceCapError(
-                            "closure exceeded the enumeration cap", cap)
-        return codes
-
-    def closure(self, generators):
+    def _encode(self, g):
+        if not isinstance(g, tuple) or len(g) != self.degree:
+            return None
         if not self._coded:
-            return super().closure(generators)
-        return {tuple(x) for x in self._closure_codes(list(generators))}
+            return g
+        try:
+            return bytes(g)
+        except (TypeError, ValueError):  # a point that is no int, or no byte
+            return None
+
+    _decode = staticmethod(tuple)
+
+    def _right_images(self, items, g):
+        if not self._coded:
+            return super()._right_images(items, g)
+        return map(bytes.translate, items, itertools.repeat(self._table(g)))
 
     def _sorted_closure(self, generators):
         """The store of the group ``generators`` generate: their sorted
         closure, as codes or (above ``MAX_BYTES_DEGREE``) tuples."""
+        items = sorted(self._stored_closure(generators))
         if not self._coded:
-            return sorted(self.closure(generators))
+            return items
         # cut from one joined string, the sorted codes lie in memory in their
         # order, which every later pass over all of them reads faster; the
         # closure's codes are freed first, for the cut to reuse
         n = self.degree
-        codes = sorted(self._closure_codes(generators))
-        joined = b"".join(codes)
-        del codes
+        joined = b"".join(items)
+        del items
         return [joined[i:i + n] for i in range(0, len(joined), n)]
 
-    def _element_store(self):
-        """The store, made on first use once the cap allows it."""
-        self.check_enumerable()
-        store = self.__dict__.get("_store")
-        if store is None:
-            store = self._store = self._make_store()
-        return store
-
     def iter_elements(self):
-        store = self._element_store()
-        return map(tuple, store) if self._coded else iter(store)
-
-    def _locate(self, store, g):
-        if self._coded:
-            if not isinstance(g, tuple) or len(g) != self.degree:
-                return None
-            try:
-                g = bytes(g)
-            except (TypeError, ValueError):  # a point that is no int, or no byte
-                return None
-        return _sorted_index(store, g)
-
-    def elements_at(self, indices):
-        store = self._element_store()
-        return [tuple(store[i]) if self._coded else store[i] for i in indices]
-
-    def _build_translations(self, gs):
-        if not self._coded:
-            return super()._build_translations(gs)
-        tables = [self._table(g) for g in gs]
-        codes = self._element_store()
-        # transient and shared by the translations, which alone outlive the call
-        index = {x: i for i, x in enumerate(codes)}
-        return [array("i", [index[x.translate(table)] for x in codes]) for table in tables]
+        return map(self._decode, self._element_store())
 
     def mul(self, g, h):
         self._check(g)

@@ -325,20 +325,25 @@ def group_thin_criterion(triple: GroupTriple) -> PropertyResult:
 
 def group_orthogonal_criterion(triple: GroupTriple) -> PropertyResult:
     """Orthogonal iff the symbol subgroup meets its conjugate by a trivially:
-    |C ∩ a^-1 C a| = 1.  On element indices: a^-1 is the last power of a,
-    a^-1 c a is read off the right translations by c and by a, and C meets
-    the powers of a^-1 c a.  The elements it names are read from the
+    |C ∩ a^-1 C a| = 1.  On element indices, from the right translations
+    by a and by c that the triple has: a^-1 is the last power of a, the
+    translation by c walks a^-1 c^j from it, and the translation by a takes
+    each to a^-1 c^j a.  After |C| steps the walk is back at a^-1, and the
+    |C| conjugates are distinct.  The elements it names are read from the
     group's store (``Group.elements_at``)."""
     started = time.monotonic()
     G = triple.group
     wa, _, wc = triple.walks
     rho_a, rho_c = G.right_translations((triple.a, triple.c))
-    conj = G.coset_walk(*G.elements_at((rho_a[rho_c[wa.powers[-1]]],)))
-    if len(conj.powers) != len(wc.powers):
+    start = x = wa.powers[-1]
+    conj = set()
+    for _ in wc.powers:
+        conj.add(rho_a[x])
+        x = rho_c[x]
+    if x != start or len(conj) != len(wc.powers):
         raise ConsistencyError(
-            f"the conjugate of a subgroup of order {len(wc.powers)} "
-            f"has order {len(conj.powers)}")
-    common = wc.members & conj.members
+            f"the conjugate of a subgroup of order {len(wc.powers)} does not have that order")
+    common = wc.members & conj
     if len(common) == 1:
         return _timed(started, "yes", "group-criterion")
     identity = wa.powers[0]

@@ -2,6 +2,7 @@
 and group facts computed from their definitions by brute force."""
 
 import itertools
+from array import array
 
 import pytest
 
@@ -78,6 +79,30 @@ def reference_permutations(n, even=False):
     for p in itertools.permutations(range(1, n + 1)):
         if not even or sum(x > y for x, y in itertools.combinations(p, 2)) % 2 == 0:
             yield p
+
+
+def reference_closure(G, generators):
+    """The closure of the generators, by a BFS from the identity over
+    ``G.mul`` on the elements themselves."""
+    closed = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = G.mul(x, g)
+                if y not in closed:
+                    closed.add(y)
+                    new.append(y)
+        frontier = new
+    return closed
+
+
+def reference_translation(G, els, g):
+    """The right translation x -> xg on the positions of the sorted
+    elements ``els``, by ``G.mul``."""
+    index = {x: i for i, x in enumerate(els)}
+    return array("i", [index[G.mul(x, g)] for x in els])
 
 
 def cyclic_subgroup(G, g):

@@ -125,7 +125,8 @@ class TestConstruct:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_degree_above_255_matches_degree_4(self, capsys):
-        # gens:256 runs the generic group paths, gens:4 the bytes paths
+        # gens:256 stores image tuples and multiplies by mul, gens:4 stores
+        # bytes codes and translates them
         c = "(2,4,3)"  # (ab)^-1 for a = (1,2,3), b = (2,1,4)
         docs = []
         for n in (4, 256):
@@ -353,6 +354,20 @@ class TestSearch:
         assert main(["search", "--group", "gens:4:(1,2,3,4);(1,3)"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines  # the dihedral group admits triples
+
+    def test_degree_above_255_matches_degree_4(self, capsys):
+        # the same listing from the tuple store (gens:256) as from the bytes
+        # codes (gens:4), apart from the group's spec
+        listings = []
+        for n in (4, 256):
+            spec = f"gens:{n}:(1,2,3,4);(1,2)"
+            argv = ["search", "--group", spec, "--search-cap", "30",
+                    "--checks", "thin,orthogonal,primary"]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert [json.loads(line)["group"] for line in out.splitlines()] == [spec] * 480
+            listings.append(out.replace(json.dumps(spec), '"S4"'))
+        assert listings[0] == listings[1]
 
     def test_bracketed_product_spec(self, capsys):
         assert main(["search", "--group", "prod:[prod:cyc:2,cyc:2],cyc:3"]) == 0

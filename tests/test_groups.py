@@ -10,7 +10,6 @@ from bitrades.groups import (
     AlternatingGroup,
     CyclicGroup,
     DirectProductGroup,
-    Group,
     HeisenbergGroup,
     MetacyclicGroup,
     PermClosureGroup,
@@ -22,7 +21,15 @@ from bitrades.groups import (
     perm_str,
 )
 
-from conftest import center, cyclic_subgroup, element_order, left_cosets, reference_permutations
+from conftest import (
+    center,
+    cyclic_subgroup,
+    element_order,
+    left_cosets,
+    reference_closure,
+    reference_permutations,
+    reference_translation,
+)
 
 
 def s3():
@@ -246,17 +253,16 @@ class TestSubgroupsCosets:
         st.lists(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=3))))
     def test_bytes_paths_match_the_generic_paths(self, case):
         # permutation groups of degree <= 255 close and translate on bytes;
-        # the generic Group methods, on a second group whose memo is apart,
-        # are the oracle
+        # a closure and translations on the group's multiplication alone are
+        # the oracle
         n, gens = case
-        closed = Group.closure(SymmetricGroup(n), gens)
-        for make in (lambda: PermClosureGroup(n, gens), lambda: SymmetricGroup(n)):
-            G, oracle = make(), make()
+        closed = reference_closure(SymmetricGroup(n), gens)
+        for G, els in ((PermClosureGroup(n, gens), sorted(closed)),
+                       (SymmetricGroup(n), list(reference_permutations(n)))):
             assert G.closure(gens) == closed
-            if isinstance(G, PermClosureGroup):
-                assert G.elements() == sorted(closed)
-            for g in gens + [G.elements()[-1]]:
-                assert G.right_translation(g) == Group._build_translations(oracle, [g])[0]
+            assert G.elements() == els
+            for g in gens + [els[-1]]:
+                assert G.right_translation(g) == reference_translation(G, els, g)
         if n <= 5:
             G = PermClosureGroup(n, gens)
             assert all(G.contains(g) == (g in closed)
@@ -268,9 +274,9 @@ class TestSubgroupsCosets:
         st.lists(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=3))))
     def test_code_store_matches_the_generic_closure(self, case):
         # the group keeps its closure as bytes codes; every view of its
-        # elements matches the tuples of the generic closure
+        # elements matches the tuples of a closure by multiplication
         n, gens = case
-        els = sorted(Group.closure(SymmetricGroup(n), gens))
+        els = sorted(reference_closure(SymmetricGroup(n), gens))
         G = PermClosureGroup(n, gens)
         assert all(type(x) is bytes for x in G._element_store())
         assert G.order() == len(els)
@@ -332,8 +338,8 @@ class TestPermutationStores:
     def test_store_matches_the_reference(self, kind, n):
         # sym:n and alt:n keep bytes codes, like gens:; every view of their
         # elements matches the n! enumeration with a parity filter, and the
-        # right translations match the generic Group path
-        G, oracle = group_from_spec(f"{kind}:{n}"), group_from_spec(f"{kind}:{n}")
+        # right translations match those by multiplication
+        G = group_from_spec(f"{kind}:{n}")
         ref = list(reference_permutations(n, even=kind == "alt"))
         assert "_store" not in G.__dict__  # filled on first use
         assert all(type(x) is bytes for x in G._element_store())
@@ -351,7 +357,7 @@ class TestPermutationStores:
             assert G.index_of(value) is None
             assert not G.contains(value)
         for g in dict.fromkeys([ref[0], ref[-1], ref[len(ref) // 2]]):
-            assert G.right_translation(g) == Group._build_translations(oracle, [g])[0]
+            assert G.right_translation(g) == reference_translation(G, ref, g)
 
     @pytest.mark.parametrize("spec", ["alt:12", "sym:11"])
     def test_a_capped_group_builds_no_store(self, spec):
@@ -366,6 +372,40 @@ class TestPermutationStores:
         assert G.contains(G.identity)
         assert G.contains(parse_permutation("(1,2)", G.degree)) == (spec == "sym:11")
         assert "_store" not in G.__dict__
+
+
+# ---------------------------------------------------------------------------
+# every group's store against its multiplication
+
+# (spec, generators, non-members of the element type)
+STORE_CASES = [
+    ("gens:256:(1,2,3);(2,1,4)", ["(1,2,3)", "(2,1,4)"],
+     [parse_permutation("(1,2)", 256), parse_permutation("(1,2,3,4,5)", 256),
+      (300,) + tuple(range(2, 257)), (1, "2") + tuple(range(3, 257))]),
+    ("p3:3", ["(1,0,0)", "(0,1,0)"], [(3, 0, 0), (0, 0, -1), (0, 0, "1")]),
+    ("pq:7,3,2", ["(0,1)", "(1,0)"], [(3, 0), (0, 7), (0, 1.5)]),
+    ("prod:cyc:2,cyc:3", ["(1,0)", "(0,1)"], [(2, 0), (0, 3), (0, "1")]),
+]
+
+
+@pytest.mark.parametrize("spec, gens, non_members", STORE_CASES,
+                         ids=[case[0] for case in STORE_CASES])
+def test_store_matches_the_multiplication(spec, gens, non_members):
+    # the store, its hooks and every reader of it agree with a closure and
+    # translations computed by G.mul alone, above degree 255 as below it
+    G = group_from_spec(spec)
+    gens = [G.parse_element(g) for g in gens]
+    els = sorted(reference_closure(G, gens))
+    assert G.closure(gens) == set(els)
+    assert G.elements() == els
+    assert G.order() == len(els)
+    assert [G.index_of(x) for x in els] == list(range(len(els)))
+    assert G.elements_at(range(len(els) - 1, -1, -1)) == els[::-1]
+    foreign = [None, 5, "x", b"\x01", [0, 0], (0,), (0,) * 300, els[0] + (0,)]
+    others = non_members + foreign
+    assert [G.index_of(g) for g in others] == [None] * len(others)
+    for g in els:
+        assert G.right_translation(g) == reference_translation(G, els, g)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +595,7 @@ class TestGroupSpec:
         G = group_from_spec("alt:4")
         g = G.parse_element("(1,2,3)")
         accessors = {
-            "element_index": lambda: G.element_index(),
+            "index_of": lambda: G.index_of(g),
             "element_strs": lambda: G.element_strs([0, 5]),
             "right_translation": lambda: G.right_translation(g),
             "right_translations": lambda: G.right_translations([g, g]),
@@ -574,8 +614,7 @@ class TestGroupSpec:
         for spec in ("alt:4", "p3:3", "pq:7,3,2", "prod:cyc:2,cyc:3"):
             G = group_from_spec(spec)
             els = G.elements()
-            index = G.element_index()
-            assert [index[x] for x in els] == list(range(len(els)))
+            assert [G.index_of(x) for x in els] == list(range(len(els)))
             assert G.element_strs(range(len(els))) == [G.element_str(x) for x in els]
             for g in els:
                 rho = G.right_translation(g)

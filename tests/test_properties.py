@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 import textwrap
@@ -220,6 +221,19 @@ def test_group_criteria_leave_a_code_store_unbuilt():
         thin, orthogonal = group_thin_criterion(triple), group_orthogonal_criterion(triple)
         assert (thin.witness, orthogonal.witness) == (thin_witness, orthogonal_witness)
         assert "_elements" not in vars(G)
+
+
+@pytest.mark.parametrize("spec", ["alt:5", "p3:3"])
+def test_orthogonal_criterion_reads_only_the_triples_translations(spec):
+    # a^-1 c a is read off the translations by a and c that the triple
+    # already has: the criterion builds no translation or walk of its own
+    for t in itertools.islice(iter_triples(group_from_spec(spec)), 0, 400, 10):
+        G = group_from_spec(spec)  # a memo that a search has not filled
+        triple = GroupTriple(G, t.a, t.b, t.c)
+        memo = G._memo()
+        kept = (set(memo.translations), set(memo.walks))
+        assert group_orthogonal_criterion(triple) == group_orthogonal_criterion(t)
+        assert (set(memo.translations), set(memo.walks)) == kept
 
 
 class TestPqThinPredicate:
