@@ -5,7 +5,7 @@ Run: python demos/03_properties.py
 """
 
 from bitrades import (
-    check_thin_primary_minimal,
+    compute_report,
     family_pq,
     family_zp2,
     group_orthogonal_criterion,
@@ -38,8 +38,9 @@ print("  thin       ", group_thin_criterion(inst.triple).value)
 print("  orthogonal ", group_orthogonal_criterion(inst.triple).value)
 
 # thin + primary forces minimality; the oracle confirms it by exhausting
-# every candidate sub-trade.
-report = check_thin_primary_minimal(bt)
+# every candidate sub-trade, and a report that decides all three checks
+# that they agree.
+report = compute_report(bt, ("thin", "primary", "minimal"))
 print("\nthin+primary => minimal, oracle-confirmed:", report["minimal"].value)
 
 # Not every parameter choice is thin. For (p, q, r) = (23, 11, 4) the

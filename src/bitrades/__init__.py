@@ -48,7 +48,6 @@ from .groups import (
 )
 from .properties import (
     PropertyResult,
-    check_thin_primary_minimal,
     compute_report,
     group_orthogonal_criterion,
     group_thin_criterion,

@@ -13,11 +13,11 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .core import (
     Bitrade,
     GroupTriple,
-    PartialLatinSquare,
     _sort_key,
     separation_witness,
     triple_permutations,
@@ -379,119 +379,93 @@ def pq_thin_predicate(p, q, r) -> PropertyResult:
 # ---------------------------------------------------------------------------
 # minimality oracle
 
-def _find_proper_subtrade(pls: PartialLatinSquare):
-    """First proper nonempty subset of the filled cells admitting any
-    disjoint mate, found by backtracking over mate-symbol assignments.
+def _proper_subtrade(rows, cols, syms):
+    """The first proper nonempty subset of the filled cells admitting any
+    disjoint mate, found by backtracking over mate-symbol assignments, as
+    the pairs (cell, cell of its row holding its mate symbol) in cell
+    order; None if there is none.
 
-    Assigning symbol m as the mate of cell (r, c) forces the cells holding
-    m in row r and column c into the subset, so the search propagates
-    quickly.  Seeds are tried in canonical order with all earlier cells
-    banned, so each candidate subset is explored from its least cell only.
+    The cells are given by their label ranks in cell order, so the least
+    cell is the least index.  Assigning symbol m as the mate of cell
+    (r, c) forces the cells holding m in row r and column c into the
+    subset, so the search propagates quickly.  Seeds are tried in cell
+    order with all earlier cells banned, so each candidate subset is
+    explored from its least cell only.  Each step gives the least member
+    without a mate the next of its row's symbols in ascending rank.  The
+    search keeps its own stack: a frame holds a cell, its next option and
+    what the option in force changed, and popping a frame undoes it.
     """
-    cell_sym = {}
-    row_sym = {}
-    col_sym = {}
-    row_syms = {}
-    for (r, c, s) in pls.triples:
-        cell_sym[(r, c)] = s
-        row_sym[(r, s)] = c
-        col_sym[(c, s)] = r
-        row_syms.setdefault(r, []).append(s)
-    for r in row_syms:
-        row_syms[r].sort(key=_sort_key)
-    cell_list = sorted(cell_sym, key=lambda rc: tuple(map(_sort_key, rc)))
-    total = len(cell_list)
-
-    def grow(seed, banned):
+    n = len(rows)
+    ns = max(syms, default=-1) + 1
+    at_cs = {c * ns + s: x for x, (c, s) in enumerate(zip(cols, syms))}
+    options = []  # per cell, the cells of its row in ascending symbol rank
+    for _, row in groupby(range(n), rows.__getitem__):
+        row = sorted(row, key=syms.__getitem__)
+        options += [row] * len(row)
+    row_taken = bytearray(n)  # the symbol of the cell is a mate in its row
+    col_taken = bytearray(n)  # and in its column
+    for seed in range(n):
         member = {seed}
-        mate = {}
-        row_used = {}
-        col_used = {}
-
-        def dfs():
-            unassigned = [cell for cell in member if cell not in mate]
+        unassigned = 1 << seed  # the members without a mate, as a bitmask
+        stack = [[seed, 0, None]]
+        while stack:
+            frame = stack[-1]
+            x, i, undo = frame
+            if undo is not None:
+                f1, f2, added, mask = undo
+                row_taken[f1] = col_taken[f2] = 0
+                member -= added
+                unassigned ^= mask
+            row, c = options[x], cols[x]
+            for i in range(i, len(row)):
+                f1 = row[i]
+                if f1 == x or f1 < seed or row_taken[f1]:
+                    continue
+                f2 = at_cs.get(c * ns + syms[f1])
+                if f2 is None or f2 < seed or col_taken[f2]:
+                    continue
+                added = {f1, f2} - member
+                if len(member) + len(added) < n:  # the subset stays proper
+                    break
+            else:
+                stack.pop()
+                continue
+            member |= added
+            mask = (1 << x) + sum(1 << f for f in added)
+            unassigned ^= mask  # x has its mate; the added cells have none
+            row_taken[f1] = col_taken[f2] = 1
+            frame[1:] = i + 1, (f1, f2, added, mask)
             if not unassigned:
-                return len(member) < total
-            r, c = min(unassigned, key=lambda rc: tuple(map(_sort_key, rc)))
-            orig = cell_sym[(r, c)]
-            for m in row_syms[r]:
-                if m == orig or m in row_used.get(r, ()) or m in col_used.get(c, ()):
-                    continue
-                r2 = col_sym.get((c, m))
-                if r2 is None:
-                    continue
-                forced = [(r, row_sym[(r, m)]), (r2, c)]
-                if any(f in banned for f in forced):
-                    continue
-                added = [f for f in forced if f not in member]
-                if len(member) + len(added) >= total:
-                    continue  # cannot stay proper
-                member.update(added)
-                mate[(r, c)] = m
-                row_used.setdefault(r, set()).add(m)
-                col_used.setdefault(c, set()).add(m)
-                if dfs():
-                    return True
-                member.difference_update(added)
-                del mate[(r, c)]
-                row_used[r].discard(m)
-                col_used[c].discard(m)
-            return False
-
-        if dfs():
-            trade = tuple(sorted(((r, c, cell_sym[(r, c)]) for (r, c) in member),
-                                 key=lambda t: tuple(map(_sort_key, t))))
-            mates = tuple(sorted(((r, c, m) for (r, c), m in mate.items()),
-                                 key=lambda t: tuple(map(_sort_key, t))))
-            return trade, mates
-        return None
-
-    for pos, seed in enumerate(cell_list):
-        found = grow(seed, set(cell_list[:pos]))
-        if found:
-            return found
+                return sorted((x, undo[0]) for x, _, undo in stack)
+            stack.append([(unassigned & -unassigned).bit_length() - 1, 0, None])
     return None
 
 
 def is_minimal(trade, cap=DEFAULT_MINIMAL_CAP) -> PropertyResult:
     """Exhaustive minimality check: no proper subset of the filled cells
-    supports a latin bitrade with any mate.  "unknown" above the cap."""
+    supports a latin bitrade with any mate.  "unknown" above the cap.
+
+    The search (``_proper_subtrade``) runs on label ranks: a bitrade's
+    own, or the labels of a partial latin square ranked in ``_sort_key``
+    order.  Only the witness is made of labels."""
     started = time.monotonic()
-    pls = trade.t_circ if isinstance(trade, Bitrade) else trade
-    if pls.size > cap:
+    if trade.size > cap:
         return _timed(started, "unknown", "oracle")
-    found = _find_proper_subtrade(pls)
+    if isinstance(trade, Bitrade):
+        pt = trade.permutation_triple
+        alphabets, (rows, cols, syms) = pt.alphabets, pt.coords
+    else:
+        alphabets = [sorted({t[i] for t in trade.triples}, key=_sort_key) for i in range(3)]
+        ranks = [{label: i for i, label in enumerate(a)} for a in alphabets]
+        triples = sorted(tuple(map(dict.__getitem__, ranks, t)) for t in trade.triples)
+        rows, cols, syms = ([t[i] for t in triples] for i in range(3))
+    found = _proper_subtrade(rows, cols, syms)
     if found is None:
         return _timed(started, "yes", "oracle")
-    return _timed(started, "no", "oracle", {"trade": found[0], "mate": found[1]})
-
-
-def check_thin_primary_minimal(bitrade: Bitrade, cap=DEFAULT_MINIMAL_CAP):
-    """Consistency check: a thin and primary bitrade must be oracle-minimal.
-
-    Returns a report dict; a disagreement on an instance the oracle can
-    decide raises ConsistencyError.
-    """
-    thin = is_thin(bitrade)
-    primary = is_primary(bitrade)
-    report = {"thin": thin, "primary": primary, "applicable": False, "minimal": None}
-    if thin.yes and primary.yes and bitrade.size <= cap:
-        report["applicable"] = True
-        report["minimal"] = is_minimal(bitrade, cap)
-        _check_minimal(report)
-    return report
-
-
-def _check_minimal(report):
-    """Thin and primary force minimality: a report holding all three, with
-    minimality decided, must not answer "no" to it."""
-    minimal = report.get("minimal")
-    if minimal is None or minimal.value != "no":
-        return
-    thin, primary = report.get("thin"), report.get("primary")
-    if thin and primary and thin.yes and primary.yes:
-        raise ConsistencyError(
-            f"thin and primary bitrade judged non-minimal: {minimal.witness}")
+    lr, lc, ls = alphabets
+    return _timed(started, "no", "oracle", {
+        "trade": tuple((lr[rows[x]], lc[cols[x]], ls[syms[x]]) for x, _ in found),
+        "mate": tuple((lr[rows[x]], lc[cols[x]], ls[syms[f]]) for x, f in found)})
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +513,11 @@ def compute_report(bitrade: Bitrade, checks=None, *,
             report["homogeneous_k"] = homogeneity(bitrade)
         elif check == "minimal":
             report["minimal"] = is_minimal(bitrade, minimal_cap)
-    _check_minimal(report)
+    # thin and primary force minimality
+    if [report[name].value if name in report else None
+            for name in ("thin", "primary", "minimal")] == ["yes", "yes", "no"]:
+        raise ConsistencyError(
+            f"thin and primary bitrade judged non-minimal: {report['minimal'].witness}")
     return report
 
 

@@ -330,7 +330,7 @@ def read_bitrade(source) -> Bitrade:
             text = fh.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"not valid JSON: {exc}") from exc
     del text  # not held beside the parsed document while it is validated
     return doc_to_bitrade(doc)

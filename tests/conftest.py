@@ -1,12 +1,14 @@
 """Shared fixtures and oracles: small bitrades with hand-checked structure,
-and group facts computed from their definitions by brute force."""
+group facts computed from their definitions by brute force, and the
+label-level minimality search the package used before its search on
+label ranks."""
 
 import itertools
 from array import array
 
 import pytest
 
-from bitrades.core import make_bitrade
+from bitrades.core import PartialLatinSquare, _sort_key, make_bitrade
 
 # 2x3 bitrade whose mate shifts each row cyclically; separated, not
 # homogeneous (rows hold 3 entries, columns 2)
@@ -156,3 +158,80 @@ def coset_oracle(G, triple):
                     rep = min(G.mul(h, x) for x in C)
                     square.add((row, col, f"C:{G.element_str(rep)}"))
     return circ, star
+
+
+# ---------------------------------------------------------------------------
+# minimality oracle on labels, the reference for properties.is_minimal
+
+def _find_proper_subtrade(pls: PartialLatinSquare):
+    """First proper nonempty subset of the filled cells admitting any
+    disjoint mate, found by backtracking over mate-symbol assignments.
+
+    Assigning symbol m as the mate of cell (r, c) forces the cells holding
+    m in row r and column c into the subset, so the search propagates
+    quickly.  Seeds are tried in canonical order with all earlier cells
+    banned, so each candidate subset is explored from its least cell only.
+    """
+    cell_sym = {}
+    row_sym = {}
+    col_sym = {}
+    row_syms = {}
+    for (r, c, s) in pls.triples:
+        cell_sym[(r, c)] = s
+        row_sym[(r, s)] = c
+        col_sym[(c, s)] = r
+        row_syms.setdefault(r, []).append(s)
+    for r in row_syms:
+        row_syms[r].sort(key=_sort_key)
+    cell_list = sorted(cell_sym, key=lambda rc: tuple(map(_sort_key, rc)))
+    total = len(cell_list)
+
+    def grow(seed, banned):
+        member = {seed}
+        mate = {}
+        row_used = {}
+        col_used = {}
+
+        def dfs():
+            unassigned = [cell for cell in member if cell not in mate]
+            if not unassigned:
+                return len(member) < total
+            r, c = min(unassigned, key=lambda rc: tuple(map(_sort_key, rc)))
+            orig = cell_sym[(r, c)]
+            for m in row_syms[r]:
+                if m == orig or m in row_used.get(r, ()) or m in col_used.get(c, ()):
+                    continue
+                r2 = col_sym.get((c, m))
+                if r2 is None:
+                    continue
+                forced = [(r, row_sym[(r, m)]), (r2, c)]
+                if any(f in banned for f in forced):
+                    continue
+                added = [f for f in forced if f not in member]
+                if len(member) + len(added) >= total:
+                    continue  # cannot stay proper
+                member.update(added)
+                mate[(r, c)] = m
+                row_used.setdefault(r, set()).add(m)
+                col_used.setdefault(c, set()).add(m)
+                if dfs():
+                    return True
+                member.difference_update(added)
+                del mate[(r, c)]
+                row_used[r].discard(m)
+                col_used[c].discard(m)
+            return False
+
+        if dfs():
+            trade = tuple(sorted(((r, c, cell_sym[(r, c)]) for (r, c) in member),
+                                 key=lambda t: tuple(map(_sort_key, t))))
+            mates = tuple(sorted(((r, c, m) for (r, c), m in mate.items()),
+                                 key=lambda t: tuple(map(_sort_key, t))))
+            return trade, mates
+        return None
+
+    for pos, seed in enumerate(cell_list):
+        found = grow(seed, set(cell_list[:pos]))
+        if found:
+            return found
+    return None

@@ -12,7 +12,7 @@ from bitrades.core import (from_group, from_permutations, roundtrip_check,
 from bitrades.families import family_alt, family_pq, predicted_table
 from bitrades.groups import group_from_spec, parse_permutation
 from bitrades.properties import (
-    check_thin_primary_minimal,
+    compute_report,
     group_orthogonal_criterion,
     group_thin_criterion,
     homogeneity,
@@ -253,19 +253,24 @@ def test_criterion_7_shape_counts(corpus):
 # ---------------------------------------------------------------------------
 # criterion 8: minimality consistency
 
+THIN_PRIMARY_MINIMAL = ("thin", "primary", "minimal")
+
+
 def test_criterion_8_minimality(corpus, two_intercalates):
     started = time.monotonic()
     checked = 0
     for triple, bitrade in corpus:
         if bitrade.size > 24:
             continue
-        report = check_thin_primary_minimal(bitrade)  # asserts on disagreement
-        if report["applicable"]:
+        # a report deciding all three raises ConsistencyError on disagreement
+        report = compute_report(bitrade, THIN_PRIMARY_MINIMAL)
+        if report["thin"].yes and report["primary"].yes:
+            assert report["minimal"].yes
             checked += 1
     # the size-21 three-homogeneous instance is also within the oracle cap
     inst = family_pq(7, 3, 2)
-    report = check_thin_primary_minimal(inst.bitrade())
-    assert report["applicable"] and report["minimal"].yes
+    report = compute_report(inst.bitrade(), THIN_PRIMARY_MINIMAL)
+    assert [result.value for result in report.values()] == ["yes"] * 3
     checked += 1
 
     result = is_minimal(two_intercalates)

@@ -30,6 +30,16 @@ k   p3    pq                    alt         published  smallest known
 """
 
 
+def run_cli(*argv, timeout=60):
+    """``bitrade`` with ``argv`` in a separate process, whose stderr shows
+    a traceback if it ends in an uncaught exception."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bitrades.cli", *argv],
+                          capture_output=True, encoding="utf-8", timeout=timeout, env=env)
+
+
 class TestConstruct:
     def test_family_to_file(self, tmp_path, capsys):
         out = tmp_path / "t.json"
@@ -99,11 +109,7 @@ class TestConstruct:
     def test_huge_prime_parameter_exits_at_once(self, argv):
         # a separate process, so that a primality test that hangs fails
         # the test instead of the run
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                          env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "bitrades.cli", "construct", *argv],
-                              capture_output=True, encoding="utf-8", timeout=20, env=env)
+        proc = run_cli("construct", *argv, timeout=20)
         assert proc.returncode in (2, 3), proc.stderr
 
     @pytest.mark.parametrize("m", [20000, 10 ** 8])
@@ -227,6 +233,15 @@ class TestVerify:
         path.write_text("{]")
         assert main(["verify", str(path)]) == 2
 
+    def test_deeply_nested_file_exits_2(self, tmp_path):
+        # json.loads fails on deep nesting with RecursionError, not a decode error
+        path = tmp_path / "deep.json"
+        path.write_text('{"t_circ": ' + "[" * 100_000 + "]" * 100_000 + ', "t_star": []}')
+        proc = run_cli("verify", str(path))
+        assert proc.returncode == 2
+        assert "not valid JSON" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("doc", [
         {"t_circ": [[["a"], "c", "s"]], "t_star": [["a", "c", "s"]]},
         {"rows": [{"r": 1}], "t_circ": [["a", "c", "s"]], "t_star": [["a", "c", "s"]]},
@@ -277,6 +292,18 @@ class TestVerify:
         assert captured.err.splitlines()[-1] == \
             "warning: minimal undecided: 27 cells above --oracle-cap 10"
         assert json.loads(captured.out)["minimal"]["value"] == "unknown"
+
+    def test_oracle_decides_alt_m2(self, tmp_path):
+        # 2,520 cells: the oracle's search runs far deeper than Python's
+        # recursion limit, and thin + primary => minimal is checked on it
+        out = tmp_path / "a2.json"
+        assert main(["construct", "--family", "alt:m=2", "-o", str(out)]) == 0
+        proc = run_cli("verify", str(out), "--checks", "thin,primary,minimal",
+                       "--oracle-cap", "3000")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert [report[name]["value"] for name in ("thin", "primary", "minimal")] == ["yes"] * 3
 
     def test_primary_cap_warning_names_the_cap(self, tmp_path, capsys):
         # the orbit method cannot decide non-separated input, and the

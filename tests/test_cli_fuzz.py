@@ -1,10 +1,12 @@
-"""``bitrade construct``, ``search`` and ``table`` on generated argv.
+"""``bitrade construct``, ``search``, ``table`` and ``verify`` on generated
+argv.
 
 Every run must end in an exit code 0-3 (argparse's own exit included),
 never in an uncaught exception.  Each generated run passes a small
 ``--enum-cap``, and ``search`` a small ``--search-cap``, so no case
-enumerates more than a few dozen group elements; none of these commands
-starts a thread or a process.
+enumerates more than a few dozen group elements; ``verify`` reads
+documents of at most 27 cells.  None of these commands starts a thread
+or a process.
 """
 
 from __future__ import annotations
@@ -12,10 +14,16 @@ from __future__ import annotations
 import contextlib
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitrades.cli import main
+from bitrades.core import make_bitrade
+from bitrades.families import family_from_spec
+from bitrades.serialize import write_bitrade
+
+from conftest import INTERCALATE_CIRC, INTERCALATE_STAR, _shift
 
 GROUPS = ["cyc:1", "cyc:2", "cyc:5", "sym:1", "sym:3", "alt:4", "sym:4", "p3:3",
           "pq:7,3,2", "prod:cyc:3,cyc:3", "prod:[pq:7,3,2],cyc:2",
@@ -83,6 +91,14 @@ table_argv = st.tuples(
     enum_cap,
 ).map(lambda t: ["table", *t[0], "--enum-cap", t[1]])
 
+VERIFY_FAMILIES = ["zp2:p=3", "alt:m=1", "p3:p=3"]
+
+verify_options = options({
+    "--checks": st.lists(st.sampled_from(CHECKS), max_size=4).map(",".join),
+    "--oracle-cap": st.integers(0, 5_000).map(str),
+    "--format": formats,
+})
+
 
 def exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -97,3 +113,24 @@ def exit_code(argv):
 @given(st.one_of(construct_argv, search_argv, table_argv))
 def test_generated_argv_exits_cleanly(argv):
     assert exit_code(argv) in (0, 1, 2, 3), argv
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """The bitrades of ``VERIFY_FAMILIES`` and two disjoint intercalates,
+    each written once as a document."""
+    folder = tmp_path_factory.mktemp("documents")
+    bitrades = [family_from_spec(spec).bitrade() for spec in VERIFY_FAMILIES]
+    bitrades.append(make_bitrade(INTERCALATE_CIRC + _shift(INTERCALATE_CIRC, "x"),
+                                 INTERCALATE_STAR + _shift(INTERCALATE_STAR, "x")))
+    paths = [str(folder / f"{i}.json") for i in range(len(bitrades))]
+    for bitrade, path in zip(bitrades, paths):
+        write_bitrade(bitrade, path)
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(VERIFY_FAMILIES)), verify_options)
+def test_generated_verify_argv_exits_cleanly(documents, document, flags):
+    argv = ["verify", documents[document], *flags]
+    assert exit_code(argv) in (0, 1, 2), argv

@@ -9,11 +9,11 @@ import pytest
 from bitrades import properties
 from bitrades.core import GroupTriple, from_group, make_bitrade
 from bitrades.errors import ConsistencyError
+from bitrades.families import family_from_spec
 from bitrades.groups import group_from_spec, parse_permutation
 from bitrades.search import iter_triples
 from bitrades.properties import (
     PropertyResult,
-    check_thin_primary_minimal,
     compute_report,
     group_orthogonal_criterion,
     group_thin_criterion,
@@ -328,20 +328,31 @@ class TestMinimal:
 
 
 class TestThinPrimaryMinimal:
+    # a report deciding thin, primary and minimal checks that the first
+    # two imply the third
+    CHECKS = ("thin", "primary", "minimal")
+
     def test_two_by_three_consistent(self, two_by_three):
-        report = check_thin_primary_minimal(two_by_three)
-        assert report["applicable"] and report["minimal"].yes
+        report = compute_report(two_by_three, self.CHECKS)
+        assert [result.value for result in report.values()] == ["yes"] * 3
 
     def test_a4_consistent(self):
-        report = check_thin_primary_minimal(a4_bitrade())
-        assert report["applicable"] and report["minimal"].yes
+        report = compute_report(a4_bitrade(), self.CHECKS)
+        assert [result.value for result in report.values()] == ["yes"] * 3
 
     def test_non_thin_not_applicable(self):
+        # not thin, and 253 cells: the oracle is not run and nothing is checked
         tr = pq_triple(23, 11, 4)
-        bt = from_group(tr.group, tr.a, tr.b, tr.c)
-        report = check_thin_primary_minimal(bt)
-        assert not report["applicable"]
-        assert report["minimal"] is None
+        report = compute_report(from_group(tr.group, tr.a, tr.b, tr.c), self.CHECKS)
+        assert report["thin"].value == "no"
+        assert report["minimal"].value == "unknown"
+
+    @pytest.mark.parametrize("spec", ["p3:p=3", "p3:p=5", "pq:p=31,q=5,r=2"])
+    def test_families_above_the_default_cap(self, spec):
+        bt = family_from_spec(spec).bitrade()
+        assert bt.size > properties.DEFAULT_MINIMAL_CAP
+        report = compute_report(bt, self.CHECKS, minimal_cap=400)
+        assert [result.value for result in report.values()] == ["yes"] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +442,9 @@ CONSISTENCY_SCRIPT = textwrap.dedent("""
     properties.primary_exhaustive = exhaustive
 
     properties.is_minimal = no
-    raises("minimal", lambda: properties.check_thin_primary_minimal(make_bitrade(CIRC, STAR)))
     # every report that decides thin, primary and minimal cross-checks them
+    raises("minimal", lambda: properties.compute_report(make_bitrade(CIRC, STAR),
+                                                        ("thin", "primary", "minimal")))
     print("minimal-exit", cli.main(["verify", sys.argv[1], "--checks", "thin,primary,minimal"]))
     raises("search-minimal", lambda: search.search_triples(
         group_from_spec("alt:4"), checks=("thin", "primary", "minimal")))

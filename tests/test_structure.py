@@ -41,6 +41,7 @@ from bitrades.groups import group_from_spec
 from bitrades.properties import (
     compute_report,
     homogeneity,
+    is_minimal,
     is_orthogonal,
     is_primary,
     is_thin,
@@ -56,6 +57,7 @@ from conftest import (
     NONSEP_STAR,
     TWO_BY_THREE_CIRC,
     TWO_BY_THREE_STAR,
+    _find_proper_subtrade,
     _shift,
 )
 
@@ -990,3 +992,47 @@ def test_every_built_structure_passes_the_full_check(bitrade):
     checked = core._check_permutation_triple(pt.index_perms, pt)  # raises on a failure
     assert checked == core._walk_cycles(pt.index_perms, pt)
     assert (pt.index_cycles, pt.cycle_of) == checked
+
+
+# ---------------------------------------------------------------------------
+# the minimality search on label ranks against the label-level search
+
+def assert_minimal_matches_reference(bitrade):
+    """``is_minimal`` on the bitrade and on its primary square alone gives
+    the reference search's verdict and witness; returns the verdict."""
+    found = _find_proper_subtrade(bitrade.t_circ)
+    expected = ("yes", None) if found is None else ("no", {"trade": found[0], "mate": found[1]})
+    for trade in (bitrade, bitrade.t_circ):
+        result = is_minimal(trade, cap=bitrade.size)
+        assert (result.value, result.witness) == expected
+    return expected[0]
+
+
+class TestMinimalAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(LABELLINGS)).flatmap(
+        lambda name: latin_difference_pairs((LABELLINGS[name],))))
+    def test_latin_differences(self, pair):
+        assert_minimal_matches_reference(make_bitrade(*pair))
+
+    def test_fixtures(self):
+        for circ, star in FIXTURES.values():
+            assert_minimal_matches_reference(make_bitrade(circ, star))
+            assert_minimal_matches_reference(
+                make_bitrade(_tuple_labelled(circ), _tuple_labelled(star)))
+
+    def test_declared_alphabets_out_of_order(self):
+        assert_minimal_matches_reference(make_bitrade(
+            NONSEP_CIRC, NONSEP_STAR, rows=("c", "b", "a"), syms=tuple("lkjih")))
+
+    @pytest.mark.parametrize("spec", ["alt:4", "sym:4"])
+    def test_every_search_record(self, spec):
+        verdicts = Counter(assert_minimal_matches_reference(from_group(t.group, t.a, t.b, t.c))
+                           for t in group_triples(spec))
+        assert verdicts["yes"] and verdicts["no"]
+
+    @pytest.mark.slow
+    def test_every_alt5_search_record(self):
+        G = group_from_spec("alt:5")
+        for t in iter_triples(G):
+            assert_minimal_matches_reference(from_group(G, t.a, t.b, t.c))
