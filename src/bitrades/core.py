@@ -439,29 +439,38 @@ def _increasing(cell):
     return all(map(int.__lt__, cell, islice(cell, 1, None)))
 
 
-def _canonical_structure(ranked, coords, perms, increasing=None):
-    """The permutation structure from the alphabets in ``_sort_key`` order
-    and each point's label ranks and tau1-tau3 in builder order, reindexed
-    by row and column rank: a cell holds one point (P1), so this is the order
-    of ``sorted_triples``, in which the JSON writer emits both squares.
-    Points that already arrive in strictly increasing cell order, as a
-    writer document's do, are taken as they are; ``increasing`` is the
-    caller's ``_increasing`` verdict on them, if it has one."""
-    if not increasing:
-        nc = len(ranked[1])
-        cell = [r * nc + c for r, c in zip(coords[0], coords[1])]
-        increasing = increasing is None and _increasing(cell)
-    if increasing:
-        points = range(len(coords[0]))
-        return PermutationTriple(tuple(array("i", map(q.__getitem__, points)) for q in perms),
-                                 ranked, tuple(array("i", coord) for coord in coords))
+def _cell_order(rows, cols, nc):
+    """The points in cell order, by row rank and then column rank (a cell
+    holds one point, P1), each point's position in that order, and the row
+    and column ranks in it; ``nc`` is the number of columns."""
+    cell = [r * nc + c for r, c in zip(rows, cols)]
     order = sorted(range(len(cell)), key=cell.__getitem__)
     position = [0] * len(order)
     for i, x in enumerate(order):
         position[x] = i
+    return (order, position, array("i", [rows[x] for x in order]),
+            array("i", [cols[x] for x in order]))
+
+
+def _canonical_structure(ranked, coords, perms, increasing=False, *, cell_order=None):
+    """The permutation structure from the alphabets in ``_sort_key`` order
+    and each point's label ranks and tau1-tau3 in builder order, reindexed
+    into cell order (``_cell_order``): this is the order of
+    ``sorted_triples``, in which the JSON writer emits both squares.
+    Points that already arrive in strictly increasing cell order, as a
+    writer document's do, are taken as they are; ``increasing`` is the
+    caller's ``_increasing`` verdict on them.  ``cell_order`` is the
+    ``_cell_order`` of ``coords``, if the caller has it."""
+    if increasing:
+        points = range(len(coords[0]))
+        return PermutationTriple(tuple(array("i", map(q.__getitem__, points)) for q in perms),
+                                 ranked, tuple(array("i", coord) for coord in coords))
+    order, position, rows, cols = cell_order or _cell_order(coords[0], coords[1],
+                                                            len(ranked[1]))
+    syms = coords[2]
     return PermutationTriple(
         tuple(array("i", [position[q[x]] for x in order]) for q in perms),
-        ranked, tuple(array("i", [coord[x] for x in order]) for coord in coords))
+        ranked, (rows, cols, array("i", [syms[x] for x in order])))
 
 
 # ---------------------------------------------------------------------------
@@ -605,9 +614,11 @@ def _check_permutation_triple(perms, points):
     return cycles, cycle_of
 
 
-def _bitrade_of_walks(perms, walks, tags, provenance):
+def _bitrade_of_walks(perms, walks, tags, provenance, *, cell_order=None):
     """The bitrade of three index permutations satisfying Q1-Q3 and their
-    walks (``CosetWalk``), which both constructions end in.
+    walks (``CosetWalk``), which both constructions end in; ``cell_order``
+    is the ``_cell_order`` of the first two walks' ranks, if the caller
+    has it.
 
     Rows, columns and symbols are the cycles of the three permutations,
     labelled ``tag:`` plus the name of the cycle's least point and declared
@@ -622,8 +633,8 @@ def _bitrade_of_walks(perms, walks, tags, provenance):
     for i, walk in enumerate(walks):
         _check_distinct(walk.distinct, i)  # two points may format alike
     declared, ranked = zip(*(w.labels(tag) for w, tag in zip(walks, tags)))
-    return Bitrade(declared, _canonical_structure(ranked, [w.rank for w in walks], perms),
-                   provenance)
+    return Bitrade(declared, _canonical_structure(ranked, [w.rank for w in walks], perms,
+                                                  cell_order=cell_order), provenance)
 
 
 def mate_bijections(bitrade):
@@ -756,7 +767,7 @@ class GroupTriple:
         return f"GroupTriple({self.group.spec}, a={a}, b={b}, c={c})"
 
 
-def from_group(group, a, b, c, *, provenance=None):
+def from_group(group, a, b, c, *, provenance=None, cell_order=None):
     """Build the coset bitrade of a group triple satisfying G1 and G2.
 
     This is the permutation construction on the group elements with the
@@ -773,14 +784,18 @@ def from_group(group, a, b, c, *, provenance=None):
     strings come from the group's memo, so a group walks each element's
     cosets once, and a bitrade costs only the reindexing into canonical
     order (``_canonical_structure``).  The ``GroupTriple`` made here takes
-    the verdict of one just made on the same a, b and c.
+    the verdict of one just made on the same a, b and c.  The cell order
+    depends on the cosets of <a> and <b> alone, so ``search`` passes one
+    ``_cell_order`` of the walks of a and b (``cell_order``) to every
+    record of one a and one <b>.
     """
     triple = GroupTriple(group, a, b, c)
     astr, bstr, cstr = triple.element_strs()
     prov = {"kind": "from-group", "group": group.spec, "a": astr, "b": bstr, "c": cstr}
     if provenance:
         prov.update(provenance)
-    return _bitrade_of_walks(triple.translations, triple.walks, _GROUP_TAGS, prov)
+    return _bitrade_of_walks(triple.translations, triple.walks, _GROUP_TAGS, prov,
+                             cell_order=cell_order)
 
 
 # ---------------------------------------------------------------------------

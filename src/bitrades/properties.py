@@ -291,15 +291,15 @@ def group_thin_criterion(triple: GroupTriple) -> PropertyResult:
     """Thin iff the only exponent solutions of a^i b^j c^k = 1 are (0,0,0)
     and (1,1,1), exponents taken modulo the element orders.
 
-    On element indices: from each power a^i the right translation by b
-    walks a^i b^j, and the only candidate k is the exponent of (a^i b^j)^-1
-    among the powers of c, looked up as a^i b^j = c^-k.  One product in the
-    group confirms each solution found, on elements read from the group's
-    store (``Group.elements_at``)."""
+    On element indices: from each power a^i the triple's right translation
+    by b walks a^i b^j, and the only candidate k is the exponent of
+    (a^i b^j)^-1 among the powers of c, looked up as a^i b^j = c^-k.  One
+    product in the group confirms each solution found, on elements read
+    from the group's store (``Group.elements_at``)."""
     started = time.monotonic()
     G = triple.group
     wa, wb, wc = triple.walks
-    rho_b = G.right_translation(triple.b)
+    rho_b = triple.translations[1]
     oc = len(wc.powers)
     c_exponent = {g: -m % oc for m, g in enumerate(wc.powers)}
     found = []
@@ -325,8 +325,8 @@ def group_thin_criterion(triple: GroupTriple) -> PropertyResult:
 
 def group_orthogonal_criterion(triple: GroupTriple) -> PropertyResult:
     """Orthogonal iff the symbol subgroup meets its conjugate by a trivially:
-    |C ∩ a^-1 C a| = 1.  On element indices, from the right translations
-    by a and by c that the triple has: a^-1 is the last power of a, the
+    |C ∩ a^-1 C a| = 1.  On element indices, from the triple's own right
+    translations by a and by c: a^-1 is the last power of a, the
     translation by c walks a^-1 c^j from it, and the translation by a takes
     each to a^-1 c^j a.  After |C| steps the walk is back at a^-1, and the
     |C| conjugates are distinct.  The elements it names are read from the
@@ -334,7 +334,7 @@ def group_orthogonal_criterion(triple: GroupTriple) -> PropertyResult:
     started = time.monotonic()
     G = triple.group
     wa, _, wc = triple.walks
-    rho_a, rho_c = G.right_translations((triple.a, triple.c))
+    rho_a, _, rho_c = triple.translations
     start = x = wa.powers[-1]
     conj = set()
     for _ in wc.powers:
@@ -349,6 +349,15 @@ def group_orthogonal_criterion(triple: GroupTriple) -> PropertyResult:
     identity = wa.powers[0]
     witness = min(G.elements_at(g for g in common if g != identity), key=_sort_key)
     return _timed(started, "no", "group-criterion", witness)
+
+
+def group_homogeneity(triple: GroupTriple) -> PropertyResult:
+    """k from the subgroup orders: the rows, columns and symbols of the
+    coset bitrade are the left cosets of <a>, <b> and <c>, so they hold
+    |A|, |B| and |C| entries, and the bitrade is homogeneous exactly when
+    the three orders agree, with k their common value."""
+    a, b, c = triple.orders
+    return PropertyResult(a if a == b == c else "no", "group-criterion")
 
 
 def pq_thin_solutions(p, q, r):
@@ -522,11 +531,13 @@ def compute_report(bitrade: Bitrade, checks=None, *,
 
 
 def check_group_criteria(triple: GroupTriple, report):
-    """Decide again by its group criterion each of thin and orthogonal that
-    ``report`` (of the bitrade of ``triple``) holds; a verdict that differs
-    from the report's raises ConsistencyError."""
+    """Decide again by its group criterion each of thin, orthogonal and the
+    homogeneity degree that ``report`` (of the bitrade of ``triple``)
+    holds; a verdict that differs from the report's raises
+    ConsistencyError."""
     for name, criterion in (("thin", group_thin_criterion),
-                            ("orthogonal", group_orthogonal_criterion)):
+                            ("orthogonal", group_orthogonal_criterion),
+                            ("homogeneous_k", group_homogeneity)):
         if name in report and report[name].value != criterion(triple).value:
             raise ConsistencyError(f"{name} criteria disagree on {triple}")
 

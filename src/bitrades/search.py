@@ -6,7 +6,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .core import GroupTriple, from_group
+from .core import GroupTriple, _cell_order, from_group
 from .errors import ResourceCapError, ValidationError
 from .properties import (
     DEFAULT_MINIMAL_CAP,
@@ -14,7 +14,7 @@ from .properties import (
     check_group_criteria,
     check_names,
     compute_report,
-    homogeneity,
+    group_homogeneity,
 )
 from .serialize import _COMPACT, _compact_chunks
 
@@ -59,10 +59,10 @@ def bitrade_signature(bitrade, triple=None) -> str:
 
 def iter_triples(group):
     """All ordered pairs (a, b) of non-identity elements with c = (ab)^-1
-    also non-identity and conditions G1-G2 satisfied. G1 holds by the
-    choice of c; pairs failing G2 are skipped.  ab and its inverse are read
-    on indices: ab from the right translation by b, the inverse as the last
-    power in the coset walk of ab."""
+    also non-identity and conditions G1-G2 satisfied, the triples of one a
+    together. G1 holds by the choice of c; pairs failing G2 are skipped.
+    ab and its inverse are read on indices: ab from the right translation
+    by b, the inverse as the last power in the coset walk of ab."""
     els = group.elements()
     identity = group.index_of(group.identity)
     others = [i for i in range(len(els)) if i != identity]
@@ -88,15 +88,21 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
 
     Unknown check names are refused before the search starts.  For every
     surviving triple the bitrade is built and the requested checks run as
-    one ``compute_report`` (empty ``checks``, no properties); thin and
-    orthogonal are decided again by their group criteria, and a
-    disagreement of the two verdicts raises ConsistencyError.  G3 is read
-    off the bitrade: the orbit of an element x under the right
-    multiplications by a, b and c is x<a, b, c>, so a, b and c generate G
-    exactly when the structure is transitive.  As c = (ab)^-1, <a, b, c> is
-    <a, b>, which <a> and <b> fix, so the orbit is taken once per pair of
-    walk member sets.  The group's enumeration cap bounds every
-    enumeration of it.
+    one ``compute_report`` (empty ``checks``, no properties); thin,
+    orthogonal and the homogeneity degree are decided again by their group
+    criteria, and a disagreement of the two verdicts raises
+    ConsistencyError.  A record's k is read off the subgroup orders
+    (``group_homogeneity``); the entries are counted only when the checks
+    ask for "homogeneous".  The cell order of a bitrade depends only on the
+    cosets of <a> and <b>, so it is sorted once per a and <b>
+    (``core._cell_order``) and passed to ``from_group``; as ``iter_triples``
+    yields the triples of one a together, only the current a's entries,
+    one per <b>, are kept.  G3 is read off the bitrade: the orbit of an
+    element x under the right multiplications by a, b and c is x<a, b, c>,
+    so a, b and c generate G exactly when the structure is transitive.  As
+    c = (ab)^-1, <a, b, c> is <a, b>, which <a> and <b> fix, so the orbit
+    is taken once per pair of walk member sets.  The group's enumeration
+    cap bounds every enumeration of it.
     """
     check_names(checks)
     n = group.order()
@@ -105,11 +111,19 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
             f"group {group.spec} has order {n}, above the search cap", search_cap)
     records = []
     generates = {}  # (<a>, <b>) as walk member sets -> G3
+    a = None
     for triple in iter_triples(group):
         if k is not None and triple.orders != (k, k, k):
             continue
-        bitrade = from_group(group, triple.a, triple.b, triple.c)
-        pair = (triple.walks[0].members, triple.walks[1].members)
+        wa, wb, _ = triple.walks
+        if triple.a != a:
+            a, cell_orders = triple.a, {}  # <b> as walk B's members -> _cell_order
+        cell_order = cell_orders.get(wb.members)
+        if cell_order is None:
+            cell_order = cell_orders[wb.members] = _cell_order(wa.rank, wb.rank,
+                                                               len(wb.names))
+        bitrade = from_group(group, triple.a, triple.b, triple.c, cell_order=cell_order)
+        pair = (wa.members, wb.members)
         g3 = generates.get(pair)
         if g3 is None:
             g3 = generates[pair] = len(_orbit(bitrade.permutation_triple)) == n
@@ -118,11 +132,11 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
         report = compute_report(bitrade, checks, minimal_cap=minimal_cap) if checks else {}
         check_group_criteria(triple, report)
         astr, bstr, cstr = triple.element_strs()
-        hom = report["homogeneous_k"] if "homogeneous_k" in report else homogeneity(bitrade)
+        hom = group_homogeneity(triple).value
         records.append(SearchRecord(
             group=group.spec, a=astr, b=bstr, c=cstr,
             size=bitrade.size, orders=triple.orders, g3=g3,
-            k=hom.value if hom.value != "no" else None,
+            k=hom if hom != "no" else None,
             properties={name: res.value for name, res in report.items()},
             signature=bitrade_signature(bitrade, triple),
         ))

@@ -459,6 +459,16 @@ CONSISTENCY_SCRIPT = textwrap.dedent("""
     properties.group_thin_criterion = thin_criterion
     properties.group_orthogonal_criterion = orthogonal_criterion
 
+    # search reads k off the subgroup orders; a count that differs from
+    # them, where the checks ask for one, contradicts it
+    homogeneity = properties.homogeneity
+    properties.homogeneity = no
+    raises("homogeneous", lambda: search.search_triples(group_from_spec("alt:4"),
+                                                        checks=("homogeneous",)))
+    print("homogeneous-exit", cli.main(["search", "--group", "alt:4", "--checks",
+                                        "homogeneous", "-o", sys.argv[1]]))
+    properties.homogeneity = homogeneity
+
     # the integer pass rejects squares that share a triple; a label check
     # that finds nothing there contradicts it
     core.check_bitrade_conditions = lambda circ, star: []
@@ -469,7 +479,8 @@ CONSISTENCY_SCRIPT = textwrap.dedent("""
     G = group_from_spec("sym:3")
     a, b = G.parse_element("(1,2,3)"), G.parse_element("(1,2)")
     walks = (G.coset_walk(a), G.coset_walk(b), G.coset_walk(b))
-    torn = type("Torn", (), {"group": G, "a": a, "c": a, "walks": walks})()
+    torn = type("Torn", (), {"group": G, "a": a, "c": a, "walks": walks,
+                             "translations": G.right_translations((a, b, a))})()
     raises("conjugate", lambda: properties.group_orthogonal_criterion(torn))
 
     # (0,0,0) and (1,1,1) solve a^i b^j c^k = 1 whenever abc = 1; an
@@ -494,5 +505,6 @@ def test_consistency_checks_raise_under_optimisation(tmp_path):
                         "minimal": "ConsistencyError", "minimal-exit": "4",
                         "search-minimal": "ConsistencyError", "thin": "ConsistencyError",
                         "orthogonal": "ConsistencyError", "mates": "ConsistencyError",
-                        "conjugate": "ConsistencyError", "trivial": "ConsistencyError"}
+                        "conjugate": "ConsistencyError", "trivial": "ConsistencyError",
+                        "homogeneous": "ConsistencyError", "homogeneous-exit": "4"}
     assert "internal consistency check failed" in proc.stderr

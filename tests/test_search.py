@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bitrades.core import (
     GroupTriple,
+    _cell_order,
     from_group,
     from_permutations,
     make_bitrade,
@@ -15,10 +16,11 @@ from bitrades.core import (
 )
 from bitrades import families, search
 from bitrades.cli import main
-from bitrades.errors import ResourceCapError, ValidationError
+from bitrades.errors import ConsistencyError, ResourceCapError, ValidationError
 from bitrades.families import predicted_table
-from bitrades.groups import Subgroup, group_from_spec, parse_permutation
+from bitrades.groups import PermClosureGroup, Subgroup, group_from_spec, parse_permutation
 from bitrades.properties import (
+    PropertyResult,
     _orbit,
     _sort_key,
     group_orthogonal_criterion,
@@ -111,18 +113,20 @@ class TestSearch:
         assert len(records) == 102
         assert sum(r.g3 for r in records) == 96
 
-    @pytest.mark.parametrize("checks", [("homogeneous",), ()], ids=["in the report", "none"])
-    def test_homogeneity_once_per_record(self, monkeypatch, checks):
+    @pytest.mark.parametrize("checks, count", [(("homogeneous",), 102), ((), 0)],
+                             ids=["in the report", "none"])
+    def test_homogeneity_once_per_record(self, monkeypatch, checks, count):
+        # k is read off the subgroup orders; the entries are counted only
+        # for a report that asks for them, once per record
         calls = []
 
         def counted(bitrade):
             calls.append(bitrade)
             return homogeneity(bitrade)
 
-        for module in ("bitrades.properties", "bitrades.search"):
-            monkeypatch.setattr(f"{module}.homogeneity", counted)
+        monkeypatch.setattr("bitrades.properties.homogeneity", counted)
         records = search_triples(group_from_spec("alt:4"), checks=checks)
-        assert len(records) == len(calls) == 102
+        assert (len(records), len(calls)) == (102, count)
 
     def test_records_are_deterministic(self):
         G = group_from_spec("sym:3")
@@ -237,6 +241,80 @@ def test_full_search_listing(spec, count, capsys):
     assert err == f"{count} triples found in {spec}\n"
     assert out.count("\n") == count
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LISTING_SHA256[spec]
+
+
+# ---------------------------------------------------------------------------
+# k from the subgroup orders; one cell order per a and <b>
+
+K_SPECS = ["alt:4", "sym:4", "p3:3", "pq:7,3,2", "prod:cyc:3,sym:3"]
+
+
+@pytest.mark.parametrize("spec", K_SPECS)
+def test_k_is_the_direct_count(spec):
+    G = group_from_spec(spec)
+    records = search_triples(G, checks=())
+    ks = set()
+    for triple, record in zip(iter_triples(G), records):
+        count = homogeneity(from_group(G, triple.a, triple.b, triple.c)).value
+        assert record.k == (None if count == "no" else count)
+        ks.add(record.k)
+    if spec.startswith("prod:"):
+        assert None in ks and len(ks) > 1  # orders that differ, and some that agree
+
+
+def test_a_wrong_count_is_a_consistency_error(monkeypatch, capsys):
+    wrong = lambda bitrade: PropertyResult("no", "direct-scan")
+    monkeypatch.setattr("bitrades.properties.homogeneity", wrong)
+    G = group_from_spec("alt:4")
+    search_triples(G, checks=("thin",))  # no count, nothing to check
+    with pytest.raises(ConsistencyError, match="homogeneous_k"):
+        search_triples(G, checks=("homogeneous",))
+    assert main(["search", "--group", "alt:4", "--checks", "homogeneous"]) == 4
+    assert "internal consistency check failed" in capsys.readouterr().err
+
+
+def assert_shared_cell_order_builds_alike(triples):
+    """Each triple's bitrade from the cell order search shares for its a
+    and <b> (made on the first b of the <b>) equals ``from_group``'s own."""
+    a = None
+    for t in triples:
+        wa, wb, _ = t.walks
+        if t.a != a:
+            a, shared = t.a, {}
+        cell_order = shared.setdefault(wb.members,
+                                       _cell_order(wa.rank, wb.rank, len(wb.names)))
+        mine = from_group(t.group, t.a, t.b, t.c, cell_order=cell_order)
+        theirs = from_group(t.group, t.a, t.b, t.c)
+        assert mine.alphabets == theirs.alphabets
+        pm, pt = mine.permutation_triple, theirs.permutation_triple
+        assert (pm.alphabets, pm.coords, pm.index_perms) == (pt.alphabets, pt.coords,
+                                                             pt.index_perms)
+
+
+@pytest.mark.parametrize("spec", ["alt:4", "sym:4", "p3:3"])
+def test_shared_cell_order_on_every_triple(spec):
+    assert_shared_cell_order_builds_alike(iter_triples(group_from_spec(spec)))
+
+
+def triples_of_the_powers(G, a, b):
+    """The admitted triples (a, b^j, (ab^j)^-1) for j = 1, 2, ...: one a,
+    and one <b> for every b^j that generates it."""
+    x = b
+    while x != G.identity:
+        try:
+            yield GroupTriple(G, a, x, G.inverse(G.mul(a, x)))
+        except ValidationError:
+            pass
+        x = G.mul(x, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([5, 6]).flatmap(lambda n: st.lists(
+    st.permutations(range(1, n + 1)).map(tuple), min_size=2, max_size=2)))
+def test_shared_cell_order_on_generated_groups(pair):
+    # the group the pair generates, with a and b the pair itself
+    G = PermClosureGroup(len(pair[0]), pair)
+    assert_shared_cell_order_builds_alike(triples_of_the_powers(G, *pair))
 
 
 def relabel(triples, form):
