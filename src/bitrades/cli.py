@@ -171,6 +171,11 @@ def _table_json(rows) -> str:
 
 def cmd_table(args) -> int:
     ks = [int(k) for k in args.k.split(",") if k.strip()]
+    if not ks:
+        raise ParseError(f"--k {args.k!r} lists no k value")
+    for i, k in enumerate(ks):
+        if k in ks[:i]:
+            raise ParseError(f"--k value {k} repeated in {args.k!r}")
     rows = predicted_table(ks, args.recompute, _enum_cap(args))
     text = (_table_json(rows) if args.format == "json"
             else render_table(rows, args.recompute))

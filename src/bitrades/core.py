@@ -439,17 +439,20 @@ def _increasing(cell):
     return all(map(int.__lt__, cell, islice(cell, 1, None)))
 
 
-def _cell_order(rows, cols, nc):
+def _cell_order(rows, cols, nc, q1):
     """The points in cell order, by row rank and then column rank (a cell
-    holds one point, P1), each point's position in that order, and the row
-    and column ranks in it; ``nc`` is the number of columns."""
+    holds one point, P1), each point's position in that order, the row
+    and column ranks in it, and tau1 in it: the row permutation ``q1``
+    reindexed.  ``nc`` is the number of columns."""
     cell = [r * nc + c for r, c in zip(rows, cols)]
     order = sorted(range(len(cell)), key=cell.__getitem__)
+    del cell
     position = [0] * len(order)
     for i, x in enumerate(order):
         position[x] = i
     return (order, position, array("i", [rows[x] for x in order]),
-            array("i", [cols[x] for x in order]))
+            array("i", [cols[x] for x in order]),
+            array("i", [position[q1[x]] for x in order]))
 
 
 def _canonical_structure(ranked, coords, perms, increasing=False, *, cell_order=None):
@@ -460,16 +463,20 @@ def _canonical_structure(ranked, coords, perms, increasing=False, *, cell_order=
     Points that already arrive in strictly increasing cell order, as a
     writer document's do, are taken as they are; ``increasing`` is the
     caller's ``_increasing`` verdict on them.  ``cell_order`` is the
-    ``_cell_order`` of ``coords``, if the caller has it."""
+    ``_cell_order`` of ``coords`` and the first permutation, if the caller
+    has it."""
     if increasing:
         points = range(len(coords[0]))
         return PermutationTriple(tuple(array("i", map(q.__getitem__, points)) for q in perms),
                                  ranked, tuple(array("i", coord) for coord in coords))
-    order, position, rows, cols = cell_order or _cell_order(coords[0], coords[1],
-                                                            len(ranked[1]))
+    perms = iter(perms)  # ``_rank_structure`` makes its dicts one at a time
+    q1 = next(perms)
+    order, position, rows, cols, tau1 = cell_order or _cell_order(coords[0], coords[1],
+                                                                  len(ranked[1]), q1)
+    del q1
     syms = coords[2]
     return PermutationTriple(
-        tuple(array("i", [position[q[x]] for x in order]) for q in perms),
+        (tau1, *(array("i", [position[q[x]] for x in order]) for q in perms)),
         ranked, (rows, cols, array("i", [syms[x] for x in order])))
 
 
@@ -617,8 +624,8 @@ def _check_permutation_triple(perms, points):
 def _bitrade_of_walks(perms, walks, tags, provenance, *, cell_order=None):
     """The bitrade of three index permutations satisfying Q1-Q3 and their
     walks (``CosetWalk``), which both constructions end in; ``cell_order``
-    is the ``_cell_order`` of the first two walks' ranks, if the caller
-    has it.
+    is the ``_cell_order`` of the first two walks' ranks and the first
+    permutation, if the caller has it.
 
     Rows, columns and symbols are the cycles of the three permutations,
     labelled ``tag:`` plus the name of the cycle's least point and declared
@@ -785,9 +792,10 @@ def from_group(group, a, b, c, *, provenance=None, cell_order=None):
     cosets once, and a bitrade costs only the reindexing into canonical
     order (``_canonical_structure``).  The ``GroupTriple`` made here takes
     the verdict of one just made on the same a, b and c.  The cell order
-    depends on the cosets of <a> and <b> alone, so ``search`` passes one
-    ``_cell_order`` of the walks of a and b (``cell_order``) to every
-    record of one a and one <b>.
+    depends on the cosets of <a> and <b> alone, and tau1 in it on a too, so
+    ``search`` passes one ``_cell_order`` of the walks of a and b and the
+    right multiplication by a (``cell_order``) to every record of one a
+    and one <b>.
     """
     triple = GroupTriple(group, a, b, c)
     astr, bstr, cstr = triple.element_strs()

@@ -16,7 +16,7 @@ from .properties import (
     compute_report,
     group_homogeneity,
 )
-from .serialize import _COMPACT, _compact_chunks
+from .serialize import _COMPACT, _compact_chunks, _square_templates
 
 DEFAULT_SEARCH_CAP = 200
 
@@ -45,16 +45,30 @@ class SearchRecord:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def bitrade_signature(bitrade, triple=None) -> str:
+def bitrade_signature(bitrade, triple=None, templates=None) -> str:
     """Stable content hash of the bitrade's document without its provenance
     (alphabets and triples only, so that equal bitrades from different
     triples collide): the first 16 hex digits of the SHA-256 of its
     compact JSON text.  The label text is read off the coset walks of
     ``triple`` (``GroupTriple.written``), the group triple whose coset
-    bitrade this is, if given; else it is made here."""
+    bitrade this is, if given, and the squares' text around the symbols off
+    ``templates`` (``_frame``) if given; else they are made here."""
     written = None if triple is None else triple.written(_COMPACT.lists[0])
-    text = "".join(_compact_chunks(bitrade, written))
+    text = "".join(_compact_chunks(bitrade, written, templates))
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+
+
+def _frame(triple):
+    """What the coset bitrades of one a and one <b> share: the cell order
+    with tau1 in it (``core._cell_order`` of the walks of a and b and the
+    right multiplication by a), and the compact writer's chunk templates,
+    with each triple's row and column text in place (``_square_templates``)."""
+    wa, wb, _ = triple.walks
+    cell_order = _cell_order(wa.rank, wb.rank, len(wb.names), triple.translations[0])
+    (rows, _), (cols, _), _ = triple.written(_COMPACT.lists[0])
+    rows = list(map(rows.__getitem__, cell_order[2]))
+    cols = list(map(cols.__getitem__, cell_order[3]))
+    return cell_order, list(_square_templates(_COMPACT, rows, cols))
 
 
 def iter_triples(group):
@@ -93,16 +107,17 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
     criteria, and a disagreement of the two verdicts raises
     ConsistencyError.  A record's k is read off the subgroup orders
     (``group_homogeneity``); the entries are counted only when the checks
-    ask for "homogeneous".  The cell order of a bitrade depends only on the
-    cosets of <a> and <b>, so it is sorted once per a and <b>
-    (``core._cell_order``) and passed to ``from_group``; as ``iter_triples``
-    yields the triples of one a together, only the current a's entries,
-    one per <b>, are kept.  G3 is read off the bitrade: the orbit of an
-    element x under the right multiplications by a, b and c is x<a, b, c>,
-    so a, b and c generate G exactly when the structure is transitive.  As
-    c = (ab)^-1, <a, b, c> is <a, b>, which <a> and <b> fix, so the orbit
-    is taken once per pair of walk member sets.  The group's enumeration
-    cap bounds every enumeration of it.
+    ask for "homogeneous".  The cell order of a bitrade, tau1 in it and the
+    rows and columns of its document depend only on a and <b>, so they are
+    made once per a and <b> (``_frame``) and passed to ``from_group`` and
+    ``bitrade_signature``; as ``iter_triples`` yields the triples of one a
+    together, only the current a's frames, one per <b>, are kept.  G3 is
+    read off the bitrade: the orbit of an element x under the right
+    multiplications by a, b and c is x<a, b, c>, so a, b and c generate G
+    exactly when the structure is transitive.  As c = (ab)^-1, <a, b, c> is
+    <a, b>, which <a> and <b> fix, so the orbit is taken once per pair of
+    walk member sets.  The group's enumeration cap bounds every enumeration
+    of it.
     """
     check_names(checks)
     n = group.order()
@@ -117,11 +132,11 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
             continue
         wa, wb, _ = triple.walks
         if triple.a != a:
-            a, cell_orders = triple.a, {}  # <b> as walk B's members -> _cell_order
-        cell_order = cell_orders.get(wb.members)
-        if cell_order is None:
-            cell_order = cell_orders[wb.members] = _cell_order(wa.rank, wb.rank,
-                                                               len(wb.names))
+            a, frames = triple.a, {}  # <b> as walk B's members -> _frame
+        frame = frames.get(wb.members)
+        if frame is None:
+            frame = frames[wb.members] = _frame(triple)
+        cell_order, templates = frame
         bitrade = from_group(group, triple.a, triple.b, triple.c, cell_order=cell_order)
         pair = (wa.members, wb.members)
         g3 = generates.get(pair)
@@ -138,6 +153,6 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
             size=bitrade.size, orders=triple.orders, g3=g3,
             k=hom if hom != "no" else None,
             properties={name: res.value for name, res in report.items()},
-            signature=bitrade_signature(bitrade, triple),
+            signature=bitrade_signature(bitrade, triple, templates),
         ))
     return records

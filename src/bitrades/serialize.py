@@ -54,49 +54,77 @@ _COMPACT = _Layout((("[", ", ", "]"), ("[", ", ", "]")),
                    '{{"cols": {1}, "rows": {0}, "syms": {2}, "t_circ": ', ', "t_star": ', "}")
 
 
+def _symbol_columns(pt, escaped):
+    """The escaped symbol of each primary triple of a str-labelled
+    structure ``pt`` in document order, and of each mate triple; ``escaped``
+    holds the symbols' JSON strings in ``_sort_key`` order.  The mate
+    triple in the cell of point x holds the symbol of tau2(x)."""
+    syms = list(map(escaped.__getitem__, pt.coords[2]))
+    return syms, list(map(syms.__getitem__, pt.index_perms[1]))
+
+
 def _square_columns(bitrade, ranked):
-    """For each square, the escaped row, column and symbol of its triples in
-    document order (the string triples sorted); ``ranked`` holds each
+    """The escaped row, column, symbol and mate symbol of each triple in
+    document order (the string triples sorted; both squares fill the same
+    cells, so they share the rows and columns); ``ranked`` holds each
     alphabet's JSON strings in ``_sort_key`` order.
 
     When every label is a str, that order is the structure's point order
     (``core._canonical_structure``; for str, ``_sort_key`` order is plain
-    order), and the mate triple in the cell of point x holds the symbol of
-    tau2(x), so both squares come from the structure with no sort.  Other
+    order), so the columns come from the structure with no sort.  Other
     labels are taken from ``bitrade_to_doc``, which sorts them as strings.
     """
     pt = bitrade.permutation_triple
     if set(map(type, chain.from_iterable(pt.alphabets))) == {str}:
-        circ = [list(map(esc.__getitem__, coord)) for esc, coord in zip(ranked, pt.coords)]
-        star = circ[:2] + [list(map(circ[2].__getitem__, pt.index_perms[1]))]
-        return circ, star
+        rows, cols = (list(map(esc.__getitem__, coord))
+                      for esc, coord in zip(ranked[:2], pt.coords))
+        return (rows, cols, *_symbol_columns(pt, ranked[2]))
     doc = bitrade_to_doc(bitrade)
     by_str = [dict(zip(map(_label_str, labels), esc))
               for labels, esc in zip(pt.alphabets, ranked)]
-    return [[[esc[t[i]] for t in doc[key]] for i, esc in enumerate(by_str)]
-            for key in ("t_circ", "t_star")]
+    return (*([esc[t[i]] for t in doc["t_circ"]] for i, esc in enumerate(by_str)),
+            [by_str[2][t[2]] for t in doc["t_star"]])
 
 
-def _document_chunks(bitrade, written, layout, provenance=""):
+def _square_templates(layout, rows, cols):
+    """Per chunk of a square in ``layout`` (up to ``_TRIPLES_PER_CHUNK``
+    triples), its text as a list: the text around each triple's labels,
+    with its row and column (``rows[i]``, ``cols[i]``) in their slots and
+    None in its symbol slot, which is every sixth item from the sixth."""
+    (open_, sep, _), (t_open, t_sep, t_close) = layout.lists
+    for start in range(0, len(rows), _TRIPLES_PER_CHUNK):
+        end = start + _TRIPLES_PER_CHUNK
+        text = [t_close + sep + t_open, None, t_sep, None, t_sep, None] * len(rows[start:end])
+        text[1::6] = rows[start:end]
+        text[3::6] = cols[start:end]
+        if not start:
+            text[0] = open_ + t_open
+        yield text
+
+
+def _document_chunks(bitrade, written, layout, provenance="", templates=None):
     """The bitrade's document in ``layout``, in chunks; ``written`` holds
     per alphabet its JSON strings in ``_sort_key`` order and its JSON list
     in ``layout`` (``_written``).
 
-    A chunk holds up to ``_TRIPLES_PER_CHUNK`` triples: one list repeats
-    the text around a triple's three labels, and the labels are put in
-    its slots by slice assignment."""
-    (open_, sep, close), (t_open, t_sep, t_close) = layout.lists
+    A chunk is its template (``_square_templates``, made chunk by chunk
+    for each square) with the symbols put in their slots by slice
+    assignment.  ``templates``, if given, are the chunks' templates of a
+    str-labelled structure (as ``search`` keeps them for every coset
+    bitrade of one a and one <b>); each is copied."""
+    (_, _, close), (_, _, t_close) = layout.lists
     yield layout.head.format(*(text for _, text in written), provenance)
-    circ, star = _square_columns(bitrade, [ranked for ranked, _ in written])
-    for columns, after in ((circ, layout.star), (star, layout.tail)):
-        n = len(columns[0])
-        for start in range(0, n, _TRIPLES_PER_CHUNK):
-            end = min(start + _TRIPLES_PER_CHUNK, n)
-            text = [t_close + sep + t_open, None, t_sep, None, t_sep, None] * (end - start)
-            for i, column in enumerate(columns):
-                text[2 * i + 1::6] = column[start:end]
-            if not start:
-                text[0] = open_ + t_open
+    ranked = [ranked for ranked, _ in written]
+    if templates is None:
+        rows, cols, *squares = _square_columns(bitrade, ranked)
+    else:
+        squares = _symbol_columns(bitrade.permutation_triple, ranked[2])
+    for column, after in zip(squares, (layout.star, layout.tail)):
+        chunks = (_square_templates(layout, rows, cols) if templates is None
+                  else map(list.copy, templates))
+        for i, text in enumerate(chunks):
+            start = i * _TRIPLES_PER_CHUNK
+            text[5::6] = column[start:start + _TRIPLES_PER_CHUNK]
             yield "".join(text)
         yield t_close + close + after
 
@@ -134,12 +162,14 @@ def _json_chunks(bitrade):
                                 provenance)
 
 
-def _compact_chunks(bitrade, written=None):
+def _compact_chunks(bitrade, written=None, templates=None):
     """The text of ``json.dumps(doc, sort_keys=True)`` for the bitrade's
     document without its provenance, in chunks; ``written`` is its
-    ``_written`` text in ``_COMPACT`` if given."""
+    ``_written`` text in ``_COMPACT`` and ``templates`` its chunk templates
+    (``_document_chunks``), if given."""
     return _document_chunks(
-        bitrade, written or _written(bitrade, _escaped_alphabets(bitrade), _COMPACT), _COMPACT)
+        bitrade, written or _written(bitrade, _escaped_alphabets(bitrade), _COMPACT), _COMPACT,
+        templates=templates)
 
 
 def bitrade_to_json(bitrade: Bitrade) -> str:

@@ -424,6 +424,17 @@ class TestTable:
             "resource cap exceeded: alternating family instance m=2 has size "
             "7!/2 = 2520, above the enumeration cap (cap: 1000)\n")
 
+    @pytest.mark.parametrize("ks, message", [
+        ("", "--k '' lists no k value"),
+        (",", "--k ',' lists no k value"),
+        ("3,3", "--k value 3 repeated in '3,3'"),
+        ("5,3,05", "--k value 5 repeated in '5,3,05'"),
+    ])
+    def test_empty_or_repeated_k_refused(self, capsys, ks, message):
+        assert main(["table", "--k", ks]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+
     def test_recompute_marks_verified(self, capsys):
         assert main(["table", "--k", "3", "--recompute"]) == 0
         out = capsys.readouterr().out

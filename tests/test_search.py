@@ -225,16 +225,17 @@ def test_table_instances_g3_against_the_closure(monkeypatch):
 
 
 # the SHA-256 of the full stdout of `bitrade search --group <spec>` for the
-# order-120 and order-125 groups, beyond the golden files (which stop at
-# sym:4); CI also runs this with asserts stripped
+# order-60, order-120 and order-125 groups, beyond the golden files (which
+# stop at sym:4); CI also runs this with asserts stripped
 LISTING_SHA256 = {
     "sym:5": "894d4e3177508cbac818b6757b6564181dfdf770cd8a6b737029bff36c5099d8",
     "p3:5": "1da1d3f97c1f2a55dc86a2be2b07b78a68ff5bb4a4a3cbe45d2e63be48a7e32d",
+    "alt:5": "59dea97221a7be0e5dd6a4b2a19b9e98b7fb18f82ed853313051c02d371aba79",
 }
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("spec,count", [("sym:5", 13680), ("p3:5", 14880)])
+@pytest.mark.parametrize("spec,count", [("sym:5", 13680), ("p3:5", 14880), ("alt:5", 3330)])
 def test_full_search_listing(spec, count, capsys):
     assert main(["search", "--group", spec]) == 0
     out, err = capsys.readouterr()
@@ -274,26 +275,35 @@ def test_a_wrong_count_is_a_consistency_error(monkeypatch, capsys):
 
 
 def assert_shared_cell_order_builds_alike(triples):
-    """Each triple's bitrade from the cell order search shares for its a
-    and <b> (made on the first b of the <b>) equals ``from_group``'s own."""
+    """Each triple's record parts from the frame search shares for its a
+    and <b> (``search._frame``, made on the first b of the <b>) equal those
+    made without one: its bitrade equals ``from_group``'s own, and its
+    signature the signature of that bitrade alone and the oracle's."""
     a = None
     for t in triples:
-        wa, wb, _ = t.walks
         if t.a != a:
-            a, shared = t.a, {}
-        cell_order = shared.setdefault(wb.members,
-                                       _cell_order(wa.rank, wb.rank, len(wb.names)))
+            a, frames = t.a, {}
+        cell_order, templates = frames.setdefault(t.walks[1].members, search._frame(t))
         mine = from_group(t.group, t.a, t.b, t.c, cell_order=cell_order)
         theirs = from_group(t.group, t.a, t.b, t.c)
         assert mine.alphabets == theirs.alphabets
         pm, pt = mine.permutation_triple, theirs.permutation_triple
         assert (pm.alphabets, pm.coords, pm.index_perms) == (pt.alphabets, pt.coords,
                                                              pt.index_perms)
+        assert (bitrade_signature(mine, t, templates) == bitrade_signature(theirs)
+                == oracle_signature(theirs))
 
 
 @pytest.mark.parametrize("spec", ["alt:4", "sym:4", "p3:3"])
 def test_shared_cell_order_on_every_triple(spec):
     assert_shared_cell_order_builds_alike(iter_triples(group_from_spec(spec)))
+
+
+def test_shared_frames_across_chunks(monkeypatch):
+    # a frame's templates span several chunks of the writer
+    monkeypatch.setattr("bitrades.serialize._TRIPLES_PER_CHUNK", 7)
+    for spec in ("alt:4", "sym:4", "p3:3"):
+        assert_shared_cell_order_builds_alike(iter_triples(group_from_spec(spec)))
 
 
 def triples_of_the_powers(G, a, b):
