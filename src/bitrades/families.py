@@ -157,11 +157,14 @@ def _half_factorial_at_most(n, limit):
 def family_alt(m, max_elements=None) -> FamilyInstance:
     """The alternating family on 3m+1 points: a, b, (ab)^-1.
 
-    The group is materialized as the closure of the two generators, which
-    doubles as the computational check that they generate the whole
-    alternating group.  Above the enumeration cap (m >= 4 by default) a
-    ResourceCapError reports the formula size without constructing; the
-    size is printed in full up to the table's numeric limit.
+    The group is the one the two generators generate.  Its order, read off
+    their stabilizer chain (``groups.chain_order``) without enumerating
+    it, is the computational check that they generate the whole
+    alternating group; its elements are then the even permutations of the
+    3m+1 points, made on first use.  Above the enumeration cap (m >= 4 by
+    default) a ResourceCapError reports the formula size without
+    constructing; the size is printed in full up to the table's numeric
+    limit.
     """
     if m < 1:
         raise GroupError("m must be at least 1")

@@ -24,7 +24,11 @@ and ``gens:`` alike) store codes: an image tuple ``x`` is coded as
 ``bytes(x)``, codes of one length sort exactly like the tuples they encode,
 and ``x -> xg`` is ``code.translate(table)`` for one 256-byte table per g.
 So closures and right translations run on ``bytes``, and every element a
-caller sees or passes stays an image tuple.
+caller sees or passes stays an image tuple.  A permutation group knows its
+order without enumerating it (a ``gens:`` group from the stabilizer chain
+of its generators, ``chain_order``), and one of order n! or n!/2 makes its
+store from ``itertools.permutations``, which yields the permutations of
+1..n in ascending order, with no closure and no sort.
 
 The left cosets x<g> that a bitrade is made of are the cycles of the
 right translation x -> xg, walked once per g (``CosetWalk``).
@@ -39,7 +43,7 @@ import weakref
 from array import array
 from json.encoder import encode_basestring_ascii as escape
 
-from .errors import GroupError, ParseError, ResourceCapError
+from .errors import ConsistencyError, GroupError, ParseError, ResourceCapError
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
@@ -87,6 +91,76 @@ def perm_parity(g):
             length += 1
         parity ^= (length - 1) & 1
     return parity
+
+
+def chain_order(generators, n):
+    """The order of the group that the degree-n image tuples ``generators``
+    generate, found without enumerating it: the product of the basic orbit
+    lengths of a stabilizer chain built by deterministic Schreier-Sims.
+
+    Level i of the chain holds a base point b, the generators of a group
+    H_i that fixes the base points above it, and the orbit of b under H_i
+    with, for each orbit point p, an element u of H_i taking b to p and its
+    inverse.  By Schreier's lemma the stabilizer of b in H_i is generated
+    by the Schreier generators u_p s u_ps^-1 (p in the orbit, s a generator
+    of H_i).  Each is sifted through the levels below (divided by the
+    transversal element of the point its base point goes to, level by
+    level), and a residue that is not the identity becomes a generator of
+    H_(i+1).  Once every pair (p, s) has been sifted, H_(i+1) is that
+    stabilizer, so |H_i| = |orbit| |H_(i+1)|.  Points are 0-based inside.
+    """
+    identity = tuple(range(n))
+    chain = []  # per level: (base point, generators, {p: (u_p, u_p^-1)})
+
+    def sift(g, i):
+        for base, _, transversal in chain[i:]:
+            u = transversal.get(g[base])
+            if u is None:
+                break
+            g = tuple(map(u[1].__getitem__, g))
+        return g
+
+    def extend(i, g):
+        if i == len(chain):
+            base = next(p for p in range(n) if g[p] != p)
+            chain.append((base, [], {base: (identity, identity)}))
+        base, gens, transversal = chain[i]
+        gens.append(g)
+        pairs = [(p, g) for p in transversal]
+        while pairs:
+            p, s = pairs.pop()
+            us = tuple(map(s.__getitem__, transversal[p][0]))
+            q = us[base]
+            if q not in transversal:
+                transversal[q] = (us, tuple(sorted(identity, key=us.__getitem__)))
+                pairs += [(q, t) for t in gens]
+                continue
+            residue = sift(tuple(map(transversal[q][1].__getitem__, us)), i + 1)
+            if residue != identity:
+                extend(i + 1, residue)
+
+    for g in generators:
+        residue = sift(tuple(x - 1 for x in g), 0)
+        if residue != identity:
+            extend(0, residue)
+    return math.prod(len(transversal) for _, _, transversal in chain)
+
+
+# swaps the bytes 0 and 1
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _even_mask(n):
+    """One byte per permutation of 1..n, in ascending order: 1 for an even
+    permutation, 0 for an odd one.  The parity of a permutation is that of
+    the sum of its Lehmer digits, and the permutations of 1..m in ascending
+    order are m blocks, one per leading Lehmer digit d, each the
+    permutations of the other m-1 points in ascending order with their
+    parities flipped when d is odd."""
+    mask = b"\1"
+    for m in range(2, n + 1):
+        mask = (mask + mask.translate(_FLIP)) * (m // 2) + mask * (m % 2)
+    return mask
 
 
 # the strings of the points a bytes code can hold (0 unused)
@@ -536,10 +610,25 @@ class _PermGroupBase(Group):
     ``tuple``, and ``_right_images`` is one ``bytes.translate`` per item
     with g's table, so image tuples are made only for a caller of
     ``elements()``, ``iter_elements()`` or ``elements_at``.  Above that
-    degree the store holds the tuples and the images are ``mul``.  A
-    group of generators fills its store from their closure when it is
-    built, the others on first use once the cap allows (``_make_store``).
+    degree the store holds the tuples and the images are ``mul``.
+
+    Every permutation group knows its order without enumerating anything
+    (a ``gens:`` group from its stabilizer chain, ``chain_order``), and
+    fills its store on first use once the cap allows, in one
+    ``_make_store``: a group of order n! is all of S_n, whose permutations
+    ``itertools.permutations`` gives in ascending order, and a group of
+    order n!/2 is A_n, the only subgroup of index 2 in S_n, whose
+    permutations are those of S_n that ``_even_mask`` marks even.  Only a
+    ``gens:`` group of another order closes its generators
+    (``_sorted_closure``).  Where two ways of knowing the group meet, they
+    are checked to agree, also under ``python -O``: a closure must have as
+    many elements as the chain's order, and the generators of a group of
+    order n!/2 must be even; either disagreement raises
+    ``ConsistencyError``.
     """
+
+    # the generators a store of neither order n! nor n!/2 is closed from
+    generators = ()
 
     def __init__(self, degree):
         self.degree = degree
@@ -577,6 +666,27 @@ class _PermGroupBase(Group):
         if not self._coded:
             return super()._right_images(items, g)
         return map(bytes.translate, items, itertools.repeat(self._table(g)))
+
+    def _make_store(self):
+        n, order = self.degree, self.order()
+        full = math.factorial(n)
+        # the permutations of an ascending sequence come in ascending order
+        perms = itertools.permutations(range(1, n + 1))
+        if 2 * order == full:
+            odd = [perm_str(g) for g in self.generators if perm_parity(g)]
+            if odd:
+                raise ConsistencyError(
+                    f"group {self.spec} has order {order} = {n}!/2, "
+                    f"but its generator {odd[0]} is odd")
+            perms = itertools.compress(perms, _even_mask(n))
+        elif order != full:
+            store = self._sorted_closure(self.generators)
+            if len(store) != order:
+                raise ConsistencyError(
+                    f"group {self.spec} has {len(store)} elements by its closure, "
+                    f"but order {order} by its stabilizer chain")
+            return store
+        return list(map(bytes, perms)) if self._coded else list(perms)
 
     def _sorted_closure(self, generators):
         """The store of the group ``generators`` generate: their sorted
@@ -632,11 +742,6 @@ class SymmetricGroup(_PermGroupBase):
     def order(self):
         return math.factorial(self.degree)
 
-    def _make_store(self):
-        # the permutations of an ascending sequence come in ascending order
-        perms = itertools.permutations(range(1, self.degree + 1))
-        return list(map(bytes, perms)) if self._coded else list(perms)
-
 
 class AlternatingGroup(_PermGroupBase):
     kind = "alternating"
@@ -651,23 +756,16 @@ class AlternatingGroup(_PermGroupBase):
         n = self.degree
         return 1 if n < 2 else math.factorial(n) // 2
 
-    def _make_store(self):
-        # A_n is generated by (1,2,3) and the n-cycle for odd n, and by
-        # (1,2,3) and the cycle (2,...,n) for even n
-        n = self.degree
-        if n < 3:
-            return self._sorted_closure([self.identity])
-        cycle = "(" + ",".join(map(str, range(2 - n % 2, n + 1))) + ")"
-        return self._sorted_closure([parse_permutation(c, n) for c in ("(1,2,3)", cycle)])
-
     def contains(self, g):
         # decided without the store, so a refusal never waits on enumeration
         return perm_is_valid(g, self.degree) and perm_parity(g) == 0
 
 
 class PermClosureGroup(_PermGroupBase):
-    """Group generated by explicit degree-n permutations (table kind); its
-    store is made from the closure when the group is built."""
+    """Group generated by explicit degree-n permutations (table kind).  Its
+    order is read off a stabilizer chain of the generators
+    (``chain_order``) and checked against the cap when the group is built,
+    so a group above the cap is refused before anything is enumerated."""
 
     kind = "gens"
 
@@ -683,10 +781,11 @@ class PermClosureGroup(_PermGroupBase):
         self.generators = tuple(gens)
         self.spec = "gens:%d:%s" % (n, ";".join(perm_str(g) for g in gens))
         self.max_elements = max_elements
-        self._store = self._sorted_closure(gens)
+        self._order = chain_order(gens, n)
+        self.check_enumerable()
 
     def order(self):
-        return len(self._store)
+        return self._order
 
     def contains(self, g):
         return self.index_of(g) is not None

@@ -116,8 +116,9 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
     multiplications by a, b and c is x<a, b, c>, so a, b and c generate G
     exactly when the structure is transitive.  As c = (ab)^-1, <a, b, c> is
     <a, b>, which <a> and <b> fix, so the orbit is taken once per pair of
-    walk member sets.  The group's enumeration cap bounds every enumeration
-    of it.
+    walk member sets.  A record's strings of a, b and c are those that
+    ``from_group`` wrote into the bitrade's provenance.  The group's
+    enumeration cap bounds every enumeration of it.
     """
     check_names(checks)
     n = group.order()
@@ -146,10 +147,10 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
             continue
         report = compute_report(bitrade, checks, minimal_cap=minimal_cap) if checks else {}
         check_group_criteria(triple, report)
-        astr, bstr, cstr = triple.element_strs()
+        prov = bitrade.provenance
         hom = group_homogeneity(triple).value
         records.append(SearchRecord(
-            group=group.spec, a=astr, b=bstr, c=cstr,
+            group=group.spec, a=prov["a"], b=prov["b"], c=prov["c"],
             size=bitrade.size, orders=triple.orders, g3=g3,
             k=hom if hom != "no" else None,
             properties={name: res.value for name, res in report.items()},

@@ -122,6 +122,34 @@ class TestConstruct:
             f"resource cap exceeded: alternating family instance m={m} has size "
             f"{3 * m + 1}!/2, above the enumeration cap (cap: 5000000)\n")
 
+    def test_huge_gens_group_exits_3_at_once(self, capsys):
+        # the order comes from the generators' stabilizer chain, so S_12 is
+        # refused without a closure
+        spec = "gens:12:(1,2,3,4,5,6,7,8,9,10,11,12);(1,2)"
+        start = time.perf_counter()
+        assert main(["construct", "--group", spec]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"resource cap exceeded: group {spec} has order 479001600, "
+            "above the enumeration cap (cap: 5000000)\n")
+
+    @pytest.mark.parametrize("spec, order, message", [
+        ("gens:4:(1,2)(3,4);(1,3)(2,4)", 8,
+         "group gens:4:(1,2)(3,4);(1,3)(2,4) has 4 elements by its closure, "
+         "but order 8 by its stabilizer chain"),
+        ("gens:4:(1,2,3,4);(1,2)", 12,
+         "group gens:4:(1,2,3,4);(1,2) has order 12 = 4!/2, "
+         "but its generator (1,2,3,4) is odd"),
+    ], ids=["closure", "parity"])
+    def test_a_wrong_chain_order_exits_4(self, capsys, monkeypatch, spec, order, message):
+        # the chain's order is checked against the closure where one is made,
+        # and against the generators' parity where it claims A_n
+        monkeypatch.setattr("bitrades.groups.chain_order", lambda gens, n: order)
+        argv = ["construct", "--group", spec, "--a", "(1,2)(3,4)", "--b", "(1,3)(2,4)",
+                "--c", "(1,4)(2,3)"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"internal consistency check failed: {message}\n"
+
     @pytest.mark.parametrize("family, message", [
         ("pq:p=7,q=3,r=2,x=1", "family 'pq' has no parameter 'x' (it takes p, q, r)"),
         ("alt:m=1,m=2", "family parameter 'm' repeated in 'alt:m=1,m=2'"),

@@ -14,10 +14,13 @@ from bitrades.groups import (
     MetacyclicGroup,
     PermClosureGroup,
     SymmetricGroup,
+    _even_mask,
     _is_prime,
+    chain_order,
     group_from_spec,
     parse_permutation,
     perm_mul,
+    perm_parity,
     perm_str,
 )
 
@@ -30,6 +33,30 @@ from conftest import (
     reference_permutations,
     reference_translation,
 )
+
+
+def cycle_text(points):
+    return "(" + ",".join(map(str, points)) + ")"
+
+
+def generator_sets(max_degree=7):
+    """A degree n in 1..max_degree and 1-3 permutations of it, each a
+    random one, the identity, a transposition, or a permutation of a
+    random subset of the points (so that the set may be intransitive)."""
+    def one(n):
+        def on_subset(points):
+            return st.permutations(points).map(
+                lambda images: tuple(dict(zip(points, images)).get(x, x)
+                                     for x in range(1, n + 1)))
+        kinds = [st.permutations(range(1, n + 1)).map(tuple),
+                 st.just(tuple(range(1, n + 1))),
+                 st.lists(st.integers(1, n), unique=True).flatmap(on_subset)]
+        if n >= 2:
+            kinds.append(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+                         .map(lambda pair: parse_permutation(cycle_text(pair), n)))
+        return st.one_of(kinds)
+    return st.integers(1, max_degree).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(one(n), min_size=1, max_size=3)))
 
 
 def s3():
@@ -268,17 +295,17 @@ class TestSubgroupsCosets:
             assert all(G.contains(g) == (g in closed)
                        for g in itertools.permutations(range(1, n + 1)))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
-        st.just(n),
-        st.lists(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=3))))
+    @settings(max_examples=400, deadline=None)
+    @given(generator_sets())
     def test_code_store_matches_the_generic_closure(self, case):
-        # the group keeps its closure as bytes codes; every view of its
-        # elements matches the tuples of a closure by multiplication
+        # the group's order is that of its stabilizer chain, and it keeps its
+        # elements as bytes codes; every view of them matches the tuples of
+        # a closure by multiplication
         n, gens = case
         els = sorted(reference_closure(SymmetricGroup(n), gens))
+        assert chain_order(gens, n) == len(els)
         G = PermClosureGroup(n, gens)
-        assert all(type(x) is bytes for x in G._element_store())
+        assert G._element_store() == list(map(bytes, els))
         assert G.order() == len(els)
         assert list(G.iter_elements()) == els
         assert G.element_strs(range(len(els))) == [perm_str(x) for x in els]
@@ -332,17 +359,33 @@ class TestSubgroupsCosets:
 # ---------------------------------------------------------------------------
 # the element stores of sym:n and alt:n
 
+def whole_group_spec(kind, n):
+    """A spec of S_n or A_n: ``sym:n`` or ``alt:n``, or (``gens-sym`` and
+    ``gens-alt``) a ``gens:`` spec of generators that generate it."""
+    if not kind.startswith("gens-"):
+        return f"{kind}:{n}"
+    if kind == "gens-sym":
+        gens = [cycle_text(range(1, n + 1)), "(1,2)"] if n >= 2 else ["()"]
+    else:  # (1,2,3) and the n-cycle for odd n, the cycle (2,...,n) for even n
+        gens = ["(1,2,3)", cycle_text(range(2 - n % 2, n + 1))] if n >= 3 else ["()"]
+    return f"gens:{n}:" + ";".join(gens)
+
+
 class TestPermutationStores:
     @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("kind", ["sym", "alt"])
-    def test_store_matches_the_reference(self, kind, n):
-        # sym:n and alt:n keep bytes codes, like gens:; every view of their
-        # elements matches the n! enumeration with a parity filter, and the
-        # right translations match those by multiplication
-        G = group_from_spec(f"{kind}:{n}")
-        ref = list(reference_permutations(n, even=kind == "alt"))
+    @pytest.mark.parametrize("kind", ["sym", "alt", "gens-sym", "gens-alt"])
+    def test_store_matches_the_reference(self, kind, n, monkeypatch):
+        # sym:n and alt:n, and gens: groups that generate them, keep bytes
+        # codes made without a closure; every view of their elements matches
+        # the n! enumeration with a parity filter, and the right
+        # translations match those by multiplication
+        G = group_from_spec(whole_group_spec(kind, n))
+        ref = list(reference_permutations(n, even=kind.endswith("alt")))
         assert "_store" not in G.__dict__  # filled on first use
-        assert all(type(x) is bytes for x in G._element_store())
+        if kind.startswith("gens-"):
+            assert sorted(reference_closure(G, G.generators)) == ref
+        monkeypatch.setattr(G, "_stored_closure", None)
+        assert G._element_store() == [bytes(x) for x in ref]
         assert G.order() == len(ref)
         assert G.elements() == ref
         assert list(G.iter_elements()) == ref
@@ -372,6 +415,21 @@ class TestPermutationStores:
         assert G.contains(G.identity)
         assert G.contains(parse_permutation("(1,2)", G.degree)) == (spec == "sym:11")
         assert "_store" not in G.__dict__
+
+
+class TestStabilizerChain:
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_even_mask_matches_the_parity(self, n):
+        perms = itertools.permutations(range(1, n + 1))
+        assert _even_mask(n) == bytes(1 - perm_parity(p) for p in perms)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+    def test_orders_of_whole_groups(self, n):
+        for kind, order in (("gens-sym", math.factorial(n)),
+                            ("gens-alt", max(1, math.factorial(n) // 2))):
+            spec = whole_group_spec(kind, n)
+            gens = [parse_permutation(t, n) for t in spec.split(":", 2)[2].split(";")]
+            assert chain_order(gens, n) == order
 
 
 # ---------------------------------------------------------------------------
