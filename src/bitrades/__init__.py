@@ -9,7 +9,6 @@ from .core import (
     from_permutations,
     make_bitrade,
     make_pls,
-    mate_bijections,
     roundtrip_check,
     separation_witness,
     triple_permutations,
@@ -62,7 +61,6 @@ from .properties import (
 )
 from .search import SearchRecord, bitrade_signature, search_triples
 from .serialize import (
-    bitrade_to_doc,
     bitrade_to_json,
     read_bitrade,
     render_bitrade,

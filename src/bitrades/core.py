@@ -96,13 +96,6 @@ class PartialLatinSquare:
     def size(self):
         return len(self.triples)
 
-    def sorted_triples(self):
-        return sorted(self.triples, key=lambda t: tuple(map(_sort_key, t)))
-
-    def cell_map(self):
-        """(row, col) -> symbol for every filled cell."""
-        return {(r, c): s for (r, c, s) in self.triples}
-
     def __repr__(self):
         return (f"PartialLatinSquare({len(self.rows)}x{len(self.cols)}, "
                 f"{len(self.syms)} symbols, size={self.size})")
@@ -458,8 +451,9 @@ def _cell_order(rows, cols, nc, q1):
 def _canonical_structure(ranked, coords, perms, increasing=False, *, cell_order=None):
     """The permutation structure from the alphabets in ``_sort_key`` order
     and each point's label ranks and tau1-tau3 in builder order, reindexed
-    into cell order (``_cell_order``): this is the order of
-    ``sorted_triples``, in which the JSON writer emits both squares.
+    into cell order (``_cell_order``): this is the order of the primary
+    triples sorted by ``_sort_key``, in which the JSON writer emits both
+    squares.
     Points that already arrive in strictly increasing cell order, as a
     writer document's do, are taken as they are; ``increasing`` is the
     caller's ``_increasing`` verdict on them.  ``cell_order`` is the
@@ -644,27 +638,6 @@ def _bitrade_of_walks(perms, walks, tags, provenance, *, cell_order=None):
                                                   cell_order=cell_order), provenance)
 
 
-def mate_bijections(bitrade):
-    """The three bijections from mate triples to primary triples.
-
-    The r-th map sends a mate triple to the unique primary triple agreeing
-    with it outside coordinate r (well defined by R2/R3).  The mate triple
-    in the cell of the primary triple x agrees with tau2(x) in column and
-    symbol, and with tau3(tau2(x)) in row and symbol.
-    """
-    pt = bitrade.permutation_triple
-    points = pt.points
-    _, tau2, tau3 = pt.index_perms
-    maps = ({}, {}, {})
-    for x, (r, c, _) in enumerate(points):
-        z = tau2[x]
-        mate = (r, c, points[z][2])
-        maps[0][mate] = points[z]
-        maps[1][mate] = points[tau3[z]]
-        maps[2][mate] = points[x]
-    return maps
-
-
 def triple_permutations(bitrade):
     """The permutation structure of a bitrade.
 
@@ -713,13 +686,14 @@ class GroupTriple:
     intersecting cyclic subgroups (conditions G1 and G2).  The optional
     generation condition G3 is read off the bitrade (``properties._orbit``).
 
-    Both conditions are decided on element indices from the group's memo,
-    under one check of the enumeration cap: abc = 1 by the right
+    Both conditions are decided on element indices, after the check of the
+    enumeration cap (``Group._element_store``): abc = 1 by the right
     translations (``translations``), G2 on the power sets of the three coset
-    walks (``Group.coset_walk``), which ``walks`` keeps.  The memo keeps
+    walks (``Group.coset_walk``), which ``walks`` keeps.  The group keeps
     the last triple admitted, and a triple of the very same a, b and c
     objects (as ``from_group`` makes of a triple ``search.iter_triples``
-    has just admitted) takes its verdict, translations and walks from it.
+    has just admitted) takes its verdict, translations and walks from it
+    after that one check.
     """
 
     def __init__(self, group: Group, a, b, c):
@@ -727,41 +701,42 @@ class GroupTriple:
         self.a = a
         self.b = b
         self.c = c
-        memo = group._memo()  # checks the cap
-        last = memo.triple
+        store = group._element_store()  # checks the cap
+        last = group._last_triple
         if last is not None and last[0] is a and last[1] is b and last[2] is c:
             self._indices, self.translations, self.walks = last[3:]
             return
         self._indices = []
         for x in (a, b, c):
-            i = memo.index_of(x)
+            i = group._locate(store, x)
             if i is None:
                 raise GroupError(f"{x!r} is not an element of {group.spec}")
             self._indices.append(i)
+        identity = group._identity_index
         for name, i in zip("abc", self._indices):
-            if i == memo.identity:
+            if i == identity:
                 raise ValidationError(
                     "nontrivial", f"element {name} must not be the identity")
-        self.translations = memo.right_translations((a, b, c))  # one build for the walks too
+        self.translations = group.right_translations((a, b, c))  # one build for the walks too
         _, rho_b, rho_c = self.translations
-        if rho_c[rho_b[self._indices[0]]] != memo.identity:
+        if rho_c[rho_b[self._indices[0]]] != identity:
             raise ValidationError(
                 "G1", "abc != identity (a=%s, b=%s, c=%s)" % tuple(
-                    memo.element_strs(self._indices)))
-        self.walks = tuple(map(memo.coset_walk, (a, b, c)))
+                    group.element_strs(self._indices)))
+        self.walks = tuple(map(group.coset_walk, (a, b, c)))
         wa, wb, wc = self.walks
         for name, x, y in (("|A∩B|", wa, wb), ("|A∩C|", wa, wc), ("|B∩C|", wb, wc)):
             size = len(x.members & y.members)
             if size != 1:
                 raise ValidationError("G2", f"{name}={size}")
-        memo.triple = (a, b, c, self._indices, self.translations, self.walks)
+        group._last_triple = (a, b, c, self._indices, self.translations, self.walks)
 
     @property
     def orders(self):
         return tuple(len(w.powers) for w in self.walks)
 
     def element_strs(self):
-        """The strings of a, b and c, from the group's memo."""
+        """The strings of a, b and c, each made once per group."""
         return tuple(self.group.element_strs(self._indices))
 
     def written(self, spelling):
@@ -786,12 +761,12 @@ def from_group(group, a, b, c, *, provenance=None, cell_order=None):
     rows of |A| entries each, |G:B| columns of |B| entries, and |G:C|
     symbols occurring |C| times.  The group's enumeration cap bounds it.
     By the construction theorem G1-G2 give Q1-Q3 of the right
-    multiplications, so nothing checks them again.  The right
-    multiplications, their coset walks (ranks and labels) and the element
-    strings come from the group's memo, so a group walks each element's
-    cosets once, and a bitrade costs only the reindexing into canonical
-    order (``_canonical_structure``).  The ``GroupTriple`` made here takes
-    the verdict of one just made on the same a, b and c.  The cell order
+    multiplications, so nothing checks them again.  The group keeps the
+    right multiplications, their coset walks (ranks and labels) and the
+    element strings, so it walks each element's cosets once, and a bitrade
+    costs only the reindexing into canonical order
+    (``_canonical_structure``).  The ``GroupTriple`` made here takes the
+    verdict of one just made on the same a, b and c.  The cell order
     depends on the cosets of <a> and <b> alone, and tau1 in it on a too, so
     ``search`` passes one ``_cell_order`` of the walks of a and b and the
     right multiplication by a (``cell_order``) to every record of one a

@@ -287,8 +287,9 @@ def predicted_table(k_values, recompute=False, max_elements=None):
     the alternating family, and the published reference values (k <= 11).
     With ``recompute``, every cell whose group fits in ``RECOMPUTE_CAP`` is
     rebuilt with enumeration cap ``max_elements`` and verified: measured size
-    and homogeneity must match, the group criteria must certify thin and
-    orthogonal, and the bitrade's orbit primary (G3, as in ``search``).
+    and homogeneity must match, and so must the group criteria's thin and
+    orthogonal verdicts and the bitrade's orbit verdict on primary (G3, as
+    in ``search``).
     """
     rows = []
     for k in k_values:
@@ -327,4 +328,4 @@ def _verify_instance(instance: FamilyInstance):
             and homogeneity(bitrade).value == spec.k
             and group_thin_criterion(instance.triple).yes == spec.thin
             and group_orthogonal_criterion(instance.triple).yes == spec.orthogonal
-            and len(_orbit(bitrade.permutation_triple)) == bitrade.size)  # G3
+            and (len(_orbit(bitrade.permutation_triple)) == bitrade.size) == spec.primary)

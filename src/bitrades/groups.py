@@ -39,7 +39,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import weakref
 from array import array
 from json.encoder import encode_basestring_ascii as escape
 
@@ -93,10 +92,13 @@ def perm_parity(g):
     return parity
 
 
-def chain_order(generators, n):
+def chain_order(generators, n, cap=None):
     """The order of the group that the degree-n image tuples ``generators``
     generate, found without enumerating it: the product of the basic orbit
     lengths of a stabilizer chain built by deterministic Schreier-Sims.
+    With ``cap``, the chain stops once the product of its orbit lengths so
+    far passes it, and returns that product: a lower bound on the order
+    above the cap, since each partial orbit lies inside its basic orbit.
 
     Level i of the chain holds a base point b, the generators of a group
     H_i that fixes the base points above it, and the orbit of b under H_i
@@ -111,6 +113,9 @@ def chain_order(generators, n):
     """
     identity = tuple(range(n))
     chain = []  # per level: (base point, generators, {p: (u_p, u_p^-1)})
+
+    def above():  # whether the orbits so far show more than cap elements
+        return cap is not None and math.prod(len(t) for _, _, t in chain) > cap
 
     def sift(g, i):
         for base, _, transversal in chain[i:]:
@@ -127,7 +132,7 @@ def chain_order(generators, n):
         base, gens, transversal = chain[i]
         gens.append(g)
         pairs = [(p, g) for p in transversal]
-        while pairs:
+        while pairs and not above():
             p, s = pairs.pop()
             us = tuple(map(s.__getitem__, transversal[p][0]))
             q = us[base]
@@ -141,7 +146,7 @@ def chain_order(generators, n):
 
     for g in generators:
         residue = sift(tuple(x - 1 for x in g), 0)
-        if residue != identity:
+        if residue != identity and not above():
             extend(0, residue)
     return math.prod(len(transversal) for _, _, transversal in chain)
 
@@ -360,55 +365,6 @@ class CosetWalk:
         return out
 
 
-class _ElementMemo:
-    """What a group has computed about its elements, each part on first use:
-    the element store (``Group._element_store``) and the identity's index
-    in it, the strings of the elements asked for (None elsewhere), the
-    right translation and coset walk of each element asked for, and what
-    ``core.GroupTriple`` found of the last triple it admitted
-    (``triple``).  It keeps no index of the elements: ``index_of`` bisects
-    the store, and each ``_build_translations`` call makes its own.
-
-    Its methods do not check the enumeration cap: ``Group._memo`` checks
-    it whenever it hands the memo out, so a caller that holds the memo for
-    one call checks the cap once.  The memo refers to its group weakly, so
-    that a group no longer used is freed at once, not by the cycle
-    collector."""
-
-    def __init__(self, group, n):
-        self.group = weakref.proxy(group)
-        self.store = group._element_store()
-        self.identity = group._locate(self.store, group.identity)
-        self.strs = [None] * n
-        self.translations = {}
-        self.walks = {}
-        self.triple = None
-
-    def index_of(self, g):
-        return self.group._locate(self.store, g)
-
-    def element_strs(self, indices):
-        strs, store, element_str = self.strs, self.store, self.group.element_str
-        for i in indices:
-            if strs[i] is None:
-                strs[i] = element_str(store[i])
-        return [strs[i] for i in indices]
-
-    def right_translations(self, gs):
-        translations = self.translations
-        missing = list(dict.fromkeys(g for g in gs if g not in translations))
-        if missing:
-            translations.update(zip(missing, self.group._build_translations(missing)))
-        return [translations[g] for g in gs]
-
-    def coset_walk(self, g):
-        out = self.walks.get(g)
-        if out is None:
-            out = self.walks[g] = CosetWalk(self.right_translations((g,))[0],
-                                            self.element_strs, self.identity)
-        return out
-
-
 class Group:
     """Base class for finite groups with plain hashable element encodings.
 
@@ -424,18 +380,17 @@ class Group:
     all three are the identity or ``mul``; permutation groups of degree at
     most 255 store ``bytes`` codes (``_PermGroupBase``).
 
-    A group keeps one memo of what it computes about its own elements,
-    each part filled on first use and kept for the group's life: element
+    The store's first build also sets up what the group keeps about its
+    elements, each part filled on first use: the identity's index, element
     strings, each right translation x -> xg as an ``array('i')`` over the
-    element indices, and the walk of each translation (``CosetWalk``: the
-    powers of g and the left cosets of <g> as indices, their coset ranks
-    and names, the tagged names and their JSON text).  Like
-    ``elements()``, every accessor of the memo checks the enumeration cap
-    on every call, so a group whose ``max_elements`` is lowered below its
-    order refuses all of them (``_ElementMemo``).
+    element indices, the walk of each (``CosetWalk``) and the last triple
+    ``core.GroupTriple`` admitted.  None of it refers to the group, so an
+    unused group is freed at once, not by the cycle collector.  Like
+    ``elements()``, every accessor checks the enumeration cap on every call,
+    so a group whose ``max_elements`` is lowered below its order refuses
+    all of them.
     """
 
-    kind = "abstract"
     spec = "?"
     # the most elements the group may materialize (its element list or a
     # closure); set by its builder, None means DEFAULT_MAX_ELEMENTS
@@ -498,21 +453,21 @@ class Group:
                 f"group {self.spec} has order {n}, above the enumeration cap", cap)
         return n
 
-    def _memo(self):
-        n = self.check_enumerable()
-        memo = self.__dict__.get("_element_memo")
-        if memo is None:
-            memo = self._element_memo = _ElementMemo(self, n)
-        return memo
-
     def _element_store(self):
         """The stored forms of the elements, in ``elements()`` order, made
-        on first use; the cap is checked on every call.  ``element_str``
-        reads every form it holds."""
-        self.check_enumerable()
+        on first use with the rest of what the group keeps about them; the
+        cap is checked on every call.  ``element_str`` reads every form it
+        holds."""
+        n = self.check_enumerable()
         store = self.__dict__.get("_store")
         if store is None:
-            store = self._store = self._make_store()
+            store = self._make_store()
+            self._identity_index = self._locate(store, self.identity)
+            self._strs = [None] * n
+            self._translations = {}
+            self._walks = {}
+            self._last_triple = None
+            self._store = store
         return store
 
     def _make_store(self):
@@ -536,8 +491,14 @@ class Group:
         return [decode(store[i]) for i in indices]
 
     def element_strs(self, indices):
-        """``element_str`` of the elements at the given indices."""
-        return self._memo().element_strs(indices)
+        """``element_str`` of the elements at the given indices, each made
+        once."""
+        store = self._element_store()
+        strs, element_str = self._strs, self.element_str
+        for i in indices:
+            if strs[i] is None:
+                strs[i] = element_str(store[i])
+        return [strs[i] for i in indices]
 
     def right_translation(self, g):
         """The permutation x -> xg of the element indices, built once per g."""
@@ -546,11 +507,21 @@ class Group:
     def right_translations(self, gs):
         """``right_translation`` of each g in gs; those not built yet are
         built in one ``_build_translations`` call."""
-        return self._memo().right_translations(gs)
+        self._element_store()  # checks the cap
+        translations = self._translations
+        missing = list(dict.fromkeys(g for g in gs if g not in translations))
+        if missing:
+            translations.update(zip(missing, self._build_translations(missing)))
+        return [translations[g] for g in gs]
 
     def coset_walk(self, g):
         """The walk of the right translation x -> xg, made once per g."""
-        return self._memo().coset_walk(g)
+        self._element_store()  # checks the cap
+        walk = self._walks.get(g)
+        if walk is None:
+            walk = self._walks[g] = CosetWalk(self.right_translation(g), self.element_strs,
+                                              self._identity_index)
+        return walk
 
     def _build_translations(self, gs):
         store = self._element_store()
@@ -731,7 +702,6 @@ class _PermGroupBase(Group):
 
 
 class SymmetricGroup(_PermGroupBase):
-    kind = "symmetric"
 
     def __init__(self, n):
         if n < 1:
@@ -744,7 +714,6 @@ class SymmetricGroup(_PermGroupBase):
 
 
 class AlternatingGroup(_PermGroupBase):
-    kind = "alternating"
 
     def __init__(self, n):
         if n < 1:
@@ -762,12 +731,10 @@ class AlternatingGroup(_PermGroupBase):
 
 
 class PermClosureGroup(_PermGroupBase):
-    """Group generated by explicit degree-n permutations (table kind).  Its
-    order is read off a stabilizer chain of the generators
-    (``chain_order``) and checked against the cap when the group is built,
-    so a group above the cap is refused before anything is enumerated."""
-
-    kind = "gens"
+    """Group generated by explicit degree-n permutations.  Its order is read
+    off a stabilizer chain of the generators (``chain_order``), which stops
+    once it shows the order above the cap, so such a group is refused
+    before anything is enumerated and before its chain is complete."""
 
     def __init__(self, n, generators, max_elements=None):
         super().__init__(n)
@@ -781,8 +748,11 @@ class PermClosureGroup(_PermGroupBase):
         self.generators = tuple(gens)
         self.spec = "gens:%d:%s" % (n, ";".join(perm_str(g) for g in gens))
         self.max_elements = max_elements
-        self._order = chain_order(gens, n)
-        self.check_enumerable()
+        cap = self._enumeration_cap()
+        self._order = chain_order(gens, n, cap)
+        if self._order > cap:
+            raise ResourceCapError(f"group {self.spec} has order at least {self._order}, "
+                                   "above the enumeration cap", cap)
 
     def order(self):
         return self._order
@@ -794,7 +764,6 @@ class PermClosureGroup(_PermGroupBase):
 class CyclicGroup(Group):
     """Z_n in additive notation; elements are ints 0..n-1."""
 
-    kind = "cyclic"
 
     def __init__(self, n):
         if n < 1:
@@ -833,7 +802,6 @@ class CyclicGroup(Group):
 class DirectProductGroup(Group):
     """Direct product; elements are tuples of component elements."""
 
-    kind = "direct-product"
 
     def __init__(self, components):
         components = list(components)
@@ -926,7 +894,6 @@ class HeisenbergGroup(Group):
         (a^i b^j z^k)(a^r b^s z^t) = a^(i+r) b^(j+s) z^(k+t+jr).
     """
 
-    kind = "heisenberg-p3"
 
     def __init__(self, p):
         if p == 2 or not _is_prime(p, "p"):
@@ -987,7 +954,6 @@ class MetacyclicGroup(Group):
     b^(i+k) a^(j*r^k + l).
     """
 
-    kind = "metacyclic-pq"
 
     def __init__(self, p, q, r):
         if not _is_prime(p, "p"):

@@ -243,7 +243,7 @@ def is_orthogonal(bitrade: Bitrade) -> PropertyResult:
     the n (symbol, mate symbol) pairs, keyed as one int, are distinct.
 
     The mate triple in the cell of primary triple x agrees with tau2(x) in
-    column and symbol (see ``core.mate_bijections``), so a cell's pair is
+    column and symbol (see ``core._rank_structure``), so a cell's pair is
     read off the structure; a repeated key is two cells with equal trade
     and equal mate symbols."""
     started = time.monotonic()

@@ -18,23 +18,6 @@ def _label_str(label):
     return label if isinstance(label, str) else str(label)
 
 
-def bitrade_to_doc(bitrade: Bitrade) -> dict:
-    """JSON-ready document: alphabets in canonical order, triples sorted
-    lexicographically, labels as strings."""
-    def triples(pls):
-        return sorted([_label_str(r), _label_str(c), _label_str(s)]
-                      for (r, c, s) in pls.triples)
-
-    return {
-        "rows": [_label_str(x) for x in bitrade.rows],
-        "cols": [_label_str(x) for x in bitrade.cols],
-        "syms": [_label_str(x) for x in bitrade.syms],
-        "t_circ": triples(bitrade.t_circ),
-        "t_star": triples(bitrade.t_star),
-        "provenance": bitrade.provenance,
-    }
-
-
 _TRIPLES_PER_CHUNK = 4096
 
 
@@ -65,25 +48,26 @@ def _symbol_columns(pt, escaped):
 
 def _square_columns(bitrade, ranked):
     """The escaped row, column, symbol and mate symbol of each triple in
-    document order (the string triples sorted; both squares fill the same
-    cells, so they share the rows and columns); ``ranked`` holds each
-    alphabet's JSON strings in ``_sort_key`` order.
+    document order, which sorts each square by its label strings; ``ranked``
+    holds each alphabet's JSON strings in ``_sort_key`` order.
 
-    When every label is a str, that order is the structure's point order
-    (``core._canonical_structure``; for str, ``_sort_key`` order is plain
-    order), so the columns come from the structure with no sort.  Other
-    labels are taken from ``bitrade_to_doc``, which sorts them as strings.
-    """
+    For str labels that order is the structure's point order
+    (``core._canonical_structure``), so nothing is sorted.  Other labels
+    sort the primary square by the strings of (row, column, symbol) and the
+    mate square by those of (row, column, mate symbol).  Both squares fill
+    the same cells, so their rows and columns come out alike."""
     pt = bitrade.permutation_triple
+    rows, cols = (list(map(esc.__getitem__, coord)) for esc, coord in zip(ranked[:2], pt.coords))
+    syms, mates = _symbol_columns(pt, ranked[2])
     if set(map(type, chain.from_iterable(pt.alphabets))) == {str}:
-        rows, cols = (list(map(esc.__getitem__, coord))
-                      for esc, coord in zip(ranked[:2], pt.coords))
-        return (rows, cols, *_symbol_columns(pt, ranked[2]))
-    doc = bitrade_to_doc(bitrade)
-    by_str = [dict(zip(map(_label_str, labels), esc))
-              for labels, esc in zip(pt.alphabets, ranked)]
-    return (*([esc[t[i]] for t in doc["t_circ"]] for i, esc in enumerate(by_str)),
-            [by_str[2][t[2]] for t in doc["t_star"]])
+        return rows, cols, syms, mates
+    strs = [[_label_str(lab) for lab in labels] for labels in pt.alphabets]
+    r, c, s = (list(map(labels.__getitem__, coord)) for labels, coord in zip(strs, pt.coords))
+    m = list(map(s.__getitem__, pt.index_perms[1]))
+    circ = sorted(range(len(r)), key=lambda x: (r[x], c[x], s[x]))
+    star = sorted(range(len(r)), key=lambda x: (r[x], c[x], m[x]))
+    return (*([column[x] for x in circ] for column in (rows, cols, syms)),
+            [mates[x] for x in star])
 
 
 def _square_templates(layout, rows, cols):
@@ -146,10 +130,12 @@ def _written(bitrade, escaped, layout):
 
 
 def _json_chunks(bitrade):
-    """The text of ``json.dumps(bitrade_to_doc(bitrade), indent=2,
-    sort_keys=True)`` plus a newline, in chunks, with each label escaped
-    once per alphabet.  Two labels written as one string are refused: the
-    document would not read back."""
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
+    newline, in chunks, with each label escaped once per alphabet.  ``doc``
+    is the bitrade's document: its alphabets in declared order, each square
+    as [row, column, symbol] lists of label strings sorted (see
+    ``_square_columns``), and its provenance.  Two labels written as one
+    string are refused: the document would not read back."""
     escaped = _escaped_alphabets(bitrade)
     counts = Counter(e for esc in escaped for e in esc.values())
     shared = [e for e, count in counts.items() if count > 1]
@@ -382,7 +368,7 @@ def _order(labels, names):
 
 
 def _grid_lines(pls, rows, cols, corner, display):
-    cell = pls.cell_map()
+    cell = {(r, c): s for (r, c, s) in pls.triples}
     table = [[corner] + [display(c) for c in cols]]
     for r in rows:
         line = [display(r)]

@@ -1,4 +1,5 @@
 """Shared fixtures and oracles: small bitrades with hand-checked structure,
+label-level views of a bitrade and the writer's document made on labels,
 group facts computed from their definitions by brute force, and the
 label-level minimality search the package used before its search on
 label ranks."""
@@ -69,6 +70,58 @@ def two_intercalates():
 @pytest.fixture
 def nonseparated():
     return make_bitrade(NONSEP_CIRC, NONSEP_STAR)
+
+
+# ---------------------------------------------------------------------------
+# label-level views of a bitrade
+
+def sorted_triples(pls):
+    """The triples of a partial latin square, sorted by ``_sort_key``."""
+    return sorted(pls.triples, key=lambda t: tuple(map(_sort_key, t)))
+
+
+def cell_map(pls):
+    """(row, col) -> symbol for every filled cell."""
+    return {(r, c): s for (r, c, s) in pls.triples}
+
+
+def oracle_mate_bijections(bitrade):
+    """The three bijections from mate triples to primary triples: the r-th
+    sends a mate triple to the primary triple agreeing with it outside
+    coordinate r."""
+    maps = []
+    for r in range(3):
+        i, j = [k for k in range(3) if k != r]
+        index = {(t[i], t[j]): t for t in bitrade.t_circ.triples}
+        out = {}
+        for t in bitrade.t_star.triples:
+            image = index[(t[i], t[j])]
+            assert image[r] != t[r]
+            out[t] = image
+        assert len(set(out.values())) == len(out)
+        maps.append(out)
+    return tuple(maps)
+
+
+def bitrade_to_doc(bitrade):
+    """The writer's document of a bitrade, made on labels: the alphabets in
+    declared order, each square's triples as lists of label strings sorted,
+    and the provenance.  ``bitrade_to_json`` writes it with indent 2 and
+    sorted keys."""
+    def label_str(label):
+        return label if isinstance(label, str) else str(label)
+
+    def triples(pls):
+        return sorted([label_str(r), label_str(c), label_str(s)] for (r, c, s) in pls.triples)
+
+    return {
+        "rows": [label_str(x) for x in bitrade.rows],
+        "cols": [label_str(x) for x in bitrade.cols],
+        "syms": [label_str(x) for x in bitrade.syms],
+        "t_circ": triples(bitrade.t_circ),
+        "t_star": triples(bitrade.t_star),
+        "provenance": bitrade.provenance,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -123,14 +123,15 @@ class TestConstruct:
             f"{3 * m + 1}!/2, above the enumeration cap (cap: 5000000)\n")
 
     def test_huge_gens_group_exits_3_at_once(self, capsys):
-        # the order comes from the generators' stabilizer chain, so S_12 is
-        # refused without a closure
+        # the order comes from the generators' stabilizer chain, which stops
+        # once its orbits show more than the cap, so S_12 is refused without
+        # a closure and before its chain is complete
         spec = "gens:12:(1,2,3,4,5,6,7,8,9,10,11,12);(1,2)"
         start = time.perf_counter()
         assert main(["construct", "--group", spec]) == 3
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
-            f"resource cap exceeded: group {spec} has order 479001600, "
+            f"resource cap exceeded: group {spec} has order at least 5443200, "
             "above the enumeration cap (cap: 5000000)\n")
 
     @pytest.mark.parametrize("spec, order, message", [
@@ -144,7 +145,7 @@ class TestConstruct:
     def test_a_wrong_chain_order_exits_4(self, capsys, monkeypatch, spec, order, message):
         # the chain's order is checked against the closure where one is made,
         # and against the generators' parity where it claims A_n
-        monkeypatch.setattr("bitrades.groups.chain_order", lambda gens, n: order)
+        monkeypatch.setattr("bitrades.groups.chain_order", lambda gens, n, cap: order)
         argv = ["construct", "--group", spec, "--a", "(1,2)(3,4)", "--b", "(1,3)(2,4)",
                 "--c", "(1,4)(2,3)"]
         assert main(argv) == 4

