@@ -8,7 +8,6 @@ from .core import (
     from_group,
     from_permutations,
     make_bitrade,
-    make_pls,
     roundtrip_check,
     separation_witness,
     triple_permutations,

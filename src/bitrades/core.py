@@ -35,11 +35,11 @@ builder, which labels the cycles of their permutations from one walk
 from G1-G2.  ``make_bitrade`` validates documents and explicit
 triples in one integer pass that checks both squares and builds the
 structure, whose Q1-Q3 follow from P1 and R1-R3; the reader of the
-writer's own layout enters that pass on label ranks directly.  Label code
-(``make_pls``, ``check_bitrade_conditions``) runs only to name a
-rejection.  So every construction proves Q1-Q3, and a report only walks
-the cycles.  The property scans read the structure; labels are looked up
-from it only for output and witnesses.
+writer's own layout enters that pass on label ranks directly.  A rejected
+pair is named on label ranks as well (``_raise_violations``), reading its
+triples in document order.  So every construction proves Q1-Q3, and a
+report only walks the cycles.  The property scans read the structure;
+labels are looked up from it only for output and witnesses.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from operator import itemgetter
 
 from .errors import ConsistencyError, GroupError, ValidationError
@@ -101,90 +101,10 @@ class PartialLatinSquare:
                 f"{len(self.syms)} symbols, size={self.size})")
 
 
-def _p1_error(triples, i, j):
-    """The lexicographically smallest clashing pair, for reproducible messages."""
-    by_key = {}
-    for t in sorted(triples, key=lambda t: tuple(map(_sort_key, t))):
-        by_key.setdefault((t[i], t[j]), []).append(t)
-    for key in sorted(by_key, key=lambda k: tuple(map(_sort_key, k))):
-        ts = by_key[key]
-        if len(ts) > 1:
-            return ValidationError(
-                "P1",
-                f"triples {ts[0]} and {ts[1]} agree in "
-                f"{_COORD_NAMES[i]} and {_COORD_NAMES[j]}",
-                witness=(ts[0], ts[1]),
-            )
-    raise AssertionError("no clash found on the failure path")
-
-
-def _pair_map(triples, i, j):
-    """Index triples by the (i, j) coordinate pair; clashes violate P1."""
-    out = {}
-    for t in triples:
-        key = (t[i], t[j])
-        if key in out:
-            raise _p1_error(triples, i, j)
-        out[key] = t
-    return out
-
-
-def _check_nonempty(items):
-    if not items:
-        raise ValidationError("P2", "a partial latin square needs at least one triple")
-
-
 def _check_distinct(distinct, i):
     if not distinct:
         raise ValidationError(
             "P2", f"duplicate label in the declared {_COORD_NAMES[i]} alphabet")
-
-
-def make_pls(triples, rows=None, cols=None, syms=None):
-    """Validate triples as a partial latin square; alphabets are inferred
-    (in canonical order) unless explicitly given."""
-    triples = frozenset(tuple(t) for t in triples)
-    _check_nonempty(triples)
-    for t in triples:
-        if len(t) != 3:
-            raise ValidationError("P1", f"{t!r} is not a (row, column, symbol) triple")
-
-    used = [set(), set(), set()]
-    for t in triples:
-        for i in range(3):
-            used[i].add(t[i])
-
-    alphabets = []
-    for i, given in enumerate((rows, cols, syms)):
-        if given is None:
-            alphabets.append(tuple(canonical_sorted(used[i])))
-        else:
-            given = tuple(given)
-            _check_distinct(len(set(given)) == len(given), i)
-            extra = used[i] - set(given)
-            if extra:
-                raise ValidationError(
-                    "P2", f"{_COORD_NAMES[i]} label {min(map(str, extra))!r} missing "
-                    f"from the declared alphabet")
-            unused = set(given) - used[i]
-            if unused:
-                raise ValidationError(
-                    "P2", f"declared {_COORD_NAMES[i]} label "
-                    f"{min(map(str, unused))!r} occurs in no triple")
-            alphabets.append(given)
-
-    for i in range(3):
-        for j in range(i + 1, 3):
-            shared = set(alphabets[i]) & set(alphabets[j])
-            if shared:
-                raise ValidationError(
-                    "P2", f"label {min(map(str, shared))!r} appears both as a "
-                    f"{_COORD_NAMES[i]} and a {_COORD_NAMES[j]}; alphabets must be disjoint")
-
-    for i, j in _PAIRS:
-        _pair_map(triples, i, j)
-
-    return PartialLatinSquare(alphabets[0], alphabets[1], alphabets[2], triples)
 
 
 # ---------------------------------------------------------------------------
@@ -244,48 +164,17 @@ class Bitrade:
                 f"cols={len(self.cols)}, syms={len(self.syms)})")
 
 
-def check_bitrade_conditions(circ, star):
-    """All R1-R3 violations of a candidate pair, as (condition, witness, message).
-
-    ``circ`` and ``star`` are PartialLatinSquare values sharing alphabets.
-    Projection-set comparison is equivalent to the unique-mate conditions
-    because each square already has unique coordinate pairs (P1).
-    """
-    violations = []
-
-    common = circ.triples & star.triples
-    if common:
-        t = min(common, key=lambda t: tuple(map(_sort_key, t)))
-        violations.append(("R1", t, f"triple {t} appears in both squares"))
-
-    for i, j in _PAIRS:
-        keys_circ = {(t[i], t[j]) for t in circ.triples}
-        keys_star = {(t[i], t[j]) for t in star.triples}
-        names = f"{_COORD_NAMES[i]}/{_COORD_NAMES[j]}"
-        only_circ = keys_circ - keys_star
-        if only_circ:
-            key = min(only_circ, key=lambda k: tuple(map(_sort_key, k)))
-            violations.append(
-                ("R2", key, f"no mate triple shares the {names} pair {key}"))
-        only_star = keys_star - keys_circ
-        if only_star:
-            key = min(only_star, key=lambda k: tuple(map(_sort_key, k)))
-            violations.append(
-                ("R3", key, f"no primary triple shares the {names} pair {key}"))
-    return violations
-
-
 def make_bitrade(circ_triples, star_triples, rows=None, cols=None, syms=None,
                  provenance=None):
     """Validate a (T, T*) pair as a latin bitrade.
 
     One pass on label ranks checks both squares and builds the permutation
-    structure (``_pair_structure``).  Label code runs only to name a
-    rejection: a rejected pair goes through ``make_pls`` for each square
-    and ``check_bitrade_conditions``, and the ValidationError carries every
-    violated condition with a witness.  Each triple is read once, through
-    ``tuple``.  Repeated triples merge, as do hash-equal labels.  The
-    shared alphabets are taken in canonical order unless given.
+    structure (``_pair_structure``).  A rejected pair is named on ranks too
+    (``_raise_violations``): the ValidationError names the first violated
+    condition, carries every R1-R3 violation, and spells each witness as
+    the pair wrote it.  Each triple is read once, through ``tuple``.
+    Repeated triples merge, as do hash-equal labels.  The shared alphabets
+    are taken in canonical order unless given.
     """
     circ_triples = [tuple(t) for t in circ_triples]
     declared = (rows, cols, syms)
@@ -293,25 +182,100 @@ def make_bitrade(circ_triples, star_triples, rows=None, cols=None, syms=None,
         star_triples = list(star_triples)  # kept if an item is no sequence
         star_triples = [tuple(t) for t in star_triples]
         found = _pair_structure(circ_triples, star_triples, declared)
-    except TypeError:  # an unhashable label or a non-sequence: named on labels
+    except TypeError:  # an unhashable label or a non-sequence: the namer raises it
         found = None
     if found is None:
         _raise_violations(circ_triples, star_triples, declared)
     return Bitrade(*found, dict(provenance or {}))
 
 
-def _raise_violations(circ_triples, star_triples, declared):
-    """Name the rejection of a pair on labels: the first P1/P2 error of
-    either square, else every R1-R3 violation."""
-    circ = make_pls(circ_triples, *declared)
-    star = make_pls(star_triples, *declared)
+def _raise_violations(circ, star, declared):
+    """Name the rejection of a pair: the first P1/P2 error of the primary
+    square, else of the mate square (``_square_alphabets``), else every
+    R1-R3 violation, found on rank tuples in ``_sort_key`` order over both
+    squares' labels.  A witness is spelled as its square wrote it: an R2
+    pair as the primary square, an R3 pair as the mate square, and an R1
+    triple as the smaller square, or the mate square on a tie."""
+    circ, used = _square_alphabets(circ, declared)
+    star, star_used = _square_alphabets(star, declared)
     # a label used by one square only is a missing-mate (R2 or R3) failure
-    star = PartialLatinSquare(circ.rows, circ.cols, circ.syms, star.triples)
-    violations = check_bitrade_conditions(circ, star)
+    ranks = [_ranks(a | b) for a, b in zip(used, star_used)]
+    mine, theirs = ({tuple(map(dict.__getitem__, ranks, t)): t for t in square}
+                    for square in (circ, star))
+    violations = []
+    common = mine.keys() & theirs.keys()
+    if common:
+        t = (mine if len(mine) < len(theirs) else theirs)[min(common)]
+        violations.append(("R1", t, f"triple {t} appears in both squares"))
+    for i, j in _PAIRS:
+        names = f"{_COORD_NAMES[i]}/{_COORD_NAMES[j]}"
+        pairs = [{(r[i], r[j]): (t[i], t[j]) for r, t in square.items()}
+                 for square in (mine, theirs)]
+        for cond, side, (own, other) in (("R2", "mate", pairs), ("R3", "primary", pairs[::-1])):
+            missing = own.keys() - other.keys()
+            if missing:
+                key = own[min(missing)]
+                violations.append((cond, key, f"no {side} triple shares the {names} pair {key}"))
     if not violations:
-        raise ConsistencyError("the integer check rejects a pair the label check accepts")
+        raise ConsistencyError("the integer check rejects a pair the namer accepts")
     cond, witness, message = violations[0]
     raise ValidationError(cond, message, witness=witness, violations=violations)
+
+
+def _square_alphabets(items, declared):
+    """The distinct triples of one square in document order and the labels
+    of each coordinate, or the square's first P1/P2 error: no triple, an
+    item that is no triple, a declared alphabet repeating a label, missing
+    a used one or holding an unused one, a label in two alphabets, then P1.
+    The alphabet checks name labels, so they run on label sets, which keep
+    each label as the document first spells it; P1 compares rank tuples
+    and names the least clashing pair, as written."""
+    triples = list(dict.fromkeys(map(tuple, items)))
+    if not triples:
+        raise ValidationError("P2", "a partial latin square needs at least one triple")
+    for t in triples:
+        if len(t) != 3:
+            raise ValidationError("P1", f"{t!r} is not a (row, column, symbol) triple")
+    used = [set(map(itemgetter(i), triples)) for i in range(3)]
+    alphabets = []
+    for i, (given, labels) in enumerate(zip(declared, used)):
+        if given is not None:
+            given = tuple(given)
+            _check_distinct(len(set(given)) == len(given), i)
+            extra = labels - set(given)
+            if extra:
+                raise ValidationError(
+                    "P2", f"{_COORD_NAMES[i]} label {min(map(str, extra))!r} missing "
+                    f"from the declared alphabet")
+            labels = set(given)
+            unused = labels - used[i]
+            if unused:
+                raise ValidationError(
+                    "P2", f"declared {_COORD_NAMES[i]} label "
+                    f"{min(map(str, unused))!r} occurs in no triple")
+        alphabets.append(labels)
+    for i, j in _PAIRS:
+        shared = alphabets[i] & alphabets[j]
+        if shared:
+            raise ValidationError(
+                "P2", f"label {min(map(str, shared))!r} appears both as a "
+                f"{_COORD_NAMES[i]} and a {_COORD_NAMES[j]}; alphabets must be disjoint")
+    ranks = list(map(_ranks, used))
+    ranked = {tuple(map(dict.__getitem__, ranks, t)): t for t in triples}
+    for i, j in _PAIRS:
+        order = sorted(ranked, key=lambda r: (r[i], r[j], r))
+        for r, s in zip(order, order[1:]):
+            if (r[i], r[j]) == (s[i], s[j]):
+                first, second = ranked[r], ranked[s]
+                raise ValidationError(
+                    "P1", f"triples {first} and {second} agree in "
+                    f"{_COORD_NAMES[i]} and {_COORD_NAMES[j]}", witness=(first, second))
+    return triples, used
+
+
+def _ranks(labels):
+    """Each label's position among ``labels`` sorted by ``_sort_key``."""
+    return dict(zip(sorted(labels, key=_sort_key), count()))
 
 
 def _pair_structure(circ, star, declared):
@@ -666,7 +630,8 @@ def from_permutations(p1, p2, p3, points=None):
     points = canonical_sorted(p1.keys() if points is None else points)
     perms = _index_permutations((p1, p2, p3), points)
     _check_permutation_triple(perms, points)
-    _check_nonempty(points)  # before the walks, which start at point 0
+    if not points:  # before the walks, which start at point 0
+        raise ValidationError("P2", "a partial latin square needs at least one triple")
 
     def strs(indices):
         return [point_str(points[i]) for i in indices]

@@ -764,7 +764,6 @@ class PermClosureGroup(_PermGroupBase):
 class CyclicGroup(Group):
     """Z_n in additive notation; elements are ints 0..n-1."""
 
-
     def __init__(self, n):
         if n < 1:
             raise GroupError("cyclic group order must be >= 1")
@@ -801,7 +800,6 @@ class CyclicGroup(Group):
 
 class DirectProductGroup(Group):
     """Direct product; elements are tuples of component elements."""
-
 
     def __init__(self, components):
         components = list(components)
@@ -842,14 +840,20 @@ class DirectProductGroup(Group):
         if not all(isinstance(c, CyclicGroup) for c in self.components):
             raise ParseError(
                 f"textual elements are only supported for products of cyclic groups, not {self.spec}")
-        body = text.strip()
-        if body.startswith("(") and body.endswith(")"):
-            body = body[1:-1]
-        parts = body.split(",")
-        if len(parts) != len(self.components):
-            raise ParseError(
-                f"expected {len(self.components)} coordinates for {self.spec}, got {len(parts)}")
+        parts = _coordinates(text, len(self.components), self.spec)
         return tuple(c.parse_element(p) for c, p in zip(self.components, parts))
+
+
+def _coordinates(text, width, spec):
+    """The comma-separated coordinates of an element's text, with or
+    without its parentheses; ``width`` of them, or a ParseError."""
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    parts = body.split(",")
+    if len(parts) != width:
+        raise ParseError(f"expected {width} coordinates for {spec}, got {len(parts)}")
+    return parts
 
 
 # Miller-Rabin on the prime bases up to 41 decides primality exactly below
@@ -884,7 +888,39 @@ def _is_prime(n, name="n"):
     return True
 
 
-class HeisenbergGroup(Group):
+class _ExponentGroup(Group):
+    """A group whose elements are exponent vectors: tuples of ints, the
+    i-th taken mod ``moduli[i]``.  Each subclass sets ``moduli`` and keeps
+    its own validation, ``mul``, ``inverse`` and generators."""
+
+    def order(self):
+        return math.prod(self.moduli)
+
+    def iter_elements(self):
+        return itertools.product(*map(range, self.moduli))
+
+    @property
+    def identity(self):
+        return (0,) * len(self.moduli)
+
+    def _check(self, g):
+        if not isinstance(g, tuple) or len(g) != len(self.moduli):
+            raise GroupError(
+                f"element {g!r} does not belong to {self.spec} (mixed-group operands?)")
+
+    def element_str(self, g):
+        return "(" + ",".join(map(str, g)) + ")"
+
+    def parse_element(self, text):
+        parts = _coordinates(text, len(self.moduli), self.spec)
+        try:
+            values = [int(p.strip()) for p in parts]
+        except ValueError as exc:
+            raise ParseError(f"non-integer coordinate for {self.spec}: {text!r}") from exc
+        return tuple(v % m for v, m in zip(values, self.moduli))
+
+
+class HeisenbergGroup(_ExponentGroup):
     """Non-abelian group of order p^3 for an odd prime p.
 
     Generated by a, b, c with a^p = b^p = c^p = 1, ab = bac, ca = ac,
@@ -894,23 +930,12 @@ class HeisenbergGroup(Group):
         (a^i b^j z^k)(a^r b^s z^t) = a^(i+r) b^(j+s) z^(k+t+jr).
     """
 
-
     def __init__(self, p):
         if p == 2 or not _is_prime(p, "p"):
             raise GroupError("p must be an odd prime for the p^3 family")
         self.p = p
+        self.moduli = (p, p, p)
         self.spec = f"p3:{p}"
-
-    def order(self):
-        return self.p ** 3
-
-    def iter_elements(self):
-        return (t for t in itertools.product(range(self.p), repeat=3))
-
-    def _check(self, g):
-        if not isinstance(g, tuple) or len(g) != 3:
-            raise GroupError(
-                f"element {g!r} does not belong to {self.spec} (mixed-group operands?)")
 
     def mul(self, g, h):
         self._check(g)
@@ -927,10 +952,6 @@ class HeisenbergGroup(Group):
         return ((-i) % p, (-j) % p, (i * j - k) % p)
 
     @property
-    def identity(self):
-        return (0, 0, 0)
-
-    @property
     def gen_a(self):
         return (1, 0, 0)
 
@@ -938,14 +959,8 @@ class HeisenbergGroup(Group):
     def gen_b(self):
         return (0, 1, 0)
 
-    def element_str(self, g):
-        return f"({g[0]},{g[1]},{g[2]})"
 
-    def parse_element(self, text):
-        return _parse_int_tuple(text, 3, (self.p, self.p, self.p), self.spec)
-
-
-class MetacyclicGroup(Group):
+class MetacyclicGroup(_ExponentGroup):
     """Non-abelian group of order pq: a^p = b^q = 1, b^-1 a b = a^r.
 
     Requires p, q prime, q > 2, q | p-1, r in {2..p-1}, r^q = 1 (mod p),
@@ -953,7 +968,6 @@ class MetacyclicGroup(Group):
     b^i a^j (i mod q, j mod p), multiplied via b^i a^j b^k a^l =
     b^(i+k) a^(j*r^k + l).
     """
-
 
     def __init__(self, p, q, r):
         if not _is_prime(p, "p"):
@@ -973,18 +987,8 @@ class MetacyclicGroup(Group):
         self.p = p
         self.q = q
         self.r = r
+        self.moduli = (q, p)
         self.spec = f"pq:{p},{q},{r}"
-
-    def order(self):
-        return self.p * self.q
-
-    def iter_elements(self):
-        return (t for t in itertools.product(range(self.q), range(self.p)))
-
-    def _check(self, g):
-        if not isinstance(g, tuple) or len(g) != 2:
-            raise GroupError(
-                f"element {g!r} does not belong to {self.spec} (mixed-group operands?)")
 
     def mul(self, g, h):
         self._check(g)
@@ -1000,36 +1004,12 @@ class MetacyclicGroup(Group):
         return (k, (-j * pow(self.r, k, self.p)) % self.p)
 
     @property
-    def identity(self):
-        return (0, 0)
-
-    @property
     def gen_a(self):
         return (0, 1)
 
     @property
     def gen_b(self):
         return (1, 0)
-
-    def element_str(self, g):
-        return f"({g[0]},{g[1]})"
-
-    def parse_element(self, text):
-        return _parse_int_tuple(text, 2, (self.q, self.p), self.spec)
-
-
-def _parse_int_tuple(text, width, moduli, spec):
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    parts = body.split(",")
-    if len(parts) != width:
-        raise ParseError(f"expected {width} coordinates for {spec}, got {len(parts)}")
-    try:
-        values = [int(p.strip()) for p in parts]
-    except ValueError as exc:
-        raise ParseError(f"non-integer coordinate for {spec}: {text!r}") from exc
-    return tuple(v % m for v, m in zip(values, moduli))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,25 @@
 """Shared fixtures and oracles: small bitrades with hand-checked structure,
 label-level views of a bitrade and the writer's document made on labels,
-group facts computed from their definitions by brute force, and the
-label-level minimality search the package used before its search on
-label ranks."""
+the label-level validation that named a rejected pair before it was named
+on label ranks, group facts computed from their definitions by brute
+force, and the label-level minimality search the package used before its
+search on label ranks."""
 
 import itertools
 from array import array
 
 import pytest
 
-from bitrades.core import PartialLatinSquare, _sort_key, make_bitrade
+from bitrades.core import (
+    _COORD_NAMES,
+    _PAIRS,
+    PartialLatinSquare,
+    _check_distinct,
+    _sort_key,
+    canonical_sorted,
+    make_bitrade,
+)
+from bitrades.errors import ValidationError
 
 # 2x3 bitrade whose mate shifts each row cyclically; separated, not
 # homogeneous (rows hold 3 entries, columns 2)
@@ -122,6 +132,119 @@ def bitrade_to_doc(bitrade):
         "t_star": triples(bitrade.t_star),
         "provenance": bitrade.provenance,
     }
+
+
+# ---------------------------------------------------------------------------
+# the label-level validation, the reference for naming a rejection on ranks
+
+def _p1_error(triples, i, j):
+    """The lexicographically smallest clashing pair, for reproducible messages."""
+    by_key = {}
+    for t in sorted(triples, key=lambda t: tuple(map(_sort_key, t))):
+        by_key.setdefault((t[i], t[j]), []).append(t)
+    for key in sorted(by_key, key=lambda k: tuple(map(_sort_key, k))):
+        ts = by_key[key]
+        if len(ts) > 1:
+            return ValidationError(
+                "P1",
+                f"triples {ts[0]} and {ts[1]} agree in "
+                f"{_COORD_NAMES[i]} and {_COORD_NAMES[j]}",
+                witness=(ts[0], ts[1]),
+            )
+    raise AssertionError("no clash found on the failure path")
+
+
+def _pair_map(triples, i, j):
+    """Index triples by the (i, j) coordinate pair; clashes violate P1."""
+    out = {}
+    for t in triples:
+        key = (t[i], t[j])
+        if key in out:
+            raise _p1_error(triples, i, j)
+        out[key] = t
+    return out
+
+
+def make_pls(triples, rows=None, cols=None, syms=None):
+    """Validate triples as a partial latin square; alphabets are inferred
+    (in canonical order) unless explicitly given.  The triples are walked
+    in document order, repeats merged, so the first non-triple and the
+    spelling of hash-equal labels do not depend on the hash seed."""
+    in_order = list(dict.fromkeys(tuple(t) for t in triples))
+    triples = frozenset(in_order)
+    if not triples:
+        raise ValidationError("P2", "a partial latin square needs at least one triple")
+    for t in in_order:
+        if len(t) != 3:
+            raise ValidationError("P1", f"{t!r} is not a (row, column, symbol) triple")
+
+    used = [set(), set(), set()]
+    for t in in_order:
+        for i in range(3):
+            used[i].add(t[i])
+
+    alphabets = []
+    for i, given in enumerate((rows, cols, syms)):
+        if given is None:
+            alphabets.append(tuple(canonical_sorted(used[i])))
+        else:
+            given = tuple(given)
+            _check_distinct(len(set(given)) == len(given), i)
+            extra = used[i] - set(given)
+            if extra:
+                raise ValidationError(
+                    "P2", f"{_COORD_NAMES[i]} label {min(map(str, extra))!r} missing "
+                    f"from the declared alphabet")
+            unused = set(given) - used[i]
+            if unused:
+                raise ValidationError(
+                    "P2", f"declared {_COORD_NAMES[i]} label "
+                    f"{min(map(str, unused))!r} occurs in no triple")
+            alphabets.append(given)
+
+    for i in range(3):
+        for j in range(i + 1, 3):
+            shared = set(alphabets[i]) & set(alphabets[j])
+            if shared:
+                raise ValidationError(
+                    "P2", f"label {min(map(str, shared))!r} appears both as a "
+                    f"{_COORD_NAMES[i]} and a {_COORD_NAMES[j]}; alphabets must be disjoint")
+
+    for i, j in _PAIRS:
+        _pair_map(triples, i, j)
+
+    return PartialLatinSquare(alphabets[0], alphabets[1], alphabets[2], triples)
+
+
+def check_bitrade_conditions(circ, star):
+    """All R1-R3 violations of a candidate pair, as (condition, witness, message).
+
+    ``circ`` and ``star`` are PartialLatinSquare values sharing alphabets.
+    Projection-set comparison is equivalent to the unique-mate conditions
+    because each square already has unique coordinate pairs (P1).
+    """
+    violations = []
+
+    common = circ.triples & star.triples
+    if common:
+        t = min(common, key=lambda t: tuple(map(_sort_key, t)))
+        violations.append(("R1", t, f"triple {t} appears in both squares"))
+
+    for i, j in _PAIRS:
+        keys_circ = {(t[i], t[j]) for t in circ.triples}
+        keys_star = {(t[i], t[j]) for t in star.triples}
+        names = f"{_COORD_NAMES[i]}/{_COORD_NAMES[j]}"
+        only_circ = keys_circ - keys_star
+        if only_circ:
+            key = min(only_circ, key=lambda k: tuple(map(_sort_key, k)))
+            violations.append(
+                ("R2", key, f"no mate triple shares the {names} pair {key}"))
+        only_star = keys_star - keys_circ
+        if only_star:
+            key = min(only_star, key=lambda k: tuple(map(_sort_key, k)))
+            violations.append(
+                ("R3", key, f"no primary triple shares the {names} pair {key}"))
+    return violations
 
 
 # ---------------------------------------------------------------------------

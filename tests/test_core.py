@@ -12,7 +12,6 @@ from bitrades.core import (
     from_group,
     from_permutations,
     make_bitrade,
-    make_pls,
     point_str,
     roundtrip_check,
     separation_witness,
@@ -27,6 +26,7 @@ from conftest import (
     TWO_BY_THREE_STAR,
     cell_map,
     coset_oracle,
+    make_pls,
     oracle_mate_bijections,
 )
 
@@ -129,7 +129,7 @@ class TestMakeBitrade:
         assert str(err.value) == "P1: ('b', 'e') is not a (row, column, symbol) triple"
 
     def test_triples_as_any_iterables(self, two_by_three):
-        # as make_pls reads them: each triple through tuple()
+        # each triple is read through tuple()
         assert make_bitrade((iter(t) for t in TWO_BY_THREE_CIRC),
                             [iter(t) for t in TWO_BY_THREE_STAR]) == two_by_three
         assert make_bitrade(["".join(t) for t in TWO_BY_THREE_CIRC],
@@ -146,23 +146,36 @@ class TestMakeBitrade:
 
     def test_accepting_runs_no_label_check(self, monkeypatch):
         calls = Counter()
+        name_violations = core._raise_violations
 
-        def counted(name):
-            fn = getattr(core, name)
+        def counted(*args):
+            calls["_raise_violations"] += 1
+            return name_violations(*args)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("make_pls", "check_bitrade_conditions"):
-            monkeypatch.setattr(core, name, counted(name))
+        monkeypatch.setattr(core, "_raise_violations", counted)
         make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR)
         assert calls == {}
-        # a rejected pair is checked on labels, to name the violations
+        # a rejected pair is read again, to name the violations
         with pytest.raises(ValidationError):
             make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_CIRC)
-        assert calls == {"make_pls": 2, "check_bitrade_conditions": 1}
+        assert calls == {"_raise_violations": 1}
+
+    def test_r1_witness_spelled_as_the_smaller_square(self):
+        # 1 and 1.0 are one label: the witness is spelled as the smaller square
+        # writes it, or as the mate square when both have one size
+        circ = [(1, "c1", "s1"), (1, "c2", "s2"), (2, "c1", "s2"), (2, "c2", "s1")]
+        star = [(1.0, "c1", "s1")] + circ[1:]
+        for mate, row in ((star, "1.0"), (star + [(3, "c3", "s3")], "1")):
+            with pytest.raises(ValidationError) as err:
+                make_bitrade(circ, mate)
+            assert str(err.value) == f"R1: triple ({row}, 'c1', 's1') appears in both squares"
+
+    def test_first_non_triple_in_document_order(self):
+        # the first in document order, whatever the hash seed
+        with pytest.raises(ValidationError) as err:
+            make_bitrade([("a", "c", "f"), ("b", "d"), ("e", "g"), ("h", "i", "j", "k")],
+                         [("a", "c", "g")])
+        assert str(err.value) == "P1: ('b', 'd') is not a (row, column, symbol) triple"
 
     def test_stores_the_primary_square_and_the_structure(self, two_by_three):
         assert [f.name for f in dataclasses.fields(two_by_three)] \

@@ -468,10 +468,12 @@ CONSISTENCY_SCRIPT = textwrap.dedent("""
                                         "homogeneous", "-o", sys.argv[1]]))
     properties.homogeneity = homogeneity
 
-    # the integer pass rejects squares that share a triple; a label check
-    # that finds nothing there contradicts it
-    core.check_bitrade_conditions = lambda circ, star: []
-    raises("mates", lambda: make_bitrade(CIRC, CIRC))
+    # an integer pass that rejects a bitrade leaves the namer nothing to
+    # name, which contradicts it
+    rank_structure = core._rank_structure
+    core._rank_structure = lambda ranked, coords, mates: None
+    raises("mates", lambda: make_bitrade(CIRC, STAR))
+    core._rank_structure = rank_structure
 
     # a conjugate of C must have the order of C: a triple whose walk of c
     # is the walk of an element of order 2 while c has order 3 breaks it

@@ -26,11 +26,9 @@ from bitrades.core import (
     PartialLatinSquare,
     _sort_key,
     canonical_sorted,
-    check_bitrade_conditions,
     from_group,
     from_permutations,
     make_bitrade,
-    make_pls,
     point_str,
     separation_witness,
     triple_permutations,
@@ -59,6 +57,8 @@ from conftest import (
     _find_proper_subtrade,
     _shift,
     cell_map,
+    check_bitrade_conditions,
+    make_pls,
     oracle_mate_bijections,
     sorted_triples,
 )
@@ -463,8 +463,8 @@ def assert_same_as_label_squares(bitrade, doc, circ, star):
     """Same squares and alphabets, and the structure of the label reference.
 
     Of hash-equal labels, an inferred alphabet holds the first in the
-    document; ``make_pls`` holds the first in its set's order, which
-    changes with the hash seed when str labels are about."""
+    document, as ``make_pls``'s does; ``==`` cannot tell them apart, so
+    their reprs are compared."""
     assert bitrade.t_circ == circ
     assert bitrade.t_star.triples == star.triples
     assert (bitrade.rows, bitrade.cols, bitrade.syms) == (circ.rows, circ.cols, circ.syms)
@@ -497,9 +497,10 @@ def perturbed_documents(draw):
     triple, a declared alphabet with a label missing, unused or repeated, a
     label moved to another coordinate's alphabet, a label replaced by a
     hash-equal one, a non-list item, or a nested label; a triple dropped,
-    replaced by one of the other square or given another symbol; the mate
-    replaced by the primary square (R1); or a label renamed everywhere to
-    one of another coordinate."""
+    replaced by one of the other square, given another symbol, or moved to
+    another cell and another place in its square; the symbols of two
+    triples swapped; the mate replaced by the primary square (R1); or a
+    label renamed everywhere to one of another coordinate."""
     circ, star = draw(latin_difference_pairs((*LABELLINGS.values(), NUMBER_LABELS)))
     doc = {key: sorted(map(list, triples), key=repr)
            for key, triples in (("t_circ", circ), ("t_star", star))}
@@ -510,7 +511,7 @@ def perturbed_documents(draw):
     for _ in range(draw(st.sampled_from([1, 0, 1, 2]))):
         kind = draw(st.sampled_from(["clash", "repeat", "declared", "shared", "alike",
                                      "item", "nested", "drop", "copy", "symbol", "same",
-                                     "rename"]))
+                                     "rename", "move", "swap"]))
         if kind == "same":
             doc["t_star"] = copy.deepcopy(doc["t_circ"])  # items of any kind
             continue
@@ -543,6 +544,12 @@ def perturbed_documents(draw):
                                                         else circ, key=repr))))
         elif kind == "symbol":
             items[i] = items[i][:2] + [draw(st.sampled_from(alphabets[2]))]
+        elif kind == "move":  # to another cell, and another place in the list
+            row, col = (draw(st.sampled_from(alphabets[j])) for j in (0, 1))
+            items.insert(draw(st.integers(0, len(items) - 1)), [row, col, items.pop(i)[2]])
+        elif kind == "swap":  # the symbols of items i and j
+            j = draw(st.sampled_from(triples))
+            items[i], items[j] = items[i][:2] + items[j][2:], items[j][:2] + items[i][2:]
         elif kind == "declared":
             key = ("rows", "cols", "syms")[k]
             labels = list(doc.get(key) or alphabets[k])
@@ -589,7 +596,9 @@ class TestDocuments:
         except (ParseError, ValidationError) as err:
             assert isinstance(expected, BitradesError), err
             assert (type(err), str(err)) == (type(expected), str(expected))
-            assert getattr(err, "violations", None) == getattr(expected, "violations", None)
+            # repr tells the spellings of hash-equal labels (1, 1.0, True) apart
+            assert repr(getattr(err, "violations", None)) \
+                == repr(getattr(expected, "violations", None))
         else:
             assert not isinstance(expected, BitradesError), expected
             assert_same_as_label_squares(bt, doc, *expected)
@@ -765,7 +774,7 @@ class TestAgainstLabelPath:
         def refuse(*args, **kwargs):
             raise AssertionError("label validation on the construction path")
 
-        for name in ("make_bitrade", "make_pls", "_pair_structure"):
+        for name in ("make_bitrade", "_raise_violations", "_pair_structure"):
             monkeypatch.setattr(core, name, refuse)
         triple = group_triples("alt:4")[0]
         assert from_group(triple.group, triple.a, triple.b, triple.c).size == 12

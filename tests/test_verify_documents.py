@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -61,6 +62,11 @@ DOCUMENTS = {
     "p2_declared_label_unused": _doc(cols=["c", "d", "e", "z"]),
     "p2_label_in_two_alphabets": _doc(circ=CIRC[:5] + [["b", "e", "c"]],
                                       star=STAR[:3] + [["b", "c", "c"]] + STAR[4:]),
+    # 1 and 1.0 are one label: the message spells it as the document first does
+    "p2_alike_label_missing_from_declared": _doc(
+        circ=[["r1", "c1", "s1"], ["r1", "c2", 1], ["r2", "c1", 1.0], ["r2", "c2", "s1"]],
+        star=[["r1", "c1", 1], ["r1", "c2", "s1"], ["r2", "c1", "s1"], ["r2", "c2", 1]],
+        syms=["s1"]),
     # the mate square and R1-R3
     "r1_mate_is_primary": _doc(star=CIRC),
     "r2_mate_dropped": _doc(star=STAR[:5]),
@@ -136,6 +142,24 @@ def test_golden_verify_output(tmp_path, record):
     path.write_text(_document_text(DOCUMENTS[record["name"]]), encoding="utf-8")
     code, out, err = run_verify(path, FORMATS[record["format"]])
     assert (code, out, err) == (record["exit"], record["stdout"], record["stderr"])
+
+
+def test_rejection_does_not_depend_on_the_hash_seed(tmp_path):
+    # of the symbols 1 and 1.0, the message names the one the document spells first
+    path = tmp_path / "doc.json"
+    path.write_text(_document_text(DOCUMENTS["p2_alike_label_missing_from_declared"]),
+                    encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = set()
+    for seed in range(5):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bitrades.cli", "verify", str(path)], capture_output=True,
+            text=True, timeout=60,
+            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed), "PATH": ""})
+        outputs.add((proc.returncode, proc.stdout, proc.stderr))
+    assert len(outputs) == 1
+    ((code, out, err),) = outputs
+    assert code == 1 and "'1' missing" in err
 
 
 def test_writer_layout_documents_decline(tmp_path):
