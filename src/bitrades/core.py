@@ -651,14 +651,16 @@ class GroupTriple:
     intersecting cyclic subgroups (conditions G1 and G2).  The optional
     generation condition G3 is read off the bitrade (``properties._orbit``).
 
-    Both conditions are decided on element indices, after the check of the
-    enumeration cap (``Group._element_store``): abc = 1 by the right
-    translations (``translations``), G2 on the power sets of the three coset
-    walks (``Group.coset_walk``), which ``walks`` keeps.  The group keeps
-    the last triple admitted, and a triple of the very same a, b and c
-    objects (as ``from_group`` makes of a triple ``search.iter_triples``
-    has just admitted) takes its verdict, translations and walks from it
-    after that one check.
+    Both conditions are decided on element indices (``indices``, those of
+    a, b and c), after the one check of the enumeration cap
+    (``Group._element_store``); the triple then reads the group through
+    its unchecked accessors.  abc = 1 is decided by the right translations
+    (``translations``), G2 on the power sets of the three coset walks
+    (``Group.coset_walk``), which ``walks`` keeps.  The group keeps the
+    last triple admitted, and a triple of the very same a, b and c objects
+    (as ``from_group`` makes of a triple ``search.iter_triples`` has just
+    admitted) takes its verdict, translations and walks from it after that
+    one check.
     """
 
     def __init__(self, group: Group, a, b, c):
@@ -669,32 +671,32 @@ class GroupTriple:
         store = group._element_store()  # checks the cap
         last = group._last_triple
         if last is not None and last[0] is a and last[1] is b and last[2] is c:
-            self._indices, self.translations, self.walks = last[3:]
+            self.indices, self.translations, self.walks = last[3:]
             return
-        self._indices = []
+        self.indices = []
         for x in (a, b, c):
             i = group._locate(store, x)
             if i is None:
                 raise GroupError(f"{x!r} is not an element of {group.spec}")
-            self._indices.append(i)
+            self.indices.append(i)
         identity = group._identity_index
-        for name, i in zip("abc", self._indices):
+        for name, i in zip("abc", self.indices):
             if i == identity:
                 raise ValidationError(
                     "nontrivial", f"element {name} must not be the identity")
-        self.translations = group.right_translations((a, b, c))  # one build for the walks too
+        self.translations = group._right_translations((a, b, c))  # one build for the walks too
         _, rho_b, rho_c = self.translations
-        if rho_c[rho_b[self._indices[0]]] != identity:
+        if rho_c[rho_b[self.indices[0]]] != identity:
             raise ValidationError(
                 "G1", "abc != identity (a=%s, b=%s, c=%s)" % tuple(
-                    group.element_strs(self._indices)))
-        self.walks = tuple(map(group.coset_walk, (a, b, c)))
+                    group._element_strs(self.indices)))
+        self.walks = tuple(map(group._coset_walk, (a, b, c)))
         wa, wb, wc = self.walks
         for name, x, y in (("|A∩B|", wa, wb), ("|A∩C|", wa, wc), ("|B∩C|", wb, wc)):
             size = len(x.members & y.members)
             if size != 1:
                 raise ValidationError("G2", f"{name}={size}")
-        group._last_triple = (a, b, c, self._indices, self.translations, self.walks)
+        group._last_triple = (a, b, c, self.indices, self.translations, self.walks)
 
     @property
     def orders(self):
@@ -702,7 +704,7 @@ class GroupTriple:
 
     def element_strs(self):
         """The strings of a, b and c, each made once per group."""
-        return tuple(self.group.element_strs(self._indices))
+        return tuple(self.group._element_strs(self.indices))
 
     def written(self, spelling):
         """Per alphabet of the coset bitrade, the text a writer reads of its

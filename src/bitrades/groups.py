@@ -386,9 +386,10 @@ class Group:
     element indices, the walk of each (``CosetWalk``) and the last triple
     ``core.GroupTriple`` admitted.  None of it refers to the group, so an
     unused group is freed at once, not by the cycle collector.  Like
-    ``elements()``, every accessor checks the enumeration cap on every call,
-    so a group whose ``max_elements`` is lowered below its order refuses
-    all of them.
+    ``elements()``, every public accessor checks the enumeration cap on
+    every call, so a group whose ``max_elements`` is lowered below its
+    order refuses all of them; ``GroupTriple``, which checks it once when
+    it is made, reads the group through their unchecked forms.
     """
 
     spec = "?"
@@ -492,13 +493,9 @@ class Group:
 
     def element_strs(self, indices):
         """``element_str`` of the elements at the given indices, each made
-        once."""
-        store = self._element_store()
-        strs, element_str = self._strs, self.element_str
-        for i in indices:
-            if strs[i] is None:
-                strs[i] = element_str(store[i])
-        return [strs[i] for i in indices]
+        once; the cap is checked."""
+        self._element_store()  # checks the cap
+        return self._element_strs(indices)
 
     def right_translation(self, g):
         """The permutation x -> xg of the element indices, built once per g."""
@@ -506,25 +503,42 @@ class Group:
 
     def right_translations(self, gs):
         """``right_translation`` of each g in gs; those not built yet are
-        built in one ``_build_translations`` call."""
+        built in one ``_build_translations`` call.  The cap is checked."""
         self._element_store()  # checks the cap
+        return self._right_translations(gs)
+
+    def coset_walk(self, g):
+        """The walk of the right translation x -> xg, made once per g; the
+        cap is checked."""
+        self._element_store()  # checks the cap
+        return self._coset_walk(g)
+
+    # the unchecked forms of the three accessors above, for a caller that
+    # has just checked the cap through ``_element_store`` (``GroupTriple``)
+
+    def _element_strs(self, indices):
+        strs, store, element_str = self._strs, self._store, self.element_str
+        for i in indices:
+            if strs[i] is None:
+                strs[i] = element_str(store[i])
+        return [strs[i] for i in indices]
+
+    def _right_translations(self, gs):
         translations = self._translations
         missing = list(dict.fromkeys(g for g in gs if g not in translations))
         if missing:
             translations.update(zip(missing, self._build_translations(missing)))
         return [translations[g] for g in gs]
 
-    def coset_walk(self, g):
-        """The walk of the right translation x -> xg, made once per g."""
-        self._element_store()  # checks the cap
+    def _coset_walk(self, g):
         walk = self._walks.get(g)
         if walk is None:
-            walk = self._walks[g] = CosetWalk(self.right_translation(g), self.element_strs,
-                                              self._identity_index)
+            walk = self._walks[g] = CosetWalk(self._right_translations([g])[0],
+                                              self._element_strs, self._identity_index)
         return walk
 
     def _build_translations(self, gs):
-        store = self._element_store()
+        store = self._store
         # transient and shared by the translations, which alone outlive the call
         index = dict(zip(store, range(len(store))))
         return [array("i", [index[y] for y in self._right_images(store, g)]) for g in gs]

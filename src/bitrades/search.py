@@ -71,22 +71,32 @@ def _frame(triple):
     return cell_order, list(_square_templates(_COMPACT, rows, cols))
 
 
+def _non_identity(group):
+    """The elements, the identity's index and, for each non-identity
+    element in index order, (its index, its right translation, the index
+    of its inverse), the inverse read as the last power in its coset
+    walk."""
+    els = group.elements()
+    identity = group.index_of(group.identity)
+    others = [i for i in range(len(els)) if i != identity]
+    rhos = group.right_translations([els[i] for i in others])
+    inverses = [group.coset_walk(els[i]).powers[-1] for i in others]
+    return els, identity, list(zip(others, rhos, inverses))
+
+
 def iter_triples(group):
     """All ordered pairs (a, b) of non-identity elements with c = (ab)^-1
     also non-identity and conditions G1-G2 satisfied, the triples of one a
     together. G1 holds by the choice of c; pairs failing G2 are skipped.
     ab and its inverse are read on indices: ab from the right translation
     by b, the inverse as the last power in the coset walk of ab."""
-    els = group.elements()
-    identity = group.index_of(group.identity)
-    others = [i for i in range(len(els)) if i != identity]
-    rhos = group.right_translations([els[i] for i in others])
+    els, identity, others = _non_identity(group)
     inverse = [identity] * len(els)
-    for i in others:
-        inverse[i] = group.coset_walk(els[i]).powers[-1]
-    for ia in others:
+    for i, _, i_inv in others:
+        inverse[i] = i_inv
+    for ia, _, _ in others:
         a = els[ia]
-        for ib, rho_b in zip(others, rhos):
+        for ib, rho_b, _ in others:
             ic = inverse[rho_b[ia]]
             if ic == identity:
                 continue
@@ -101,10 +111,18 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
     """Search records for every admissible triple, in canonical order.
 
     Unknown check names are refused before the search starts.  For every
-    surviving triple the bitrade is built and the requested checks run as
-    one ``compute_report`` (empty ``checks``, no properties); thin,
-    orthogonal and the homogeneity degree are decided again by their group
-    criteria, and a disagreement of the two verdicts raises
+    surviving triple the bitrade is built, and the requested checks run as
+    one ``compute_report`` per conjugacy orbit of (a, b), on the orbit's
+    first record (empty ``checks``, no properties).  Conjugation by g maps
+    the coset bitrade of (a, b, c) onto that of (a^g, b^g, c^g) with its
+    rows, columns and symbols relabelled, so every verdict of the report
+    holds on the whole orbit; G2, c != 1, the orders and G3 do too, so the
+    filters keep or skip an orbit whole.  The report is filed under every
+    conjugate pair as element indices (g^-1 x g is at rho_g[rho_x[g^-1]],
+    from the translations and inverses of ``_non_identity``) and read there
+    by the pair's record.  On every record, thin, orthogonal and the
+    homogeneity degree are decided again by the group criteria of its own
+    triple, and a disagreement with the orbit's report raises
     ConsistencyError.  A record's k is read off the subgroup orders
     (``group_homogeneity``); the entries are counted only when the checks
     ask for "homogeneous".  The cell order of a bitrade, tau1 in it and the
@@ -127,6 +145,9 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
             f"group {group.spec} has order {n}, above the search cap", search_cap)
     records = []
     generates = {}  # (<a>, <b>) as walk member sets -> G3
+    if checks:
+        conjugators = _non_identity(group)[2]
+        reports = [None] * (n * n)  # ia * n + ib -> the report of the pair's orbit
     a = None
     for triple in iter_triples(group):
         if k is not None and triple.orders != (k, k, k):
@@ -145,7 +166,17 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
             g3 = generates[pair] = len(_orbit(bitrade.permutation_triple)) == n
         if require_g3 and not g3:
             continue
-        report = compute_report(bitrade, checks, minimal_cap=minimal_cap) if checks else {}
+        if checks:
+            ia, ib, _ = triple.indices
+            report = reports[ia * n + ib]
+            if report is None:  # the orbit's first record
+                report = compute_report(bitrade, checks, minimal_cap=minimal_cap)
+                rho_a, rho_b, _ = triple.translations
+                # g^-1 x g is at rho_g[rho_x[g^-1]]
+                for _, rho_g, g_inv in conjugators:
+                    reports[rho_g[rho_a[g_inv]] * n + rho_g[rho_b[g_inv]]] = report
+        else:
+            report = {}
         check_group_criteria(triple, report)
         prov = bitrade.provenance
         hom = group_homogeneity(triple).value

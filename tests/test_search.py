@@ -20,11 +20,12 @@ from bitrades import families, search
 from bitrades.cli import main
 from bitrades.errors import ConsistencyError, ResourceCapError, ValidationError
 from bitrades.families import predicted_table
-from bitrades.groups import PermClosureGroup, Subgroup, group_from_spec, parse_permutation
+from bitrades.groups import Group, PermClosureGroup, Subgroup, group_from_spec, parse_permutation
 from bitrades.properties import (
     PropertyResult,
     _orbit,
     _sort_key,
+    compute_report,
     group_orthogonal_criterion,
     group_thin_criterion,
     homogeneity,
@@ -115,11 +116,12 @@ class TestSearch:
         assert len(records) == 102
         assert sum(r.g3 for r in records) == 96
 
-    @pytest.mark.parametrize("checks, count", [(("homogeneous",), 102), ((), 0)],
+    @pytest.mark.parametrize("checks, count", [(("homogeneous",), 10), ((), 0)],
                              ids=["in the report", "none"])
-    def test_homogeneity_once_per_record(self, monkeypatch, checks, count):
+    def test_homogeneity_once_per_orbit(self, monkeypatch, checks, count):
         # k is read off the subgroup orders; the entries are counted only
-        # for a report that asks for them, once per record
+        # for a report that asks for them, once per conjugacy orbit of
+        # (a, b): alt:4's 102 records fall into 10 orbits
         calls = []
 
         def counted(bitrade):
@@ -292,6 +294,83 @@ def test_a_wrong_count_is_a_consistency_error(monkeypatch, capsys):
         search_triples(G, checks=("homogeneous",))
     assert main(["search", "--group", "alt:4", "--checks", "homogeneous"]) == 4
     assert "internal consistency check failed" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one report per conjugacy orbit of (a, b); every record's own group criteria
+
+ORBIT_SPECS = ["sym:4", "alt:4", "alt:5", "p3:3", "pq:7,3,2", "prod:cyc:3,sym:3",
+               "gens:5:(1,2,3,4,5);(2,5)(3,4)"]
+
+
+def conjugacy_orbits(G, pairs):
+    """The orbits of the pairs under conjugation, each the set of
+    (g^-1 a g, g^-1 b g) over every g in G, by products of elements."""
+    els = G.elements()
+    conjugators = [(G.inverse(g), g) for g in els]
+    return {frozenset((G.mul(G.mul(h, a), g), G.mul(G.mul(h, b), g)) for h, g in conjugators)
+            for a, b in pairs}
+
+
+@pytest.mark.parametrize("spec", ORBIT_SPECS)
+def test_reused_reports_equal_direct_ones(spec, monkeypatch):
+    # search runs the direct scans on the first record of each orbit; every
+    # record's properties equal those of a report on its own bitrade
+    calls = []
+    monkeypatch.setattr(search, "compute_report",
+                        lambda bitrade, *args, **kwargs:
+                        calls.append(bitrade) or compute_report(bitrade, *args, **kwargs))
+    G = group_from_spec(spec)
+    checks = ("thin", "orthogonal", "primary", "separated", "homogeneous")
+    if G.order() <= 24:
+        checks += ("minimal",)
+    records = search_triples(G, checks=checks)
+    triples = list(iter_triples(group_from_spec(spec)))
+    assert [(r.a, r.b, r.c) for r in records] == [t.element_strs() for t in triples]
+    for triple, record in zip(triples, records):
+        direct = compute_report(from_group(triple.group, triple.a, triple.b, triple.c), checks)
+        assert record.properties == {name: res.value for name, res in direct.items()}
+    pairs = [(t.a, t.b) for t in triples]
+    orbits = conjugacy_orbits(triples[0].group, pairs)
+    assert len(calls) == len(orbits) < len(records)
+    assert sum(map(len, orbits)) == len(records)
+    assert set().union(*orbits) == set(pairs)
+
+
+def test_every_record_keeps_its_group_criterion_check(monkeypatch, capsys):
+    # flip the thin criterion on a record whose report is its orbit's: the
+    # conjugate of the first record by an element that moves it
+    G = group_from_spec("alt:4")
+    records = search_triples(G, checks=("thin",))
+    a, b = (G.parse_element(x) for x in (records[0].a, records[0].b))
+    target = next(pair for pair in ((G.mul(G.mul(G.inverse(g), a), g),
+                                     G.mul(G.mul(G.inverse(g), b), g)) for g in G.elements())
+                  if pair != (a, b))
+    assert target in {tuple(G.parse_element(x) for x in (r.a, r.b)) for r in records[1:]}
+
+    def flipped(triple):
+        result = group_thin_criterion(triple)
+        if (triple.a, triple.b) == target:
+            return PropertyResult("no" if result.yes else "yes", result.method)
+        return result
+
+    monkeypatch.setattr("bitrades.properties.group_thin_criterion", flipped)
+    with pytest.raises(ConsistencyError, match="thin criteria disagree"):
+        search_triples(G, checks=("thin",))
+    assert main(["search", "--group", "alt:4", "--checks", "thin"]) == 4
+    assert "internal consistency check failed" in capsys.readouterr().err
+
+
+def test_cap_checked_once_per_group_triple(monkeypatch):
+    # a GroupTriple checks the cap when it is made and then reads the group
+    # through the unchecked accessors; the public ones, which the group
+    # criteria use, still check on every call
+    calls = []
+    check = Group.check_enumerable
+    monkeypatch.setattr(Group, "check_enumerable", lambda self: calls.append(1) or check(self))
+    records = search_triples(group_from_spec("alt:5"))
+    assert len(records) == 3330
+    assert len(calls) <= 13_686  # 10,354 here; 27,491 with a check per accessor
 
 
 def assert_shared_cell_order_builds_alike(triples):
