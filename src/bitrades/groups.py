@@ -256,8 +256,6 @@ class Subgroup:
     """Cyclic subgroup <g> of a parent group, kept as the ordered power list."""
 
     def __init__(self, group, generator):
-        self.group = group
-        self.generator = generator
         powers = [group.identity]
         x = generator
         while x != group.identity:
@@ -266,25 +264,8 @@ class Subgroup:
         self.elements = tuple(powers)
         self.members = frozenset(powers)
 
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def __contains__(self, g):
-        return g in self.members
-
     def __len__(self):
         return len(self.elements)
-
-    def __eq__(self, other):
-        return isinstance(other, Subgroup) and self.group is other.group \
-            and self.members == other.members
-
-    def __hash__(self):
-        return hash(self.members)
-
-    def __repr__(self):
-        return f"Subgroup(<{self.group.element_str(self.generator)}>, order={self.order})"
 
 
 # ---------------------------------------------------------------------------
@@ -400,27 +381,8 @@ class Group:
     # subclasses define: order(), iter_elements(), mul, inverse, identity,
     # element_str, parse_element
 
-    def order(self):
-        raise NotImplementedError
-
-    def iter_elements(self):
-        raise NotImplementedError
-
-    def mul(self, g, h):
-        raise NotImplementedError
-
-    def inverse(self, g):
-        raise NotImplementedError
-
-    @property
-    def identity(self):
-        raise NotImplementedError
-
     def element_str(self, g):
         return str(g)
-
-    def parse_element(self, text):
-        raise NotImplementedError
 
     # ---- the store's form of an element -----------------------------------
 

@@ -34,15 +34,8 @@ class SearchRecord:
     properties: dict
     signature: str
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group, "a": self.a, "b": self.b, "c": self.c,
-            "size": self.size, "orders": list(self.orders), "g3": self.g3,
-            "k": self.k, "properties": self.properties, "signature": self.signature,
-        }
-
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def bitrade_signature(bitrade, triple=None, templates=None) -> str:
@@ -111,30 +104,32 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
     """Search records for every admissible triple, in canonical order.
 
     Unknown check names are refused before the search starts.  For every
-    surviving triple the bitrade is built, and the requested checks run as
-    one ``compute_report`` per conjugacy orbit of (a, b), on the orbit's
-    first record (empty ``checks``, no properties).  Conjugation by g maps
-    the coset bitrade of (a, b, c) onto that of (a^g, b^g, c^g) with its
-    rows, columns and symbols relabelled, so every verdict of the report
-    holds on the whole orbit; G2, c != 1, the orders and G3 do too, so the
-    filters keep or skip an orbit whole.  The report is filed under every
-    conjugate pair as element indices (g^-1 x g is at rho_g[rho_x[g^-1]],
-    from the translations and inverses of ``_non_identity``) and read there
-    by the pair's record.  On every record, thin, orthogonal and the
-    homogeneity degree are decided again by the group criteria of its own
-    triple, and a disagreement with the orbit's report raises
-    ConsistencyError.  A record's k is read off the subgroup orders
-    (``group_homogeneity``); the entries are counted only when the checks
-    ask for "homogeneous".  The cell order of a bitrade, tau1 in it and the
-    rows and columns of its document depend only on a and <b>, so they are
-    made once per a and <b> (``_frame``) and passed to ``from_group`` and
-    ``bitrade_signature``; as ``iter_triples`` yields the triples of one a
-    together, only the current a's frames, one per <b>, are kept.  G3 is
-    read off the bitrade: the orbit of an element x under the right
-    multiplications by a, b and c is x<a, b, c>, so a, b and c generate G
-    exactly when the structure is transitive.  As c = (ab)^-1, <a, b, c> is
-    <a, b>, which <a> and <b> fix, so the orbit is taken once per pair of
-    walk member sets.  A record's strings of a, b and c are those that
+    surviving triple the bitrade is built.  G3 and the requested checks
+    are decided once per conjugacy orbit of (a, b), on the orbit's first
+    record.
+    Conjugation by g maps the coset bitrade of (a, b, c) onto that of
+    (a^g, b^g, c^g) with its rows, columns and symbols relabelled, so every
+    verdict of the report holds on the whole orbit; and as <a^g, b^g> =
+    <a, b>^g, so does G3.  G2, c != 1 and the orders are orbit invariants
+    too, so the filters keep or skip an orbit whole.  G3 is read off the
+    bitrade: the orbit of an element x under the right multiplications by
+    a, b and c is x<a, b, c>, so a, b and c generate G exactly when the
+    structure is transitive.  The requested checks run as one
+    ``compute_report`` (empty ``checks``, no properties), unless
+    ``require_g3`` skips the orbit.  G3 and the report are filed under
+    every conjugate pair as element indices (g^-1 x g is at
+    rho_g[rho_x[g^-1]], from the translations and inverses of
+    ``_non_identity``) and read there by the pair's record.  On every
+    record, thin, orthogonal and the homogeneity degree are decided again
+    by the group criteria of its own triple, and a disagreement with the
+    orbit's report raises ConsistencyError.  A record's k is read off the
+    subgroup orders (``group_homogeneity``); the entries are counted only
+    when the checks ask for "homogeneous".  The cell order of a bitrade,
+    tau1 in it and the rows and columns of its document depend only on a
+    and <b>, so they are made once per a and <b> (``_frame``) and passed to
+    ``from_group`` and ``bitrade_signature``; as ``iter_triples`` yields the
+    triples of one a together, only the current a's frames, one per <b>,
+    are kept.  A record's strings of a, b and c are those that
     ``from_group`` wrote into the bitrade's provenance.  The group's
     enumeration cap bounds every enumeration of it.
     """
@@ -144,15 +139,13 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
         raise ResourceCapError(
             f"group {group.spec} has order {n}, above the search cap", search_cap)
     records = []
-    generates = {}  # (<a>, <b>) as walk member sets -> G3
-    if checks:
-        conjugators = _non_identity(group)[2]
-        reports = [None] * (n * n)  # ia * n + ib -> the report of the pair's orbit
+    conjugators = _non_identity(group)[2]
+    orbits = [None] * (n * n)  # ia * n + ib -> (G3, report) of the pair's orbit
     a = None
     for triple in iter_triples(group):
         if k is not None and triple.orders != (k, k, k):
             continue
-        wa, wb, _ = triple.walks
+        wb = triple.walks[1]
         if triple.a != a:
             a, frames = triple.a, {}  # <b> as walk B's members -> _frame
         frame = frames.get(wb.members)
@@ -160,23 +153,21 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
             frame = frames[wb.members] = _frame(triple)
         cell_order, templates = frame
         bitrade = from_group(group, triple.a, triple.b, triple.c, cell_order=cell_order)
-        pair = (wa.members, wb.members)
-        g3 = generates.get(pair)
-        if g3 is None:
-            g3 = generates[pair] = len(_orbit(bitrade.permutation_triple)) == n
+        ia, ib, _ = triple.indices
+        orbit = orbits[ia * n + ib]
+        if orbit is None:  # the orbit's first record
+            g3 = len(_orbit(bitrade.permutation_triple)) == n
+            report = {}
+            if checks and (g3 or not require_g3):
+                report = compute_report(bitrade, checks, minimal_cap=minimal_cap)
+            orbit = (g3, report)
+            rho_a, rho_b, _ = triple.translations
+            # g^-1 x g is at rho_g[rho_x[g^-1]]
+            for _, rho_g, g_inv in conjugators:
+                orbits[rho_g[rho_a[g_inv]] * n + rho_g[rho_b[g_inv]]] = orbit
+        g3, report = orbit
         if require_g3 and not g3:
             continue
-        if checks:
-            ia, ib, _ = triple.indices
-            report = reports[ia * n + ib]
-            if report is None:  # the orbit's first record
-                report = compute_report(bitrade, checks, minimal_cap=minimal_cap)
-                rho_a, rho_b, _ = triple.translations
-                # g^-1 x g is at rho_g[rho_x[g^-1]]
-                for _, rho_g, g_inv in conjugators:
-                    reports[rho_g[rho_a[g_inv]] * n + rho_g[rho_b[g_inv]]] = report
-        else:
-            report = {}
         check_group_criteria(triple, report)
         prov = bitrade.provenance
         hom = group_homogeneity(triple).value

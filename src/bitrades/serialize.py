@@ -328,14 +328,17 @@ def _read_writer_layout(path):
 def read_bitrade(source) -> Bitrade:
     """Load a bitrade from a path, file object, JSON string, or dict.
 
-    A path to a regular file in the writer's own layout is read straight
-    into label ranks (``_read_writer_layout``); every other document goes
-    through ``json.loads`` and ``doc_to_bitrade``, with the same result."""
+    A str that names a regular file is a path, even when it starts with
+    "{"; any other str that does is the document's text.  A path to a
+    regular file in the writer's own layout is read straight into label
+    ranks (``_read_writer_layout``); every other document goes through
+    ``json.loads`` and ``doc_to_bitrade``, with the same result."""
     if isinstance(source, dict):
         return doc_to_bitrade(source)
     if isinstance(source, io.IOBase):
         text = source.read()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    elif (isinstance(source, str) and source.lstrip().startswith("{")
+          and not os.path.isfile(source)):
         text = source
     else:
         # a document that declines is read a second time, so not from a pipe

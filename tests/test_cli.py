@@ -81,7 +81,10 @@ class TestConstruct:
         (("()", "(1,2,3)", "(1,3,2)"), "nontrivial: element a must not be the identity"),
         (("(1,2,3)", "(1,2,3)", "(1,2,4)"),
          "G1: abc != identity (a=(1,2,3), b=(1,2,3), c=(1,2,4))"),
-    ], ids=["non-member", "identity", "G1"])
+        ((" ", "(1,2,3)", "(1,3,2)"), "no cycles found (at position 0)"),
+        (("(1,2", "(1,2,3)", "(1,3,2)"), "unterminated cycle (at position 4)"),
+        (("(1,x)", "(1,2,3)", "(1,3,2)"), "expected a point but found 'x' (at position 3)"),
+    ], ids=["non-member", "identity", "G1", "no-cycles", "unterminated", "not-a-point"])
     def test_a4_refusals_alike_for_tuples_and_codes(self, capsys, spec, shown,
                                                     elements, message):
         # alt:4 keeps image tuples, the gens: closure bytes codes
@@ -154,10 +157,16 @@ class TestConstruct:
     @pytest.mark.parametrize("family, message", [
         ("pq:p=7,q=3,r=2,x=1", "family 'pq' has no parameter 'x' (it takes p, q, r)"),
         ("alt:m=1,m=2", "family parameter 'm' repeated in 'alt:m=1,m=2'"),
+        ("p3:p", "malformed family parameter 'p' in 'p3:p'"),
+        ("p3:p=x", "non-integer family parameter 'p=x'"),
     ])
     def test_unknown_or_repeated_family_parameter_exits_2(self, capsys, family, message):
         assert main(["construct", "--family", family]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_group_without_b_and_c_exits_2(self, capsys):
+        assert main(["construct", "--group", "sym:3", "--a", "(1,2,3)"]) == 2
+        assert capsys.readouterr().err == "construct --group needs --b --c\n"
 
     def test_degree_above_255_matches_degree_4(self, capsys):
         # gens:256 stores image tuples and multiplies by mul, gens:4 stores
@@ -194,6 +203,11 @@ class TestConstruct:
     def test_env_cap_respected(self, monkeypatch, capsys):
         monkeypatch.setenv("BITRADE_MAX_ELEMENTS", "10")
         assert main(["construct", "--family", "alt:m=1"]) == 3
+        monkeypatch.setenv("BITRADE_MAX_ELEMENTS", "abc")
+        capsys.readouterr()
+        assert main(["construct", "--family", "alt:m=1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: BITRADE_MAX_ELEMENTS must be an integer, got 'abc'\n")
         monkeypatch.delenv("BITRADE_MAX_ELEMENTS")
 
     # SHA-256 of construct's stdout, recorded while json.dumps still wrote
@@ -280,6 +294,18 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 2
         assert "is not a scalar" in capsys.readouterr().err
+
+    def test_path_starting_with_a_brace_is_read_as_a_path(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # a str that names a file is a path, though JSON text starts with "{"
+        monkeypatch.chdir(tmp_path)
+        assert main(["construct", "--family", "zp2:p=3", "-o", "{x}.json"]) == 0
+        Path("plain.json").write_bytes(Path("{x}.json").read_bytes())
+        capsys.readouterr()
+        runs = [(main(["verify", name]), capsys.readouterr())
+                for name in ("{x}.json", "plain.json")]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1
 
     def test_missing_file_exits_2(self):
         assert main(["verify", "/no/such/file.json"]) == 2

@@ -203,13 +203,15 @@ def test_records_against_the_oracles(spec):
         assert (len(records), sum(not r.g3 for r in records)) == (102, 6)
 
 
-G3_SPECS = ["sym:4", "alt:5", "p3:3", "gens:5:(1,2,3,4,5);(2,5)(3,4)"]
+# the conjugacy orbits of the pairs (a, b) of each group's records
+G3_ORBITS = {"sym:4": 26, "alt:5": 57, "p3:3": 112, "gens:5:(1,2,3,4,5);(2,5)(3,4)": 6}
 
 
-@pytest.mark.parametrize("spec", G3_SPECS)
+@pytest.mark.parametrize("spec", G3_ORBITS)
 def test_g3_per_subgroup_pair_against_each_orbit(spec, monkeypatch):
-    # search takes the orbit once per pair (<a>, <b>), as <a, b, c> = <a, b>;
-    # every record's G3 is still the transitivity of its own structure
+    # search takes the orbit once per conjugacy orbit of (a, b), as
+    # <a^g, b^g> = <a, b>^g; every record's G3 is still the transitivity of
+    # its own structure
     orbits = []
     monkeypatch.setattr(search, "_orbit", lambda pt: orbits.append(pt) or _orbit(pt))
     G = group_from_spec(spec)
@@ -219,12 +221,31 @@ def test_g3_per_subgroup_pair_against_each_orbit(spec, monkeypatch):
     for triple, record in zip(triples, records):
         bitrade = from_group(triple.group, triple.a, triple.b, triple.c)
         assert record.g3 == (len(_orbit(bitrade.permutation_triple)) == G.order())
-    pairs = {(Subgroup(G, t.a).members, Subgroup(G, t.b).members) for t in triples}
-    assert len(orbits) == len(pairs) < len(records)
+    conjugates = conjugacy_orbits(triples[0].group, [(t.a, t.b) for t in triples])
+    assert len(orbits) == len(conjugates) == G3_ORBITS[spec] < len(records)
     if spec == "gens:5:(1,2,3,4,5);(2,5)(3,4)":
         assert {r.g3 for r in records} == {True}  # every pair generates D5
     else:
         assert {r.g3 for r in records} == {True, False}
+
+
+@pytest.mark.parametrize("spec, generating", [("alt:4", 8), ("sym:4", 9)])
+def test_require_g3_keeps_and_reports_generating_orbits_whole(spec, generating, monkeypatch):
+    # G3 is an orbit invariant, so --require-g3 lists the unfiltered records
+    # that generate G, and the checks run once per generating orbit only
+    checks = ("thin", "orthogonal", "homogeneous")
+    G = group_from_spec(spec)
+    unfiltered = search_triples(G, checks=checks)
+    reported = []
+    monkeypatch.setattr(search, "compute_report",
+                        lambda bitrade, *args, **kwargs:
+                        reported.append(bitrade) or compute_report(bitrade, *args, **kwargs))
+    records = search_triples(G, require_g3=True, checks=checks)
+    assert [r.to_json_line() for r in records] == [
+        r.to_json_line() for r in unfiltered if r.g3]
+    assert all(len(_orbit(b.permutation_triple)) == G.order() for b in reported)
+    pairs = [(G.parse_element(r.a), G.parse_element(r.b)) for r in records]
+    assert len(reported) == len(conjugacy_orbits(G, pairs)) == generating
 
 
 def test_table_instances_g3_against_the_closure(monkeypatch):
