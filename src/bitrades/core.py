@@ -48,7 +48,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice
-from operator import itemgetter
+from operator import eq, itemgetter, lt
 
 from .errors import ConsistencyError, GroupError, ValidationError
 from .groups import CosetWalk, Group
@@ -341,10 +341,12 @@ def _rank_structure(ranked, coords, mates):
     triples: x in its cell (same row and column), y with its row and symbol
     and z with its column and symbol.  These are the images of m under the
     three mate bijections, and m contributes tau1(y) = x, tau2(x) = z and
-    tau3(z) = y.  An unmatched pair or x = y (R1) fails the pass; else the
-    n mate triples fill every slot exactly when the three maps are
-    bijections.  A P1 clash or a repeat of the primary square leaves a pair
-    map with fewer than n points, so its slots cannot all be filled.
+    tau3(z) = y.  An unmatched pair or x = y (R1) fails the pass, and so
+    does a repeat among the n images of one map: two mate triples on one
+    point.  With no repeat the three maps are bijections, so the
+    contributions fill each slot of tau1-tau3 exactly once, and they are
+    scattered into arrays.  A P1 clash or a repeat of the primary square
+    leaves a pair map with fewer than n points, so its images repeat.
     Passing is thus P1/P2 of both squares and R1-R3.
 
     A passing pair's structure satisfies Q1-Q3, so nothing checks them
@@ -369,7 +371,7 @@ def _rank_structure(ranked, coords, mates):
     cell = [r * nc + c for r, c in zip(rows, cols)]
     increasing = _increasing(cell)
     rows, cols, syms = mates
-    try:  # KeyError: an unmatched pair, two mate triples on one point
+    try:  # KeyError: a mate pair that no primary triple has
         if increasing and rows == coords[0] and cols == coords[1]:
             xs = index  # the writer's order: mate triple x lies in the cell of point x
         else:
@@ -379,21 +381,27 @@ def _rank_structure(ranked, coords, mates):
         del cell
         ys = list(map(at_rs.__getitem__, [r * ns + s for r, s in zip(rows, syms)]))
         zs = list(map(at_cs.__getitem__, [c * ns + s for c, s in zip(cols, syms)]))
-        del at_rs, at_cs  # not held beside tau1-tau3
-        if any(map(int.__eq__, xs, ys)):
-            return None  # a mate triple equal to the primary triple in its cell (R1)
-        # tau1, tau2, tau3, one dict at a time: a point missing from one is a KeyError
-        return _canonical_structure(ranked, coords, (
-            dict(zip(keys, images)) for keys, images in ((ys, xs), (xs, zs), (zs, ys))),
-            increasing)
     except KeyError:
         return None
+    del at_rs, at_cs  # not held beside tau1-tau3
+    if any(map(eq, xs, ys)):
+        return None  # a mate triple equal to the primary triple in its cell (R1)
+    if len(set(ys)) != n or len(set(zs)) != n or (xs is not index and len(set(xs)) != n):
+        return None  # two mate triples on one point of a map
+    perms = tau1, tau2, tau3 = tuple(array("i", [0]) * n for _ in range(3))
+    for x, y, z in zip(xs, ys, zs):
+        tau1[y] = x
+        tau2[x] = z
+        tau3[z] = y
+    if increasing:  # the points are in cell order already
+        return PermutationTriple(perms, ranked, tuple(array("i", coord) for coord in coords))
+    return _canonical_structure(ranked, coords, perms)
 
 
 def _increasing(cell):
     """Whether the cell numbers strictly increase: no two points share a
     cell, and the points come in cell order."""
-    return all(map(int.__lt__, cell, islice(cell, 1, None)))
+    return all(map(lt, cell, islice(cell, 1, None)))
 
 
 def _cell_order(rows, cols, nc, q1):
@@ -412,29 +420,19 @@ def _cell_order(rows, cols, nc, q1):
             array("i", [position[q1[x]] for x in order]))
 
 
-def _canonical_structure(ranked, coords, perms, increasing=False, *, cell_order=None):
+def _canonical_structure(ranked, coords, perms, *, cell_order=None):
     """The permutation structure from the alphabets in ``_sort_key`` order
     and each point's label ranks and tau1-tau3 in builder order, reindexed
     into cell order (``_cell_order``): this is the order of the primary
     triples sorted by ``_sort_key``, in which the JSON writer emits both
-    squares.
-    Points that already arrive in strictly increasing cell order, as a
-    writer document's do, are taken as they are; ``increasing`` is the
-    caller's ``_increasing`` verdict on them.  ``cell_order`` is the
-    ``_cell_order`` of ``coords`` and the first permutation, if the caller
-    has it."""
-    if increasing:
-        points = range(len(coords[0]))
-        return PermutationTriple(tuple(array("i", map(q.__getitem__, points)) for q in perms),
-                                 ranked, tuple(array("i", coord) for coord in coords))
-    perms = iter(perms)  # ``_rank_structure`` makes its dicts one at a time
-    q1 = next(perms)
+    squares.  ``cell_order`` is the ``_cell_order`` of ``coords`` and the
+    first permutation, if the caller has it."""
+    q1, q2, q3 = perms
     order, position, rows, cols, tau1 = cell_order or _cell_order(coords[0], coords[1],
                                                                   len(ranked[1]), q1)
-    del q1
     syms = coords[2]
     return PermutationTriple(
-        (tau1, *(array("i", [position[q[x]] for x in order]) for q in perms)),
+        (tau1, *(array("i", [position[q[x]] for x in order]) for q in (q2, q3))),
         ranked, (rows, cols, array("i", [syms[x] for x in order])))
 
 

@@ -81,14 +81,17 @@ def is_separated(bitrade: Bitrade) -> PropertyResult:
 # primary
 
 def _orbit(pt):
-    """Indices of the points reachable from the first one."""
+    """Indices of the points reachable from the first one.  Only tau1 and
+    tau2 are walked: tau3 is the inverse of tau2 tau1 (Q3), and on a
+    finite set an inverse is a positive power, so tau3 leads out of no
+    orbit of tau1 and tau2."""
+    tau1, tau2, _ = pt.index_perms
     seen = {0}
     frontier = [0]
     while frontier:
         new = []
         for x in frontier:
-            for perm in pt.index_perms:
-                y = perm[x]
+            for y in (tau1[x], tau2[x]):
                 if y not in seen:
                     seen.add(y)
                     new.append(y)

@@ -104,22 +104,23 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
     """Search records for every admissible triple, in canonical order.
 
     Unknown check names are refused before the search starts.  For every
-    surviving triple the bitrade is built.  G3 and the requested checks
-    are decided once per conjugacy orbit of (a, b), on the orbit's first
-    record.
+    triple the filters keep the bitrade is built.  G3 and the requested
+    checks are decided once per conjugacy orbit of (a, b), on the orbit's
+    first record.
     Conjugation by g maps the coset bitrade of (a, b, c) onto that of
     (a^g, b^g, c^g) with its rows, columns and symbols relabelled, so every
     verdict of the report holds on the whole orbit; and as <a^g, b^g> =
     <a, b>^g, so does G3.  G2, c != 1 and the orders are orbit invariants
     too, so the filters keep or skip an orbit whole.  G3 is read off the
     bitrade: the orbit of an element x under the right multiplications by
-    a, b and c is x<a, b, c>, so a, b and c generate G exactly when the
-    structure is transitive.  The requested checks run as one
-    ``compute_report`` (empty ``checks``, no properties), unless
-    ``require_g3`` skips the orbit.  G3 and the report are filed under
-    every conjugate pair as element indices (g^-1 x g is at
-    rho_g[rho_x[g^-1]], from the translations and inverses of
-    ``_non_identity``) and read there by the pair's record.  On every
+    a and b is x<a, b> = x<a, b, c> (``_orbit`` walks tau1 and tau2), so
+    a, b and c generate G exactly when the structure is transitive.  The
+    requested checks run as one ``compute_report`` (empty ``checks``, no
+    properties), unless ``require_g3`` skips the orbit; it then skips the
+    orbit's later records before their bitrades are built.  G3 and the
+    report are filed under every conjugate pair as element indices
+    (g^-1 x g is at rho_g[rho_x[g^-1]], from the translations and inverses
+    of ``_non_identity``) and read there by the pair's record.  On every
     record, thin, orthogonal and the homogeneity degree are decided again
     by the group criteria of its own triple, and a disagreement with the
     orbit's report raises ConsistencyError.  A record's k is read off the
@@ -145,6 +146,10 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
     for triple in iter_triples(group):
         if k is not None and triple.orders != (k, k, k):
             continue
+        ia, ib, _ = triple.indices
+        orbit = orbits[ia * n + ib]
+        if require_g3 and orbit is not None and not orbit[0]:
+            continue  # a later record of a non-generating orbit: nothing to build
         wb = triple.walks[1]
         if triple.a != a:
             a, frames = triple.a, {}  # <b> as walk B's members -> _frame
@@ -153,8 +158,6 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
             frame = frames[wb.members] = _frame(triple)
         cell_order, templates = frame
         bitrade = from_group(group, triple.a, triple.b, triple.c, cell_order=cell_order)
-        ia, ib, _ = triple.indices
-        orbit = orbits[ia * n + ib]
         if orbit is None:  # the orbit's first record
             g3 = len(_orbit(bitrade.permutation_triple)) == n
             report = {}

@@ -229,23 +229,34 @@ def test_g3_per_subgroup_pair_against_each_orbit(spec, monkeypatch):
         assert {r.g3 for r in records} == {True, False}
 
 
+# the bitrades search builds with --require-g3: one per listed record, and
+# the first record's of each non-generating orbit (2 on alt:4, 17 on sym:4)
+BUILT_WITH_G3 = {"alt:4": 96 + 2, "sym:4": 216 + 17}
+
+
 @pytest.mark.parametrize("spec, generating", [("alt:4", 8), ("sym:4", 9)])
 def test_require_g3_keeps_and_reports_generating_orbits_whole(spec, generating, monkeypatch):
     # G3 is an orbit invariant, so --require-g3 lists the unfiltered records
-    # that generate G, and the checks run once per generating orbit only
+    # that generate G, and the checks run once per generating orbit only;
+    # a non-generating orbit's later records are skipped before their
+    # bitrades are built
     checks = ("thin", "orthogonal", "homogeneous")
     G = group_from_spec(spec)
     unfiltered = search_triples(G, checks=checks)
-    reported = []
+    reported, built = [], []
     monkeypatch.setattr(search, "compute_report",
                         lambda bitrade, *args, **kwargs:
                         reported.append(bitrade) or compute_report(bitrade, *args, **kwargs))
+    monkeypatch.setattr(search, "from_group",
+                        lambda *args, **kwargs: built.append(args) or from_group(*args, **kwargs))
     records = search_triples(G, require_g3=True, checks=checks)
     assert [r.to_json_line() for r in records] == [
         r.to_json_line() for r in unfiltered if r.g3]
     assert all(len(_orbit(b.permutation_triple)) == G.order() for b in reported)
     pairs = [(G.parse_element(r.a), G.parse_element(r.b)) for r in records]
     assert len(reported) == len(conjugacy_orbits(G, pairs)) == generating
+    others = [(G.parse_element(r.a), G.parse_element(r.b)) for r in unfiltered if not r.g3]
+    assert len(built) == len(records) + len(conjugacy_orbits(G, others)) == BUILT_WITH_G3[spec]
 
 
 def test_table_instances_g3_against_the_closure(monkeypatch):

@@ -268,7 +268,7 @@ def perturbed(draw, text, size):
         "none", "foreign label", "duplicate triple", "swap triples", "crlf",
         "u escape", "second t_circ", "key after t_star", "trailing text",
         "truncate", "int label", "no provenance", "null provenance", "reindent",
-        "drop comma", "brace"]))
+        "drop comma", "brace", "swap mate symbols"]))
     lines = text.split("\n")
     key = draw(st.sampled_from(["t_circ", "t_star"]))
     k = draw(st.integers(0, size - 1))
@@ -286,6 +286,12 @@ def perturbed(draw, text, size):
         first, second = (_label_line(lines, key, t, -1) for t in (k, other))
         lines[first:first + 4], lines[second:second + 4] = (lines[second:second + 4],
                                                             lines[first:first + 4])
+    elif kind == "swap mate symbols":  # of two mate triples in one row or one column
+        line = lines[_label_line(lines, "t_star", k, i % 2)]
+        other = draw(st.sampled_from([t for t in range(size) if t != k and lines[
+            _label_line(lines, "t_star", t, i % 2)] == line]))
+        first, second = (_label_line(lines, "t_star", t, 2) for t in (k, other))
+        lines[first], lines[second] = lines[second], lines[first]
     elif kind == "u escape":
         at = draw(st.sampled_from([at, draw(st.sampled_from(_alphabet_lines(lines)))]))
         lines[at] = _escape_one_char(lines[at]) or lines[at]

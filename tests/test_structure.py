@@ -34,6 +34,7 @@ from bitrades.core import (
     triple_permutations,
 )
 from bitrades.errors import BitradesError, ParseError, ValidationError
+from bitrades.families import family_from_spec
 from bitrades.groups import group_from_spec
 from bitrades.properties import (
     compute_report,
@@ -377,13 +378,21 @@ def label_check(circ, star):
 def perturbed_pairs(draw):
     """A latin difference (T, T*) with at most one mate triple changed: a
     new symbol, dropped, replaced by a primary triple, or given a label
-    foreign to its coordinate; or with one more mate triple on T's labels."""
+    foreign to its coordinate; with one more mate triple on T's labels; or
+    with the symbols of two mate triples in one row or one column swapped,
+    so that the other pair map of that coordinate meets one pair twice or a
+    pair T lacks."""
     circ, star = draw(latin_difference_pairs())
     circ, star = sorted(circ, key=repr), sorted(star, key=repr)
     alphabets = [sorted({t[k] for t in circ}, key=repr) for k in range(3)]
     i = draw(st.integers(0, len(star) - 1))
-    kind = draw(st.sampled_from(["none", "symbol", "drop", "copy", "foreign", "add"]))
-    if kind == "symbol":
+    kind = draw(st.sampled_from(["none", "symbol", "drop", "copy", "foreign", "add", "swap"]))
+    if kind == "swap":  # every row and column of T* holds at least two triples
+        k = draw(st.integers(0, 1))
+        j = draw(st.sampled_from([j for j, t in enumerate(star)
+                                  if j != i and t[k] == star[i][k]]))
+        star[i], star[j] = star[i][:2] + star[j][2:], star[j][:2] + star[i][2:]
+    elif kind == "symbol":
         r, c, _ = star[i]
         star[i] = (r, c, draw(st.sampled_from(alphabets[2])))
     elif kind == "add":
@@ -1030,3 +1039,47 @@ class TestMinimalAgainstReference:
         G = group_from_spec("alt:5")
         for t in iter_triples(G):
             assert_minimal_matches_reference(from_group(G, t.a, t.b, t.c))
+
+
+# ---------------------------------------------------------------------------
+# the orbit walks tau1 and tau2 only
+
+def three_permutation_orbit(pt):
+    """The points reachable from point 0 by tau1, tau2 and tau3, breadth
+    first."""
+    return oracle_orbit(pt.index_perms, 0)
+
+
+def orbit_is_transitive(bitrade):
+    """Whether the structure is transitive, after checking ``_orbit``
+    against the three-permutation orbit."""
+    pt = bitrade.permutation_triple
+    orbit = properties._orbit(pt)
+    assert orbit == three_permutation_orbit(pt)
+    return len(orbit) == bitrade.size
+
+
+class TestOrbit:
+    def test_fixtures(self):
+        transitive = {name: orbit_is_transitive(make_bitrade(*pair))
+                      for name, pair in FIXTURES.items()}
+        assert transitive == {"two_by_three": True, "intercalate": True,
+                              "nonseparated": True, "two_intercalates": False}
+
+    @pytest.mark.parametrize("spec", ["alt:4", "sym:4", "p3:3"])
+    def test_group_triples(self, spec):
+        # each group has triples that generate it and triples that do not
+        verdicts = Counter(orbit_is_transitive(from_group(t.group, t.a, t.b, t.c))
+                           for t in group_triples(spec))
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("spec", ["zp2:p=3", "p3:p=3", "pq:p=7,q=3,r=2", "alt:m=1"])
+    def test_families(self, spec):
+        assert orbit_is_transitive(family_from_spec(spec).bitrade())
+
+    @settings(max_examples=150, deadline=None)
+    @given(latin_differences())
+    def test_latin_differences_and_their_structures(self, bitrade):
+        # a latin difference may fall apart into several bitrades
+        rebuilt = from_permutations(*oracle_triple_permutations(bitrade)[1])
+        assert orbit_is_transitive(bitrade) == orbit_is_transitive(rebuilt)
