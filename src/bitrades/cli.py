@@ -44,9 +44,12 @@ def _enum_cap(args):
     env = os.environ.get("BITRADE_MAX_ELEMENTS")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ParseError(f"BITRADE_MAX_ELEMENTS must be an integer, got {env!r}")
+        if cap < 0:
+            raise ParseError(f"BITRADE_MAX_ELEMENTS must be at least 0, got {cap}")
+        return cap
     return None  # the groups read groups.DEFAULT_MAX_ELEMENTS when they check
 
 
@@ -170,7 +173,12 @@ def _table_json(rows) -> str:
 
 
 def cmd_table(args) -> int:
-    ks = [int(k) for k in args.k.split(",") if k.strip()]
+    ks = []
+    for item in filter(str.strip, args.k.split(",")):
+        try:
+            ks.append(int(item))
+        except ValueError:
+            raise ParseError(f"--k value {item.strip()!r} in {args.k!r} is not an integer")
     if not ks:
         raise ParseError(f"--k {args.k!r} lists no k value")
     for i, k in enumerate(ks):
@@ -245,6 +253,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("enum_cap", "search_cap", "oracle_cap", "primary_cap"):
+            cap = getattr(args, name, None)
+            if cap is not None and cap < 0:
+                raise ParseError(f"--{name.replace('_', '-')} must be at least 0, got {cap}")
         return args.func(args)
     except ResourceCapError as err:
         print(f"resource cap exceeded: {err}", file=sys.stderr)

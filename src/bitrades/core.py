@@ -704,11 +704,6 @@ class GroupTriple:
         """The strings of a, b and c, each made once per group."""
         return tuple(self.group._element_strs(self.indices))
 
-    def written(self, spelling):
-        """Per alphabet of the coset bitrade, the text a writer reads of its
-        labels as their walk keeps it (``CosetWalk.written``)."""
-        return [w.written(tag, spelling) for w, tag in zip(self.walks, _GROUP_TAGS)]
-
     def __repr__(self):
         a, b, c = self.element_strs()
         return f"GroupTriple({self.group.spec}, a={a}, b={b}, c={c})"

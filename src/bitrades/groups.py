@@ -40,7 +40,6 @@ import bisect
 import itertools
 import math
 from array import array
-from json.encoder import encode_basestring_ascii as escape
 
 from .errors import ConsistencyError, GroupError, ParseError, ResourceCapError
 
@@ -287,13 +286,11 @@ class CosetWalk:
       as an ``array('i')``.
     * ``distinct``: whether no two cycles have one name (two points may
       format alike), decided once for every bitrade built on the walk.
-    * ``labels(tag)`` and ``written(tag, spelling)``: the names prefixed
-      with ``tag:``, and the JSON text a writer reads of them, each made on
-      first use per tag and spelling.
+    * ``labels(tag)``: the names prefixed with ``tag:``, made on first use
+      per tag.
     """
 
-    __slots__ = ("powers", "members", "names", "order", "rank", "distinct", "_labels",
-                 "_written")
+    __slots__ = ("powers", "members", "names", "order", "rank", "distinct", "_labels")
 
     def __init__(self, q, strs, start):
         powers = [start]
@@ -322,7 +319,6 @@ class CosetWalk:
         self.rank = array("i", [rank[k] for k in coset])
         self.distinct = len(set(self.names)) == len(reps)
         self._labels = {}
-        self._written = {}
 
     def labels(self, tag):
         """The names prefixed with ``tag:``, in declared and in name order."""
@@ -330,19 +326,6 @@ class CosetWalk:
         if out is None:
             declared = tuple([f"{tag}:{name}" for name in self.names])
             out = self._labels[tag] = (declared, tuple(map(declared.__getitem__, self.order)))
-        return out
-
-    def written(self, tag, spelling):
-        """The JSON strings of ``labels(tag)`` in name order, and the JSON
-        list of them in declared order as ``spelling`` spells it (the text
-        that opens a list, separates its items and closes it)."""
-        key = (tag, spelling)
-        out = self._written.get(key)
-        if out is None:
-            escaped = list(map(escape, self.labels(tag)[0]))
-            open_, sep, close = spelling
-            out = self._written[key] = (list(map(escaped.__getitem__, self.order)),
-                                        open_ + sep.join(escaped) + close)
         return out
 
 

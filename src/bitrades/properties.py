@@ -35,7 +35,9 @@ class PropertyResult:
 
     ``value`` is "yes", "no", "unknown", or the homogeneity degree k;
     ``method`` records how it was decided (direct-scan, group-criterion,
-    orbit, oracle); ``witness`` is a counterexample or certificate.
+    orbit, oracle); ``witness`` is a counterexample or certificate;
+    ``elapsed`` is the check's wall time in seconds, which
+    ``compute_report`` sets (0.0 on a result made outside it).
     """
 
     value: object
@@ -60,21 +62,16 @@ def _jsonable(obj):
     return obj
 
 
-def _timed(started, value, method, witness=None):
-    return PropertyResult(value, method, witness, time.monotonic() - started)
-
-
 # ---------------------------------------------------------------------------
 # separated
 
 def is_separated(bitrade: Bitrade) -> PropertyResult:
     """Every row, column and symbol must meet exactly one cycle of the
     corresponding triple permutation."""
-    started = time.monotonic()
     witness = separation_witness(bitrade)
     if witness is None:
-        return _timed(started, "yes", "direct-scan")
-    return _timed(started, "no", "direct-scan", witness)
+        return PropertyResult("yes", "direct-scan")
+    return PropertyResult("no", "direct-scan", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +157,6 @@ def is_primary(bitrade: Bitrade, definitional_cap=DEFAULT_PRIMARY_CAP) -> Proper
     subset search also runs, and a disagreement raises ConsistencyError.
     For non-separated input the orbit method alone reports "unknown".
     """
-    started = time.monotonic()
     pt = triple_permutations(bitrade)
     orbit = _orbit(pt)
     transitive = len(orbit) == bitrade.size
@@ -173,10 +169,10 @@ def is_primary(bitrade: Bitrade, definitional_cap=DEFAULT_PRIMARY_CAP) -> Proper
     if separated or exhaustive is not None:
         method = "orbit" if separated else "oracle"
         if transitive:
-            return _timed(started, "yes", method)
+            return PropertyResult("yes", method)
         witness = tuple(map(pt.__getitem__, sorted(orbit)))
-        return _timed(started, "no", method, witness)
-    return _timed(started, "unknown", "orbit")
+        return PropertyResult("no", method, witness)
+    return PropertyResult("unknown", "orbit")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +205,6 @@ def is_thin(bitrade: Bitrade) -> PropertyResult:
     cell, and the bitrade is thin exactly when every meet has two.  Only a
     "no" names its witness: the least violation, which lies in the first
     row with a larger meet, built from that row's extra symbols."""
-    started = time.monotonic()
     pt = bitrade.permutation_triple
     rows, cols, syms = pt.coords
     row_syms = [set() for _ in pt.alphabets[0]]
@@ -223,7 +218,7 @@ def is_thin(bitrade: Bitrade) -> PropertyResult:
         raise ConsistencyError("a filled cell's row and column share fewer than two "
                                "symbols, though they share its symbol and its mate symbol")
     if max(meets) == 2:
-        return _timed(started, "yes", "direct-scan")
+        return PropertyResult("yes", "direct-scan")
     r = min(rows[x] for x, k in enumerate(meets) if k > 2)
     in_row = [x for x, row in enumerate(rows) if row == r]
     col_of = {syms[x]: cols[x] for x in in_row}  # each symbol of row r, at its column
@@ -238,7 +233,7 @@ def is_thin(bitrade: Bitrade) -> PropertyResult:
         own = (syms[w], syms[tau2[w]])
         violations.extend((r, col_of[s], row_of[c * ns + s], c)
                           for s in row_syms[r].intersection(col_syms[c]) if s not in own)
-    return _timed(started, "no", "direct-scan", _cell_witness(pt, min(violations)))
+    return PropertyResult("no", "direct-scan", _cell_witness(pt, min(violations)))
 
 
 def is_orthogonal(bitrade: Bitrade) -> PropertyResult:
@@ -249,20 +244,19 @@ def is_orthogonal(bitrade: Bitrade) -> PropertyResult:
     column and symbol (see ``core._rank_structure``), so a cell's pair is
     read off the structure; a repeated key is two cells with equal trade
     and equal mate symbols."""
-    started = time.monotonic()
     pt = bitrade.permutation_triple
     rows, cols, syms = pt.coords
     ns = len(pt.alphabets[2])
     keys = [s * ns + syms[z] for s, z in zip(syms, pt.index_perms[1])]
     if len(set(keys)) == len(keys):
-        return _timed(started, "yes", "direct-scan")
+        return PropertyResult("yes", "direct-scan")
     classes = {}
     for x, key in enumerate(keys):
         classes.setdefault(key, []).append(x)
     # in cell order, the least pair of a class is its first two points
     x, y = min(xs[:2] for xs in classes.values() if len(xs) > 1)
-    return _timed(started, "no", "direct-scan",
-                  _cell_witness(pt, (rows[x], cols[x], rows[y], cols[y])))
+    return PropertyResult("no", "direct-scan",
+                          _cell_witness(pt, (rows[x], cols[x], rows[y], cols[y])))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +265,6 @@ def is_orthogonal(bitrade: Bitrade) -> PropertyResult:
 def homogeneity(bitrade: Bitrade) -> PropertyResult:
     """The unique k such that every row and column holds k entries and every
     symbol occurs k times, else "no" with the first deviating label."""
-    started = time.monotonic()
     pt = bitrade.permutation_triple
     counts = [Counter(coord) for coord in pt.coords]  # per rank; every rank occurs (P2)
     baseline = counts[0][pt.alphabets[0].index(bitrade.rows[0])]
@@ -283,8 +276,8 @@ def homogeneity(bitrade: Bitrade) -> PropertyResult:
         by_label = dict(zip(ranked, map(count.__getitem__, range(len(ranked)))))
         for lab in labels:
             if by_label[lab] != baseline:
-                return _timed(started, "no", "direct-scan", (coord, lab, by_label[lab], baseline))
-    return _timed(started, baseline, "direct-scan")
+                return PropertyResult("no", "direct-scan", (coord, lab, by_label[lab], baseline))
+    return PropertyResult(baseline, "direct-scan")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +292,6 @@ def group_thin_criterion(triple: GroupTriple) -> PropertyResult:
     (a^i b^j)^-1 among the powers of c, looked up as a^i b^j = c^-k.  One
     product in the group confirms each solution found, on elements read
     from the group's store (``Group.elements_at``)."""
-    started = time.monotonic()
     G = triple.group
     wa, wb, wc = triple.walks
     rho_b = triple.translations[1]
@@ -322,8 +314,8 @@ def group_thin_criterion(triple: GroupTriple) -> PropertyResult:
         if solutions != [(0, 0, 0), (1, 1, 1)]:
             raise ConsistencyError(
                 "abc = 1 but the exponent search misses (0,0,0) or (1,1,1)")
-        return _timed(started, "yes", "group-criterion")
-    return _timed(started, "no", "group-criterion", min(extra))
+        return PropertyResult("yes", "group-criterion")
+    return PropertyResult("no", "group-criterion", min(extra))
 
 
 def group_orthogonal_criterion(triple: GroupTriple) -> PropertyResult:
@@ -334,7 +326,6 @@ def group_orthogonal_criterion(triple: GroupTriple) -> PropertyResult:
     each to a^-1 c^j a.  After |C| steps the walk is back at a^-1, and the
     |C| conjugates are distinct.  The elements it names are read from the
     group's store (``Group.elements_at``)."""
-    started = time.monotonic()
     G = triple.group
     wa, _, wc = triple.walks
     rho_a, _, rho_c = triple.translations
@@ -348,10 +339,10 @@ def group_orthogonal_criterion(triple: GroupTriple) -> PropertyResult:
             f"the conjugate of a subgroup of order {len(wc.powers)} does not have that order")
     common = wc.members & conj
     if len(common) == 1:
-        return _timed(started, "yes", "group-criterion")
+        return PropertyResult("yes", "group-criterion")
     identity = wa.powers[0]
     witness = min(G.elements_at(g for g in common if g != identity), key=_sort_key)
-    return _timed(started, "no", "group-criterion", witness)
+    return PropertyResult("no", "group-criterion", witness)
 
 
 def group_homogeneity(triple: GroupTriple) -> PropertyResult:
@@ -380,12 +371,11 @@ def pq_thin_solutions(p, q, r):
 def pq_thin_predicate(p, q, r) -> PropertyResult:
     """Thinness of the metacyclic-family bitrade, decided by the exponent
     congruence alone: thin iff the solutions are exactly (0,0) and (1,1)."""
-    started = time.monotonic()
     sols = pq_thin_solutions(p, q, r)
     extra = [s for s in sols if s not in ((0, 0), (1, 1))]
     if not extra:
-        return _timed(started, "yes", "group-criterion")
-    return _timed(started, "no", "group-criterion", min(extra))
+        return PropertyResult("yes", "group-criterion")
+    return PropertyResult("no", "group-criterion", min(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +450,8 @@ def is_minimal(trade, cap=DEFAULT_MINIMAL_CAP) -> PropertyResult:
     The search (``_proper_subtrade``) runs on label ranks: a bitrade's
     own, or the labels of a partial latin square ranked in ``_sort_key``
     order.  Only the witness is made of labels."""
-    started = time.monotonic()
     if trade.size > cap:
-        return _timed(started, "unknown", "oracle")
+        return PropertyResult("unknown", "oracle")
     if isinstance(trade, Bitrade):
         pt = trade.permutation_triple
         alphabets, (rows, cols, syms) = pt.alphabets, pt.coords
@@ -473,9 +462,9 @@ def is_minimal(trade, cap=DEFAULT_MINIMAL_CAP) -> PropertyResult:
         rows, cols, syms = ([t[i] for t in triples] for i in range(3))
     found = _proper_subtrade(rows, cols, syms)
     if found is None:
-        return _timed(started, "yes", "oracle")
+        return PropertyResult("yes", "oracle")
     lr, lc, ls = alphabets
-    return _timed(started, "no", "oracle", {
+    return PropertyResult("no", "oracle", {
         "trade": tuple((lr[rows[x]], lc[cols[x]], ls[syms[x]]) for x, _ in found),
         "mate": tuple((lr[rows[x]], lc[cols[x]], ls[syms[f]]) for x, f in found)})
 
@@ -504,27 +493,27 @@ def compute_report(bitrade: Bitrade, checks=None, *,
     The "bitrade" check is implicit (the input is already validated); the
     report maps result keys to PropertyResult values, each check under its
     name except "homogeneous", which is "homogeneous_k".  Unknown names are
-    refused before any check runs.  A report that decides thin, primary
+    refused before any check runs.  Each result's ``elapsed`` is set here,
+    to the wall time of its check.  A report that decides thin, primary
     and minimal checks that thin and primary imply minimal.
     """
     checks = list(checks or DEFAULT_CHECKS)
     check_names(checks)
+    decide = {
+        "bitrade": lambda: PropertyResult("yes", "direct-scan"),
+        "separated": lambda: is_separated(bitrade),
+        "primary": lambda: is_primary(bitrade, primary_cap),
+        "thin": lambda: is_thin(bitrade),
+        "orthogonal": lambda: is_orthogonal(bitrade),
+        "homogeneous": lambda: homogeneity(bitrade),
+        "minimal": lambda: is_minimal(bitrade, minimal_cap),
+    }
     report = {}
     for check in checks:
-        if check == "bitrade":
-            report["bitrade"] = PropertyResult("yes", "direct-scan")
-        elif check == "separated":
-            report["separated"] = is_separated(bitrade)
-        elif check == "primary":
-            report["primary"] = is_primary(bitrade, primary_cap)
-        elif check == "thin":
-            report["thin"] = is_thin(bitrade)
-        elif check == "orthogonal":
-            report["orthogonal"] = is_orthogonal(bitrade)
-        elif check == "homogeneous":
-            report["homogeneous_k"] = homogeneity(bitrade)
-        elif check == "minimal":
-            report["minimal"] = is_minimal(bitrade, minimal_cap)
+        started = time.monotonic()
+        result = decide[check]()
+        result.elapsed = time.monotonic() - started
+        report["homogeneous_k" if check == "homogeneous" else check] = result
     # thin and primary force minimality
     if [report[name].value if name in report else None
             for name in ("thin", "primary", "minimal")] == ["yes", "yes", "no"]:

@@ -6,7 +6,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .core import GroupTriple, _cell_order, from_group
+from .core import _GROUP_TAGS, GroupTriple, _cell_order, from_group
 from .errors import ResourceCapError, ValidationError
 from .properties import (
     DEFAULT_MINIMAL_CAP,
@@ -16,7 +16,7 @@ from .properties import (
     compute_report,
     group_homogeneity,
 )
-from .serialize import _COMPACT, _compact_chunks, _square_templates
+from .serialize import _COMPACT, _alphabet_text, _compact_chunks, _square_templates
 
 DEFAULT_SEARCH_CAP = 200
 
@@ -38,27 +38,27 @@ class SearchRecord:
         return json.dumps(vars(self), sort_keys=True)
 
 
-def bitrade_signature(bitrade, triple=None, templates=None) -> str:
+def bitrade_signature(bitrade, written=None, templates=None) -> str:
     """Stable content hash of the bitrade's document without its provenance
     (alphabets and triples only, so that equal bitrades from different
     triples collide): the first 16 hex digits of the SHA-256 of its
-    compact JSON text.  The label text is read off the coset walks of
-    ``triple`` (``GroupTriple.written``), the group triple whose coset
-    bitrade this is, if given, and the squares' text around the symbols off
-    ``templates`` (``_frame``) if given; else they are made here."""
-    written = None if triple is None else triple.written(_COMPACT.lists[0])
+    compact JSON text.  The text of its alphabets is ``written``
+    (``_alphabet_text`` per alphabet in ``_COMPACT``) and that of its
+    squares around the symbols ``templates`` (``_frame``), if given; else
+    they are made here."""
     text = "".join(_compact_chunks(bitrade, written, templates))
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
-def _frame(triple):
+def _frame(triple, written):
     """What the coset bitrades of one a and one <b> share: the cell order
     with tau1 in it (``core._cell_order`` of the walks of a and b and the
     right multiplication by a), and the compact writer's chunk templates,
-    with each triple's row and column text in place (``_square_templates``)."""
+    with each triple's row and column text in place (``_square_templates``),
+    read off the triple's ``written`` text of A and B."""
     wa, wb, _ = triple.walks
     cell_order = _cell_order(wa.rank, wb.rank, len(wb.names), triple.translations[0])
-    (rows, _), (cols, _), _ = triple.written(_COMPACT.lists[0])
+    (rows, _), (cols, _), _ = written
     rows = list(map(rows.__getitem__, cell_order[2]))
     cols = list(map(cols.__getitem__, cell_order[3]))
     return cell_order, list(_square_templates(_COMPACT, rows, cols))
@@ -130,9 +130,12 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
     and <b>, so they are made once per a and <b> (``_frame``) and passed to
     ``from_group`` and ``bitrade_signature``; as ``iter_triples`` yields the
     triples of one a together, only the current a's frames, one per <b>,
-    are kept.  A record's strings of a, b and c are those that
-    ``from_group`` wrote into the bitrade's provenance.  The group's
-    enumeration cap bounds every enumeration of it.
+    are kept.  The text of an alphabet (``_alphabet_text``) depends only on
+    its coset walk and tag, so it is made once per walk and tag in a
+    search, for ``_frame`` and ``bitrade_signature`` to read.  A record's
+    strings of a, b and c are those that ``from_group`` wrote into the
+    bitrade's provenance.  The group's enumeration cap bounds every
+    enumeration of it.
     """
     check_names(checks)
     n = group.order()
@@ -142,6 +145,7 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
     records = []
     conjugators = _non_identity(group)[2]
     orbits = [None] * (n * n)  # ia * n + ib -> (G3, report) of the pair's orbit
+    texts = {}  # (walk, tag) -> _alphabet_text of its labels in _COMPACT
     a = None
     for triple in iter_triples(group):
         if k is not None and triple.orders != (k, k, k):
@@ -150,12 +154,18 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
         orbit = orbits[ia * n + ib]
         if require_g3 and orbit is not None and not orbit[0]:
             continue  # a later record of a non-generating orbit: nothing to build
+        written = []
+        for walk, tag in zip(triple.walks, _GROUP_TAGS):
+            text = texts.get((walk, tag))
+            if text is None:
+                text = texts[walk, tag] = _alphabet_text(*walk.labels(tag), _COMPACT)
+            written.append(text)
         wb = triple.walks[1]
         if triple.a != a:
             a, frames = triple.a, {}  # <b> as walk B's members -> _frame
         frame = frames.get(wb.members)
         if frame is None:
-            frame = frames[wb.members] = _frame(triple)
+            frame = frames[wb.members] = _frame(triple, written)
         cell_order, templates = frame
         bitrade = from_group(group, triple.a, triple.b, triple.c, cell_order=cell_order)
         if orbit is None:  # the orbit's first record
@@ -179,6 +189,6 @@ def search_triples(group, *, require_g3=False, k=None, checks=("thin", "orthogon
             size=bitrade.size, orders=triple.orders, g3=g3,
             k=hom if hom != "no" else None,
             properties={name: res.value for name, res in report.items()},
-            signature=bitrade_signature(bitrade, triple, templates),
+            signature=bitrade_signature(bitrade, written, templates),
         ))
     return records

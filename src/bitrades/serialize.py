@@ -89,7 +89,7 @@ def _square_templates(layout, rows, cols):
 def _document_chunks(bitrade, written, layout, provenance="", templates=None):
     """The bitrade's document in ``layout``, in chunks; ``written`` holds
     per alphabet its JSON strings in ``_sort_key`` order and its JSON list
-    in ``layout`` (``_written``).
+    in ``layout`` (``_alphabet_text``).
 
     A chunk is its template (``_square_templates``, made chunk by chunk
     for each square) with the symbols put in their slots by slice
@@ -113,20 +113,13 @@ def _document_chunks(bitrade, written, layout, provenance="", templates=None):
         yield t_close + close + after
 
 
-def _escaped_alphabets(bitrade):
-    """Per alphabet, each label's JSON string in declared order."""
-    return [{lab: escape(_label_str(lab)) for lab in labels}
-            for labels in bitrade.alphabets]
-
-
-def _written(bitrade, escaped, layout):
-    """Per alphabet, the JSON strings of ``escaped`` (as
-    ``_escaped_alphabets`` makes them) in ``_sort_key`` order, and their
-    JSON list in declared order as ``layout`` spells it.  A coset walk
-    keeps the same pair for its alphabet (``CosetWalk.written``)."""
+def _alphabet_text(declared, ranked, layout):
+    """The text the writers read of one alphabet: its labels' JSON strings
+    in ``_sort_key`` order (``ranked``), and their JSON list in declared
+    order as ``layout`` spells it."""
+    escaped = {lab: escape(_label_str(lab)) for lab in declared}
     open_, sep, close = layout.lists[0]
-    return [(list(map(esc.__getitem__, labels)), open_ + sep.join(esc.values()) + close)
-            for esc, labels in zip(escaped, bitrade.permutation_triple.alphabets)]
+    return list(map(escaped.__getitem__, ranked)), open_ + sep.join(escaped.values()) + close
 
 
 def _json_chunks(bitrade):
@@ -136,26 +129,27 @@ def _json_chunks(bitrade):
     as [row, column, symbol] lists of label strings sorted (see
     ``_square_columns``), and its provenance.  Two labels written as one
     string are refused: the document would not read back."""
-    escaped = _escaped_alphabets(bitrade)
-    counts = Counter(e for esc in escaped for e in esc.values())
+    written = [_alphabet_text(declared, ranked, _INDENTED) for declared, ranked
+               in zip(bitrade.alphabets, bitrade.permutation_triple.alphabets)]
+    counts = Counter(chain.from_iterable(ranked for ranked, _ in written))
     shared = [e for e, count in counts.items() if count > 1]
     if shared:
         raise ValidationError("P2", f"two labels are both written as {min(shared)}")
     # nested one level deep: every line after the first moves two spaces in
     provenance = json.dumps(bitrade.provenance, indent=2, sort_keys=True).replace(
         "\n", "\n  ")
-    yield from _document_chunks(bitrade, _written(bitrade, escaped, _INDENTED), _INDENTED,
-                                provenance)
+    yield from _document_chunks(bitrade, written, _INDENTED, provenance)
 
 
 def _compact_chunks(bitrade, written=None, templates=None):
     """The text of ``json.dumps(doc, sort_keys=True)`` for the bitrade's
     document without its provenance, in chunks; ``written`` is its
-    ``_written`` text in ``_COMPACT`` and ``templates`` its chunk templates
-    (``_document_chunks``), if given."""
-    return _document_chunks(
-        bitrade, written or _written(bitrade, _escaped_alphabets(bitrade), _COMPACT), _COMPACT,
-        templates=templates)
+    ``_alphabet_text`` per alphabet in ``_COMPACT`` and ``templates`` its
+    chunk templates (``_document_chunks``), if given."""
+    if written is None:
+        written = [_alphabet_text(declared, ranked, _COMPACT) for declared, ranked
+                   in zip(bitrade.alphabets, bitrade.permutation_triple.alphabets)]
+    return _document_chunks(bitrade, written, _COMPACT, templates=templates)
 
 
 def bitrade_to_json(bitrade: Bitrade) -> str:

@@ -40,6 +40,13 @@ def run_cli(*argv, timeout=60):
                           capture_output=True, encoding="utf-8", timeout=timeout, env=env)
 
 
+@pytest.fixture
+def sample_path(tmp_path):
+    path = tmp_path / "sample.json"
+    write_bitrade(make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR), path)
+    return str(path)
+
+
 class TestConstruct:
     def test_family_to_file(self, tmp_path, capsys):
         out = tmp_path / "t.json"
@@ -239,12 +246,6 @@ class TestConstruct:
 
 
 class TestVerify:
-    @pytest.fixture
-    def sample_path(self, tmp_path):
-        path = tmp_path / "sample.json"
-        write_bitrade(make_bitrade(TWO_BY_THREE_CIRC, TWO_BY_THREE_STAR), path)
-        return str(path)
-
     def test_valid_bitrade(self, sample_path, capsys):
         assert main(["verify", sample_path, "--checks", "bitrade,separated"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -458,6 +459,39 @@ class TestSearch:
         assert "unbalanced brackets" in capsys.readouterr().err
 
 
+class TestCaps:
+    @pytest.mark.parametrize("argv, flag, cap", [
+        (["verify", "{}", "--oracle-cap", "-1"], "--oracle-cap", -1),
+        (["verify", "{}", "--primary-cap", "-3"], "--primary-cap", -3),
+        (["construct", "--family", "alt:m=1", "--enum-cap", "-5"], "--enum-cap", -5),
+        (["search", "--group", "sym:3", "--search-cap", "-1"], "--search-cap", -1),
+        (["search", "--group", "sym:3", "--oracle-cap", "-2"], "--oracle-cap", -2),
+        (["table", "--k", "3", "--recompute", "--enum-cap", "-1"], "--enum-cap", -1),
+    ], ids=["verify oracle", "verify primary", "construct enum", "search search",
+            "search oracle", "table enum"])
+    def test_negative_cap_exits_2(self, sample_path, capsys, argv, flag, cap):
+        argv = [arg.format(sample_path) for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} must be at least 0, got {cap}\n")
+
+    def test_negative_env_cap_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("BITRADE_MAX_ELEMENTS", "-5")
+        assert main(["construct", "--family", "alt:m=1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: BITRADE_MAX_ELEMENTS must be at least 0, got -5\n")
+
+    def test_zero_caps_stay_valid(self, sample_path, monkeypatch, capsys):
+        # a cap of 0 allows nothing, and says so
+        assert main(["verify", sample_path, "--checks", "minimal", "--oracle-cap", "0"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: minimal undecided: 6 cells above --oracle-cap 0\n")
+        assert main(["search", "--group", "sym:3", "--search-cap", "0"]) == 3
+        monkeypatch.setenv("BITRADE_MAX_ELEMENTS", "0")
+        capsys.readouterr()
+        assert main(["construct", "--family", "alt:m=1"]) == 3
+        assert "(cap: 0)" in capsys.readouterr().err
+
+
 class TestTable:
     def test_default_matches_golden(self, capsys):
         assert main(["table"]) == 0
@@ -484,6 +518,8 @@ class TestTable:
         (",", "--k ',' lists no k value"),
         ("3,3", "--k value 3 repeated in '3,3'"),
         ("5,3,05", "--k value 5 repeated in '5,3,05'"),
+        ("3,abc", "--k value 'abc' in '3,abc' is not an integer"),
+        ("3.0", "--k value '3.0' in '3.0' is not an integer"),
     ])
     def test_empty_or_repeated_k_refused(self, capsys, ks, message):
         assert main(["table", "--k", ks]) == 2

@@ -33,6 +33,7 @@ from bitrades.properties import (
     primary_exhaustive,
 )
 from bitrades.search import bitrade_signature, iter_triples, search_triples
+from bitrades.serialize import _COMPACT, _alphabet_text
 
 from conftest import (
     INTERCALATE_CIRC,
@@ -405,6 +406,12 @@ def test_cap_checked_once_per_group_triple(monkeypatch):
     assert len(calls) <= 13_686  # 10,354 here; 27,491 with a check per accessor
 
 
+def walk_texts(triple):
+    """The compact text of each alphabet of the triple's coset bitrade, as
+    search makes it from the triple's coset walks."""
+    return [_alphabet_text(*walk.labels(tag), _COMPACT) for walk, tag in zip(triple.walks, "ABC")]
+
+
 def assert_shared_cell_order_builds_alike(triples):
     """Each triple's record parts from the frame search shares for its a
     and <b> (``search._frame``, made on the first b of the <b>) equal those
@@ -414,15 +421,31 @@ def assert_shared_cell_order_builds_alike(triples):
     for t in triples:
         if t.a != a:
             a, frames = t.a, {}
-        cell_order, templates = frames.setdefault(t.walks[1].members, search._frame(t))
+        written = walk_texts(t)
+        cell_order, templates = frames.setdefault(t.walks[1].members, search._frame(t, written))
         mine = from_group(t.group, t.a, t.b, t.c, cell_order=cell_order)
         theirs = from_group(t.group, t.a, t.b, t.c)
         assert mine.alphabets == theirs.alphabets
         pm, pt = mine.permutation_triple, theirs.permutation_triple
         assert (pm.alphabets, pm.coords, pm.index_perms) == (pt.alphabets, pt.coords,
                                                              pt.index_perms)
-        assert (bitrade_signature(mine, t, templates) == bitrade_signature(theirs)
+        assert (bitrade_signature(mine, written, templates) == bitrade_signature(theirs)
                 == oracle_signature(theirs))
+
+
+def test_alphabet_text_made_once_per_walk_and_tag(monkeypatch, capsys):
+    # search makes the text of each (coset walk, tag) it meets once, however
+    # many records read it
+    calls = []
+    monkeypatch.setattr(search, "_alphabet_text",
+                        lambda *args: calls.append(args) or _alphabet_text(*args))
+    assert main(["search", "--group", "alt:4"]) == 0
+    assert capsys.readouterr().err == "102 triples found in alt:4\n"
+    # a coset walk is made once per element, so an element and its place
+    # in the triple name a (walk, tag) pair
+    G = group_from_spec("alt:4")
+    pairs = {(t.indices[i], tag) for t in iter_triples(G) for i, tag in enumerate("ABC")}
+    assert len(calls) == len(pairs) == 3 * 11
 
 
 @pytest.mark.parametrize("spec", ["alt:4", "sym:4", "p3:3"])
@@ -570,10 +593,9 @@ def test_coset_walks_against_the_cosets():
             assert declared == tuple("B:" + name for name in walk.names)
             assert in_order == tuple(sorted(declared))
             # the JSON text the writers read: the labels' strings in name
-            # order and their JSON list in declared order, per spelling
-            text = walk.written("B", ("[", ", ", "]"))
-            assert text == ([json.dumps(label) for label in in_order], json.dumps(list(declared)))
-            assert walk.written("B", ("[", ", ", "]")) is text
+            # order and their JSON list in declared order
+            assert _alphabet_text(declared, in_order, _COMPACT) == (
+                [json.dumps(label) for label in in_order], json.dumps(list(declared)))
             assert walk.distinct
 
 
