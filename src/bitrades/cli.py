@@ -128,6 +128,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.k is not None and args.k < 2:  # a non-identity element has order at least 2
+        raise ParseError(f"--k must be at least 2, got {args.k}")
     group = group_from_spec(args.group, _enum_cap(args))
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     records = search_triples(group, require_g3=args.require_g3, k=args.k,

@@ -51,7 +51,7 @@ from itertools import count, islice
 from operator import eq, itemgetter, lt
 
 from .errors import ConsistencyError, GroupError, ValidationError
-from .groups import CosetWalk, Group
+from .groups import CosetWalk, Group, cycle_numbers, cycle_through
 
 _COORD_NAMES = ("row", "column", "symbol")
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -445,15 +445,16 @@ class PermutationTriple:
 
     The permutations are held as arrays of integer indices into
     ``points``: ``index_perms[i][x]`` is the index of the image of
-    point x; ``index_cycles[i]`` lists the cycles of the i-th permutation as
-    index lists, each starting at its least index and in ascending order of
-    it; and ``cycle_of[i][x]`` is the number of the cycle through point x.
-    The cycles are found on first access by one walk, which checks Q2;
-    that is all, because every builder proved Q1-Q3 (``from_permutations``
-    on its input, ``from_group`` by the construction theorem from G1-G2,
-    ``make_bitrade`` from P1 and R1-R3, see ``_pair_structure``).
-    ``perms`` (dicts over the points) and ``cycles`` (point tuples) are
-    the same permutations in terms of the points, built on first access.
+    point x, and ``reps[i]`` lists the least index of each cycle of the
+    i-th permutation, in ascending order.  ``reps`` is found on first
+    access by one walk of each permutation (``_walk_cycles``), which checks
+    Q2; that is all, because every builder proved Q1-Q3
+    (``from_permutations`` on its input, ``from_group`` by the
+    construction theorem from G1-G2, ``make_bitrade`` from P1 and R1-R3,
+    see ``_pair_structure``).  ``perms`` (dicts over the points, built on
+    first access) and ``cycles`` (point tuples, each cycle from its least
+    point, built from ``reps`` on each access) are the same permutations
+    in terms of the points.
 
     The points are the primary triples in canonical order, the i-th
     permutation fixes coordinate i, and its cycles partition the
@@ -477,27 +478,21 @@ class PermutationTriple:
         return tuple(labels[coord[x]] for labels, coord in zip(self.alphabets, self.coords))
 
     @cached_property
-    def _cycles(self):
-        return _walk_cycles(self.index_perms, self)  # its construction proved Q1-Q3
-
-    @property
-    def index_cycles(self):
-        return self._cycles[0]
-
-    @property
-    def cycle_of(self):
-        return self._cycles[1]
+    def reps(self):
+        return _walk_cycles(self.index_perms, self)[1]  # its construction proved Q1-Q3
 
     @cached_property
     def perms(self):
         pts = self.points
         return tuple({x: pts[y] for x, y in zip(pts, q)} for q in self.index_perms)
 
-    @cached_property
+    @property
     def cycles(self):
-        pts = self.points
-        return tuple(tuple(tuple(pts[x] for x in c) for c in cyc)
-                     for cyc in self.index_cycles)
+        return tuple(tuple(self._cycle(i, x) for x in reps) for i, reps in enumerate(self.reps))
+
+    def _cycle(self, i, x):
+        """The cycle of the i-th permutation through point x, from it, as points."""
+        return tuple(map(self.__getitem__, cycle_through(self.index_perms[i], x)))
 
 
 def _index_permutations(perms, points):
@@ -515,52 +510,37 @@ def _index_permutations(perms, points):
 
 
 def _walk_cycles(perms, points):
-    """The cycles of three permutations given as index lists into
-    ``points`` (named in errors), checking Q2 (no fixed points) on the way.
-
-    Returns, per permutation, its cycles as index lists, each starting at
-    its least index and in ascending order of it, and the cycle number of
-    every index.
+    """``cycle_numbers`` of each of three permutations given as index lists
+    into ``points`` (named in errors), as a tuple of the three cycle number
+    lists and a tuple of the three least index lists, checking Q2 (no fixed
+    points) on the way: a fixed point is a cycle of its own, so it is a
+    least index x with q[x] == x.
     """
-    n = len(perms[0])
-    cycles = []
-    cycle_of = []
+    numbers, reps = [], []
     for idx, q in enumerate(perms, 1):
-        cyc = []
-        of = [-1] * n
-        for start in range(n):
-            if of[start] >= 0:
-                continue
-            if q[start] == start:
+        number, least = cycle_numbers(q)
+        for x in least:
+            if q[x] == x:
                 raise ValidationError(
-                    "Q2", f"permutation {idx} fixes the point {point_str(points[start])}",
-                    witness=(idx, points[start]))
-            k = len(cyc)
-            cycle = [start]
-            of[start] = k
-            x = q[start]
-            while x != start:
-                cycle.append(x)
-                of[x] = k
-                x = q[x]
-            cyc.append(cycle)
-        cycles.append(cyc)
-        cycle_of.append(of)
-    return cycles, cycle_of
+                    "Q2", f"permutation {idx} fixes the point {point_str(points[x])}",
+                    witness=(idx, points[x]))
+        numbers.append(number)
+        reps.append(least)
+    return tuple(numbers), tuple(reps)
 
 
 def _check_permutation_triple(perms, points):
     """``_walk_cycles``, then Q1 (cycles of different permutations share at
     most one moved point) and Q3 (the product is the identity)."""
-    cycles, cycle_of = _walk_cycles(perms, points)
+    numbers, reps = _walk_cycles(perms, points)
     for r, s in _PAIRS:
-        ns = len(cycles[s])
+        ns = len(reps[s])
         seen = {}
-        for x, (kr, ks) in enumerate(zip(cycle_of[r], cycle_of[s])):
+        for x, (kr, ks) in enumerate(zip(numbers[r], numbers[s])):
             key = kr * ns + ks  # the pair of cycles through x, as one int
             if key in seen:
-                cr = tuple(points[i] for i in cycles[r][kr])
-                cs = tuple(points[i] for i in cycles[s][ks])
+                cr = tuple(points[i] for i in cycle_through(perms[r], reps[r][kr]))
+                cs = tuple(points[i] for i in cycle_through(perms[s], reps[s][ks]))
                 raise ValidationError(
                     "Q1",
                     f"cycles {cr} and {cs} of permutations {r + 1} and {s + 1} share "
@@ -574,7 +554,6 @@ def _check_permutation_triple(perms, points):
             raise ValidationError(
                 "Q3", f"the product moves the point {point_str(points[x])}",
                 witness=points[x])
-    return cycles, cycle_of
 
 
 def _bitrade_of_walks(perms, walks, tags, provenance, *, cell_order=None):
@@ -610,7 +589,7 @@ def triple_permutations(bitrade):
     so this only walks its cycles, once per bitrade.
     """
     pt = bitrade.permutation_triple
-    pt.index_cycles  # the cycle walk, which checks Q2
+    pt.reps  # the cycle walk, which checks Q2
     return pt
 
 
@@ -746,22 +725,22 @@ def from_group(group, a, b, c, *, provenance=None, cell_order=None):
 
 def separation_witness(bitrade, pt=None):
     """None if every row/column/symbol meets exactly one cycle of the
-    corresponding permutation, else (coordinate, label, cycle ids)."""
+    corresponding permutation, else (coordinate, label, the label's cycles
+    as point tuples, each from its least point)."""
     if pt is None:
         pt = triple_permutations(bitrade)
-    for i in range(3):
+    for i, reps in enumerate(pt.reps):
         # each cycle keeps its label and every label is used, so a label
         # meets two cycles exactly when there are more cycles than labels
-        if len(pt.index_cycles[i]) == len(pt.alphabets[i]):
+        if len(reps) == len(pt.alphabets[i]):
             continue
         by_label = {}
-        for ci, cycle in enumerate(pt.index_cycles[i]):
-            by_label.setdefault(pt.alphabets[i][pt.coords[i][cycle[0]]], []).append(ci)
+        for x in reps:
+            by_label.setdefault(pt.alphabets[i][pt.coords[i][x]], []).append(x)
         for label in canonical_sorted(by_label):
-            ids = by_label[label]
-            if len(ids) > 1:
-                return (_COORD_NAMES[i], label,
-                        tuple(pt.cycles[i][ci] for ci in ids))
+            starts = by_label[label]
+            if len(starts) > 1:
+                return (_COORD_NAMES[i], label, tuple(pt._cycle(i, x) for x in starts))
     return None
 
 

@@ -74,21 +74,37 @@ def perm_is_valid(g, n):
 
 
 def perm_parity(g):
-    """0 for even permutations, 1 for odd (via cycle decomposition)."""
-    n = len(g)
-    seen = [False] * n
-    parity = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        length = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = g[x] - 1
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+    """0 for even permutations, 1 for odd: a cycle of length l is a product
+    of l - 1 transpositions, so the parity is that of n minus the number of
+    cycles."""
+    return (len(g) - len(cycle_numbers([x - 1 for x in g])[1])) & 1
+
+
+def cycle_numbers(q):
+    """The cycles of the index permutation q (a list of indices): each
+    index's cycle number, cycles numbered in order of their least index,
+    and each cycle's least index."""
+    number = [-1] * len(q)
+    least = []
+    for x, k in enumerate(number):  # reads each entry after the walks before it
+        if k < 0:
+            k = number[x] = len(least)
+            least.append(x)
+            y = q[x]
+            while y != x:
+                number[y] = k
+                y = q[y]
+    return number, least
+
+
+def cycle_through(q, start):
+    """The cycle of the index permutation q through ``start``, from it."""
+    cycle = [start]
+    x = q[start]
+    while x != start:
+        cycle.append(x)
+        x = q[x]
+    return cycle
 
 
 def chain_order(generators, n, cap=None):
@@ -271,14 +287,15 @@ class Subgroup:
 # groups
 
 class CosetWalk:
-    """The walk of an index permutation q: its cycles, each named by
-    ``strs`` (of a list of indices) at its least index.  The cycles of a
-    right translation x -> xg (``Group.coset_walk``) are the left cosets
-    x<g>; ``from_permutations`` walks its permutations with point strings.
+    """The walk of an index permutation q: its cycles (``cycle_numbers``),
+    each named by ``strs`` (of a list of indices) at its least index.  The
+    cycles of a right translation x -> xg (``Group.coset_walk``) are the
+    left cosets x<g>; ``from_permutations`` walks its permutations with
+    point strings.
 
-    * ``powers``: the cycle through index ``start``, from it; from the
-      identity, the power list of <g> (identity, g, g^2, ...);
-      ``members``: the same as a set.
+    * ``powers``: the cycle through index ``start``, from it
+      (``cycle_through``); from the identity, the power list of <g>
+      (identity, g, g^2, ...); ``members``: the same as a set.
     * ``names``: ``strs`` of each cycle's least index, cycles in order of
       it (declared order); ``order``: the cycle numbers in order of their
       names.
@@ -293,24 +310,9 @@ class CosetWalk:
     __slots__ = ("powers", "members", "names", "order", "rank", "distinct", "_labels")
 
     def __init__(self, q, strs, start):
-        powers = [start]
-        x = q[start]
-        while x != start:
-            powers.append(x)
-            x = q[x]
-        self.powers = tuple(powers)
-        self.members = frozenset(powers)
-        coset = [-1] * len(q)
-        reps = []
-        for least, k in enumerate(coset):  # reads each entry after the walks before it
-            if k < 0:
-                k = len(reps)
-                reps.append(least)
-                coset[least] = k
-                x = q[least]
-                while x != least:
-                    coset[x] = k
-                    x = q[x]
+        self.powers = tuple(cycle_through(q, start))
+        self.members = frozenset(self.powers)
+        coset, reps = cycle_numbers(q)
         self.names = tuple(strs(reps))
         self.order = array("i", sorted(range(len(reps)), key=self.names.__getitem__))
         rank = [0] * len(reps)
@@ -436,12 +438,6 @@ class Group:
         store, decode = self._element_store(), self._decode
         return [decode(store[i]) for i in indices]
 
-    def element_strs(self, indices):
-        """``element_str`` of the elements at the given indices, each made
-        once; the cap is checked."""
-        self._element_store()  # checks the cap
-        return self._element_strs(indices)
-
     def right_translation(self, g):
         """The permutation x -> xg of the element indices, built once per g."""
         return self.right_translations([g])[0]
@@ -458,8 +454,10 @@ class Group:
         self._element_store()  # checks the cap
         return self._coset_walk(g)
 
-    # the unchecked forms of the three accessors above, for a caller that
-    # has just checked the cap through ``_element_store`` (``GroupTriple``)
+    # the unchecked forms of the two accessors above, and the element strings
+    # (``element_str`` of the elements at the given indices, each made once),
+    # for a caller that has just checked the cap through ``_element_store``
+    # (``GroupTriple``)
 
     def _element_strs(self, indices):
         strs, store, element_str = self._strs, self._store, self.element_str

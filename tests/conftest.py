@@ -250,13 +250,35 @@ def check_bitrade_conditions(circ, star):
 # ---------------------------------------------------------------------------
 # group oracles, on the group's multiplication alone
 
+def inversion_parity(p):
+    """The parity of the number of inversions of the sequence p."""
+    return sum(x > y for x, y in itertools.combinations(p, 2)) % 2
+
+
 def reference_permutations(n, even=False):
     """The permutations of 1..n as image tuples in ascending order, or only
     the even ones: all n! of them, filtered by the parity of their
     inversion count."""
     for p in itertools.permutations(range(1, n + 1)):
-        if not even or sum(x > y for x, y in itertools.combinations(p, 2)) % 2 == 0:
+        if not even or inversion_parity(p) == 0:
             yield p
+
+
+def reference_cycles(q):
+    """The cycles of the index permutation q, each from its least index and
+    in ascending order of it, and the number of the cycle through each
+    index."""
+    cycles, of = [], {}
+    for start in range(len(q)):
+        if start in of:
+            continue
+        cycle, x = [start], q[start]
+        while x != start:
+            cycle.append(x)
+            x = q[x]
+        of.update((y, len(cycles)) for y in cycle)
+        cycles.append(cycle)
+    return cycles, [of[x] for x in range(len(q))]
 
 
 def reference_closure(G, generators):

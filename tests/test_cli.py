@@ -414,6 +414,20 @@ class TestSearch:
         assert main(["search", "--group", "cyc:2", "--checks", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_k_below_2_exits_2(self, capsys, k):
+        # a non-identity element has order at least 2; refused before the
+        # group is built, so an unknown group is not what is reported
+        assert main(["search", "--group", "bogus", "--k", str(k)]) == 2
+        assert capsys.readouterr() == ("", f"error: --k must be at least 2, got {k}\n")
+
+    def test_k_2_is_searched(self, capsys):
+        # the Klein four-group's three involutions, in each order
+        assert main(["search", "--group", "prod:cyc:2,cyc:2", "--k", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "6 triples found in prod:cyc:2,cyc:2\n"
+        assert {json.loads(line)["k"] for line in captured.out.splitlines()} == {2}
+
     def test_empty_checks_list_records_without_properties(self, capsys):
         assert main(["search", "--group", "sym:3", "--checks", ""]) == 0
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]

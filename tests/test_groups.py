@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitrades.errors import GroupError, ParseError, ResourceCapError
@@ -17,6 +17,8 @@ from bitrades.groups import (
     _even_mask,
     _is_prime,
     chain_order,
+    cycle_numbers,
+    cycle_through,
     group_from_spec,
     parse_permutation,
     perm_mul,
@@ -28,8 +30,10 @@ from conftest import (
     center,
     cyclic_subgroup,
     element_order,
+    inversion_parity,
     left_cosets,
     reference_closure,
+    reference_cycles,
     reference_permutations,
     reference_translation,
 )
@@ -308,7 +312,7 @@ class TestSubgroupsCosets:
         assert G._element_store() == list(map(bytes, els))
         assert G.order() == len(els)
         assert list(G.iter_elements()) == els
-        assert G.element_strs(range(len(els))) == [perm_str(x) for x in els]
+        assert G._element_strs(range(len(els))) == [perm_str(x) for x in els]
         assert [G.index_of(x) for x in els] == list(range(len(els)))
         assert G.elements() == els
         assert G.index_of(G.identity) == 0
@@ -389,7 +393,7 @@ class TestPermutationStores:
         assert G.order() == len(ref)
         assert G.elements() == ref
         assert list(G.iter_elements()) == ref
-        assert G.element_strs(range(len(ref))) == [reference_cycle_notation(x) for x in ref]
+        assert G._element_strs(range(len(ref))) == [reference_cycle_notation(x) for x in ref]
         assert [G.index_of(x) for x in ref] == list(range(len(ref)))
         members = set(ref)
         everything = list(reference_permutations(n))
@@ -415,6 +419,28 @@ class TestPermutationStores:
         assert G.contains(G.identity)
         assert G.contains(parse_permutation("(1,2)", G.degree)) == (spec == "sym:11")
         assert "_store" not in G.__dict__
+
+
+class TestCycleWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 12).map(range).flatmap(st.permutations))
+    @example([])
+    @example([0, 1, 2, 3])
+    @example([1, 0, 2, 4, 3])
+    def test_walks_match_the_reference(self, q):
+        # every index's cycle number, every cycle's least index, and the
+        # cycle through every index, fixed points included
+        cycles, number = reference_cycles(q)
+        assert cycle_numbers(q) == (number, [cycle[0] for cycle in cycles])
+        for start in range(len(q)):
+            cycle = cycles[number[start]]
+            i = cycle.index(start)
+            assert cycle_through(q, start) == cycle[i:] + cycle[:i]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_perm_parity_is_the_inversion_parity(self, n):
+        for p in itertools.permutations(range(1, n + 1)):
+            assert perm_parity(p) == inversion_parity(p)
 
 
 class TestStabilizerChain:
@@ -654,7 +680,6 @@ class TestGroupSpec:
         g = G.parse_element("(1,2,3)")
         accessors = {
             "index_of": lambda: G.index_of(g),
-            "element_strs": lambda: G.element_strs([0, 5]),
             "right_translation": lambda: G.right_translation(g),
             "right_translations": lambda: G.right_translations([g, g]),
             "coset_walk": lambda: G.coset_walk(g),
@@ -673,7 +698,7 @@ class TestGroupSpec:
             G = group_from_spec(spec)
             els = G.elements()
             assert [G.index_of(x) for x in els] == list(range(len(els)))
-            assert G.element_strs(range(len(els))) == [G.element_str(x) for x in els]
+            assert G._element_strs(range(len(els))) == [G.element_str(x) for x in els]
             for g in els:
                 rho = G.right_translation(g)
                 assert [els[y] for y in rho] == [G.mul(x, g) for x in els]

@@ -61,6 +61,7 @@ from conftest import (
     check_bitrade_conditions,
     make_pls,
     oracle_mate_bijections,
+    reference_cycles,
     sorted_triples,
 )
 
@@ -76,10 +77,20 @@ def oracle_triple_permutations(bitrade):
     tau2 = {x: b1[inv[2][x]] for x in points}
     tau3 = {x: b2[inv[0][x]] for x in points}
     index_perms = core._index_permutations((tau1, tau2, tau3), points)
-    cycles, _ = core._check_permutation_triple(index_perms, points)  # Q1-Q3
-    pt = SimpleNamespace(points=tuple(points), cycles=tuple(
-        tuple(tuple(points[x] for x in c) for c in cyc) for cyc in cycles))
+    core._check_permutation_triple(index_perms, points)  # raises unless Q1-Q3 hold
+    cycles = [reference_cycles(q)[0] for q in index_perms]
+    pt = SimpleNamespace(
+        points=tuple(points), reps=tuple([c[0] for c in cyc] for cyc in cycles),
+        cycles=tuple(tuple(tuple(points[x] for x in c) for c in cyc) for cyc in cycles))
     return pt, (tau1, tau2, tau3)
+
+
+def reference_walk(perms):
+    """``core._walk_cycles`` of fixed-point-free index permutations, by
+    ``reference_cycles``: the cycle number of each index, and the least
+    index of each cycle, per permutation."""
+    walks = [reference_cycles(q) for q in perms]
+    return tuple(of for _, of in walks), tuple([c[0] for c in cycles] for cycles, _ in walks)
 
 
 def oracle_separation_witness(pt):
@@ -215,6 +226,7 @@ def assert_matches_oracle(bitrade):
     ref, ref_perms = oracle_triple_permutations(bitrade)
     assert pt.points == ref.points
     assert pt.perms == ref_perms
+    assert pt.reps == ref.reps
     assert pt.cycles == ref.cycles
     assert separation_witness(bitrade) == oracle_separation_witness(ref)
     primary = is_primary(bitrade)
@@ -620,20 +632,7 @@ def oracle_q1_clash(perms, points):
     """The first Q1 clash of three fixed-point-free index permutations, as
     the scan keyed by (cycle, cycle) tuples reports it: the message and the
     witness, or None."""
-    cycles, cycle_of = [], []
-    for q in perms:
-        cyc, of = [], {}
-        for start in range(len(q)):
-            if start in of:
-                continue
-            cycle, x = [start], q[start]
-            while x != start:
-                cycle.append(x)
-                x = q[x]
-            of.update((y, len(cyc)) for y in cycle)
-            cyc.append(cycle)
-        cycles.append(cyc)
-        cycle_of.append([of[x] for x in range(len(q))])
+    cycles, cycle_of = zip(*map(reference_cycles, perms))
     for r, s in ((0, 1), (0, 2), (1, 2)):
         seen = {}
         for x, key in enumerate(zip(cycle_of[r], cycle_of[s])):
@@ -692,7 +691,8 @@ def label_path_squares(perms, points, tags, fmt):
     every point as a primary and a mate triple.  The mate of point x is the
     row cycle through x, the column cycle through q1(x) and the symbol
     cycle through q2(q1(x))."""
-    cycles, cycle_of = core._check_permutation_triple(perms, points)
+    core._check_permutation_triple(perms, points)  # raises unless Q1-Q3 hold
+    cycles, cycle_of = zip(*map(reference_cycles, perms))
     alphabets = []
     labels = []
     for tag, cyc, of in zip(tags, cycles, cycle_of):
@@ -806,8 +806,8 @@ def test_group_triples_pass_the_full_check(triple):
     els = G.elements()
     perms = G.right_translations((triple.a, triple.b, triple.c))
     assert list(map(list, perms)) == right_multiplications(triple)
-    checked = core._check_permutation_triple(perms, els)  # raises on a Q1-Q3 failure
-    assert checked == core._walk_cycles(perms, els)
+    core._check_permutation_triple(perms, els)  # raises on a Q1-Q3 failure
+    assert core._walk_cycles(perms, els) == reference_walk(perms)
     direct = from_group(G, triple.a, triple.b, triple.c)
     oracle = label_path_bitrade(perms, els, "ABC", G.element_str, direct.provenance)
     assert_same_bitrade(direct, oracle)
@@ -989,12 +989,13 @@ def test_no_label_triple_held_until_read(build):
 @given(bitrades_and_label_squares().map(lambda case: case[0])
        | group_bitrades(TRUSTED_SPECS))
 def test_every_built_structure_passes_the_full_check(bitrade):
-    # documents (make_bitrade), permutations and groups: the cycle walk a
-    # report runs finds what the full Q1-Q3 check finds, and the check passes
+    # documents (make_bitrade), permutations and groups: the full Q1-Q3
+    # check passes, and the cycle walk a report runs agrees with the reference
     pt = bitrade.permutation_triple
-    checked = core._check_permutation_triple(pt.index_perms, pt)  # raises on a failure
-    assert checked == core._walk_cycles(pt.index_perms, pt)
-    assert (pt.index_cycles, pt.cycle_of) == checked
+    core._check_permutation_triple(pt.index_perms, pt)  # raises on a failure
+    walk = core._walk_cycles(pt.index_perms, pt)
+    assert walk == reference_walk(pt.index_perms)
+    assert pt.reps == walk[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 The golden file ``golden/verify_rejections.jsonl`` holds, for every
 document in ``DOCUMENTS`` and both output formats, the exit code, stdout
-and stderr of ``bitrade verify``.  Re-record it (only when a change of
-output is intended) with::
+and stderr of ``bitrade verify``.  ``golden/verify_nonseparated.jsonl``
+holds the same for the documents in ``NONSEPARATED``: the default report
+of an accepted bitrade that is not separated.  Re-record both (only when
+a change of output is intended) with::
 
     PYTHONPATH=src python tests/test_verify_documents.py
 
@@ -26,9 +28,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bitrades.cli import main
-from bitrades.serialize import _read_writer_layout
+from bitrades.core import make_bitrade
+from bitrades.serialize import _read_writer_layout, bitrade_to_json
+
+from conftest import NONSEP_CIRC, NONSEP_STAR
 
 GOLDEN = Path(__file__).with_name("golden") / "verify_rejections.jsonl"
+NONSEP_GOLDEN = GOLDEN.with_name("verify_nonseparated.jsonl")
 
 # the 2x3 bitrade of conftest, as document triples
 CIRC = [["a", "c", "f"], ["a", "d", "g"], ["a", "e", "h"],
@@ -109,6 +115,14 @@ DOCUMENTS = {
 }
 WRITER_LAYOUT = [name for name in DOCUMENTS if name.startswith("writer_layout_")]
 
+# the non-separated bitrade of conftest, whose separation witness lists the
+# two cycles of row c, in the writer's layout and as compact JSON
+_NONSEP_TEXT = bitrade_to_json(make_bitrade(NONSEP_CIRC, NONSEP_STAR))
+NONSEPARATED = {"nonseparated_writer_layout": _NONSEP_TEXT,
+                "nonseparated_compact": json.dumps(json.loads(_NONSEP_TEXT))}
+
+GOLDENS = {GOLDEN: DOCUMENTS, NONSEP_GOLDEN: NONSEPARATED}
+
 FORMATS = {"json": [], "text": ["--format", "text"]}
 
 
@@ -124,22 +138,26 @@ def run_verify(path, extra=()):
 
 
 def _golden_records():
-    if not GOLDEN.exists():  # while recording; the coverage test fails on it
-        return []
-    with open(GOLDEN, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh]
+    records = []
+    for path in GOLDENS:
+        if path.exists():  # not while recording; the coverage test fails on it
+            with open(path, encoding="utf-8") as fh:
+                records += [json.loads(line) for line in fh]
+    return records
 
 
 def test_golden_covers_every_document():
     assert {(r["name"], r["format"]) for r in _golden_records()} \
-        == {(name, fmt) for name in DOCUMENTS for fmt in FORMATS}
+        == {(name, fmt) for documents in GOLDENS.values() for name in documents
+            for fmt in FORMATS}
 
 
 @pytest.mark.parametrize("record", _golden_records(),
                          ids=lambda r: f"{r['name']}-{r['format']}")
 def test_golden_verify_output(tmp_path, record):
     path = tmp_path / "doc.json"
-    path.write_text(_document_text(DOCUMENTS[record["name"]]), encoding="utf-8")
+    path.write_text(_document_text({**DOCUMENTS, **NONSEPARATED}[record["name"]]),
+                    encoding="utf-8")
     code, out, err = run_verify(path, FORMATS[record["format"]])
     assert (code, out, err) == (record["exit"], record["stdout"], record["stderr"])
 
@@ -231,11 +249,11 @@ def test_fuzzed_documents_exit_cleanly(tmp_path, doc, fmt):
     assert "Traceback" not in err
 
 
-def record(path=GOLDEN):
-    """Write the golden file from the program as it stands."""
+def record(path, documents):
+    """Write a golden file from the program as it stands."""
     with tempfile.TemporaryDirectory() as tmp, open(path, "w", encoding="utf-8") as fh:
         doc_path = Path(tmp) / "doc.json"
-        for name, doc in DOCUMENTS.items():
+        for name, doc in documents.items():
             doc_path.write_text(_document_text(doc), encoding="utf-8")
             for fmt, extra in FORMATS.items():
                 code, out, err = run_verify(doc_path, extra)
@@ -244,4 +262,5 @@ def record(path=GOLDEN):
 
 
 if __name__ == "__main__":
-    record(Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN)
+    for path, documents in GOLDENS.items():
+        record(path, documents)
